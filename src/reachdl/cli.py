@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,18 +22,19 @@ from .syntax import ReachDLError, to_text
 from .vc import check_all_vcs, check_reach_soundness
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line on stderr, like every input error."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-universe", type=int, default=6)
-    p.add_argument("--pool", type=int, default=8)
     p.add_argument("--ord", choices=("exp", "poly"), default="poly")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", action="store_true")
-
-
-def _ceiling() -> int:
-    return int(os.environ.get("REACHDL_CEILING", models.DEFAULT_CEILING))
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -50,7 +50,7 @@ def _load_spec(path: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    top = argparse.ArgumentParser(prog="reachdl")
+    top = _Parser(prog="reachdl")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a formula file and print it back")
@@ -124,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:
@@ -141,7 +144,7 @@ def _dispatch(args) -> int:
 
     if args.command == "check-sat":
         vocab, spec = _load_spec(args.spec)
-        m = models.find_model(spec, vocab, 1, args.max_universe, ceiling=_ceiling())
+        m = models.find_model(spec, vocab, 1, args.max_universe)
         if m is None:
             _emit(args, {"satisfiable": False}, [f"UNSAT up to universe {args.max_universe}"])
             return 1
@@ -154,7 +157,7 @@ def _dispatch(args) -> int:
         v2, s2 = _load_spec(args.spec2)
         kappa, fresh = reduction.implication_reduction(s1, s2)
         vocab = v1.merge(v2).with_concepts(fresh)
-        m = models.find_model(kappa, vocab, 1, args.max_universe, ceiling=_ceiling())
+        m = models.find_model(kappa, vocab, 1, args.max_universe)
         if m is None:
             _emit(args, {"implies": True},
                   [f"IMPLIES (no countermodel up to universe {args.max_universe})"])
@@ -311,7 +314,7 @@ def _load_memory(path: str, prog) -> MemoryStructure:
 
 def _dispatch_find_model(args) -> int:
     vocab, spec = _load_spec(args.spec)
-    m = models.find_model(spec, vocab, 1, args.max_universe, ceiling=_ceiling())
+    m = models.find_model(spec, vocab, 1, args.max_universe)
     if m is None:
         _emit(args, {"model": None}, [f"NO MODEL up to universe {args.max_universe}"])
         return 1

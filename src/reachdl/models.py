@@ -22,8 +22,8 @@ from .reduction import semi_formula
 from .structures import FiniteStructure, eval_formula, types_of_all
 from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,
                      FOr, Formula, Incl, Nominal, Not, Or, ReachDLError, Role,
-                     Top, Vocabulary, closure_concepts, concepts_of, conjuncts,
-                     formula_symbols)
+                     TOP, Top, Vocabulary, closure_concepts, conjuncts,
+                     formula_symbols, map_concept, map_sides)
 
 
 class CeilingExceededError(ReachDLError):
@@ -42,7 +42,14 @@ DEFAULT_CEILING = 7
 
 
 def search_ceiling() -> int:
-    return int(os.environ.get("REACHDL_CEILING", DEFAULT_CEILING))
+    """The largest universe size a search may be asked for: REACHDL_CEILING
+    when set (an integer >= 1), else DEFAULT_CEILING."""
+    text = os.environ.get("REACHDL_CEILING")
+    if text is None:
+        return DEFAULT_CEILING
+    if not text.isdecimal() or int(text) < 1:
+        raise ReachDLError(f"REACHDL_CEILING must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -498,38 +505,13 @@ def _simplify_functional(phi: Formula, functional: frozenset[str]) -> Formula:
     every element (there is at most one successor in total).  Dropping the
     role from such conjuncts moves them to earlier pruning stages."""
 
-    def csimp(c: Concept) -> Concept:
-        if isinstance(c, AtMost):
-            inner = csimp(c.inner)
-            r = c.role
-            if (c.bound >= 1 and not r.inverted and not r.updates
-                    and r.name in functional):
-                return Top()
-            return AtMost(c.bound, r, inner)
-        if isinstance(c, And):
-            return And(csimp(c.left), csimp(c.right))
-        if isinstance(c, Or):
-            return Or(csimp(c.left), csimp(c.right))
-        if isinstance(c, Not):
-            return Not(csimp(c.inner))
-        if isinstance(c, Exists):
-            return Exists(c.role, csimp(c.inner))
+    def simp(c: Concept) -> Concept:
+        if (isinstance(c, AtMost) and c.bound >= 1 and not c.role.inverted
+                and not c.role.updates and c.role.name in functional):
+            return TOP
         return c
 
-    def fsimp(f: Formula) -> Formula:
-        if isinstance(f, Incl):
-            return Incl(csimp(f.left), csimp(f.right))
-        if isinstance(f, Eq):
-            return Eq(csimp(f.left), csimp(f.right))
-        if isinstance(f, FAnd):
-            return FAnd(fsimp(f.left), fsimp(f.right))
-        if isinstance(f, FOr):
-            return FOr(fsimp(f.left), fsimp(f.right))
-        if isinstance(f, FNot):
-            return FNot(fsimp(f.inner))
-        return f
-
-    return fsimp(phi)
+    return map_sides(phi, lambda c: map_concept(c, simp))
 
 
 def find_model(target: Formula | ReachSpec, vocab: Vocabulary,

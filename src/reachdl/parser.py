@@ -537,12 +537,11 @@ class _StmtParser:
         from .programs import EqB, FalseB, TrueB
 
         tok = self.peek()
-        if tok.kind == "name" and tok.text == "T":
+        # T and F are literals unless an equality follows (T = x)
+        if (tok.kind == "name" and tok.text in ("T", "F")
+                and self.tokens[self.pos + 1].kind != "="):
             self.next()
-            return TrueB()
-        if tok.kind == "name" and tok.text == "F":
-            self.next()
-            return FalseB()
+            return TrueB() if tok.text == "T" else FalseB()
         if tok.kind == "(":
             save = self.pos
             self.next()

@@ -19,9 +19,9 @@ from .reach import ReachSpec, assoc_formula
 from .structures import FiniteStructure, eval_concept, eval_formula
 from .syntax import (And, AtMost, Atomic, BOT, Bot, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, Nominal, Not, Or, ReachDLError,
-                     Role, TOP, Top, TRUE, Vocabulary, big_and, big_or,
-                     closure_concepts, concepts_of, conj, conjuncts, disj,
-                     expand_eq, formula_symbols, inv, role)
+                     Role, TOP, Top, Vocabulary, big_and, big_or,
+                     closure_concepts, conj, conjuncts, disj, expand_eq,
+                     formula_symbols, inv, map_concept, map_sides, role)
 
 
 class LimitExceededError(ReachDLError):
@@ -118,37 +118,11 @@ def _ext_vocab(spec: ReachSpec, variant: str, k: int) -> ExtVocabulary:
 
 def relativize_concept(c: Concept, marker: Concept) -> Concept:
     """g(C): rebuild with every subconcept intersected with the marker."""
-    if isinstance(c, (Atomic, Nominal, Top, Bot)):
-        return And(c, marker)
-    if isinstance(c, And):
-        return And(And(relativize_concept(c.left, marker),
-                       relativize_concept(c.right, marker)), marker)
-    if isinstance(c, Or):
-        return And(Or(relativize_concept(c.left, marker),
-                      relativize_concept(c.right, marker)), marker)
-    if isinstance(c, Not):
-        return And(Not(relativize_concept(c.inner, marker)), marker)
-    if isinstance(c, Exists):
-        return And(Exists(c.role, relativize_concept(c.inner, marker)), marker)
-    if isinstance(c, AtMost):
-        return And(AtMost(c.bound, c.role, relativize_concept(c.inner, marker)), marker)
-    raise TypeError(f"not a concept: {c!r}")  # pragma: no cover
+    return map_concept(c, lambda node: And(node, marker))
 
 
 def relativize_formula(phi: Formula, marker: Concept) -> Formula:
-    if isinstance(phi, Incl):
-        return Incl(relativize_concept(phi.left, marker),
-                    relativize_concept(phi.right, marker))
-    if isinstance(phi, Eq):
-        return Eq(relativize_concept(phi.left, marker),
-                  relativize_concept(phi.right, marker))
-    if isinstance(phi, FAnd):
-        return FAnd(relativize_formula(phi.left, marker), relativize_formula(phi.right, marker))
-    if isinstance(phi, FOr):
-        return FOr(relativize_formula(phi.left, marker), relativize_formula(phi.right, marker))
-    if isinstance(phi, FNot):
-        return FNot(relativize_formula(phi.inner, marker))
-    raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
+    return map_sides(phi, lambda c: relativize_concept(c, marker))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +372,8 @@ def ord_membership(n_struct: FiniteStructure, spec: ReachSpec, variant: str,
             return False
         succ_o = {(a, b) for a, b in n_struct.role_ext(ext.succ_role)
                   if a in opart and b in opart}
-        want = {(u, v) for u in opart for v in opart if position[u] + 1 == position[v]}
+        at = {p: u for u, p in position.items()}
+        want = {(u, at[position[u] + 1]) for u in opart if position[u] + 1 in at}
         if succ_o != want:
             return False
     # properties 4 and 5 per assertion
@@ -520,19 +495,14 @@ class BCInfo:
 
     def strip(self, fs: FiniteStructure) -> FiniteStructure:
         """Drop this reduction's fresh symbols from a structure."""
-        noms = {k: v for k, v in fs.nominals.items() if k not in set(self.nominals)}
-        roles = {k: v for k, v in fs.roles.items() if k not in set(self.roles)}
+        drop_noms, drop_roles = set(self.nominals), set(self.roles)
+        noms = {k: v for k, v in fs.nominals.items() if k not in drop_noms}
+        roles = {k: v for k, v in fs.roles.items() if k not in drop_roles}
         return FiniteStructure(fs.universe, fs.concepts, roles, noms)
 
 
 def _relativize_atoms(phi: Formula, guard: Concept) -> Formula:
-    if isinstance(phi, Incl):
-        return Incl(And(phi.left, guard), And(phi.right, guard))
-    if isinstance(phi, Eq):
-        return Eq(And(phi.left, guard), And(phi.right, guard))
-    if isinstance(phi, FAnd):
-        return FAnd(_relativize_atoms(phi.left, guard), _relativize_atoms(phi.right, guard))
-    raise NonNNFError("relativization expects a negation-free formula")  # pragma: no cover
+    return map_sides(phi, lambda c: And(c, guard))
 
 
 def _bc(phi: Formula, info: BCInfo, m: FiniteStructure | None,

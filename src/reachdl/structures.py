@@ -207,9 +207,6 @@ def eval_formula(m: FiniteStructure, phi: Formula,
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
 
 
-TypeSignature = frozenset
-
-
 def type_of(m: FiniteStructure, phi: Formula, u: int) -> frozenset[Concept]:
     """The type of u: the concepts of phi whose extension contains u."""
     if u not in set(m.universe):

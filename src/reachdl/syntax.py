@@ -8,12 +8,26 @@ combinations of concept inclusions and equalities.
 
 Everything here is immutable and hashable; structural equality is the
 equality used throughout (e.g. by concepts_of and the type machinery).
+
+Traversals.  Syntactic rewrites go through one scheme: map_concept
+rebuilds a concept bottom-up, and map_atoms / map_sides lift a rewrite to
+every inclusion and equality of a formula.  All three return an unchanged
+subtree as the same object, so later equality tests against the input hit
+the identity shortcut instead of comparing copies.  Searches go through
+one preorder walk, subconcepts, over a concept or a formula.  Walks that
+stay hand-written, on purpose: formula_symbols and formula_size (the
+symbol scan sits on the search set-up path; the size defines the node
+counts the benchmark reports), the printers below, the OWL export,
+models.compile_* (the bitmask kernel), structures.eval_* (the memoized
+evaluator), fol's translation (the independent oracle), nnf's polarity
+walk, the boolean-closure recursion _bc, and the statement walks of
+programs.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator
 
 
 class ReachDLError(Exception):
@@ -71,9 +85,6 @@ class Vocabulary:
         names = frozenset(names)
         return self.merge(Vocabulary(roles=names, functional=names if functional else frozenset()))
 
-    def all_names(self) -> frozenset[str]:
-        return self.concepts | self.roles | self.nominals
-
 
 # ---------------------------------------------------------------------------
 # Roles
@@ -102,9 +113,6 @@ class Role:
     def inverse(self) -> "Role":
         """Inverse role; inverse-of-inverse normalizes away structurally."""
         return Role(self.name, not self.inverted, self.updates)
-
-    def is_plain(self) -> bool:
-        return not self.updates
 
     def updated(self, source: str, target: str) -> "Role":
         """Append an override point (the new point is outermost)."""
@@ -300,17 +308,82 @@ def conjuncts(phi: Formula) -> Iterator[Formula]:
         yield phi
 
 
+# ---------------------------------------------------------------------------
+# Traversals
+
+
+def map_concept(c: Concept, fn: Callable[[Concept], Concept]) -> Concept:
+    """Bottom-up rebuild: fn is applied to every node after its children
+    are mapped, and its result replaces the node.  A node none of whose
+    children changed reaches fn as the original object, not a copy."""
+    if isinstance(c, (And, Or)):
+        left, right = map_concept(c.left, fn), map_concept(c.right, fn)
+        if left is not c.left or right is not c.right:
+            c = type(c)(left, right)
+    elif isinstance(c, Not):
+        inner = map_concept(c.inner, fn)
+        if inner is not c.inner:
+            c = Not(inner)
+    elif isinstance(c, Exists):
+        inner = map_concept(c.inner, fn)
+        if inner is not c.inner:
+            c = Exists(c.role, inner)
+    elif isinstance(c, AtMost):
+        inner = map_concept(c.inner, fn)
+        if inner is not c.inner:
+            c = AtMost(c.bound, c.role, inner)
+    return fn(c)
+
+
+def map_atoms(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """phi with every inclusion and equality replaced by fn of it, left to
+    right; connectives whose operands are unchanged are kept as they are."""
+    if isinstance(phi, (FAnd, FOr)):
+        left, right = map_atoms(phi.left, fn), map_atoms(phi.right, fn)
+        if left is phi.left and right is phi.right:
+            return phi
+        return type(phi)(left, right)
+    if isinstance(phi, FNot):
+        inner = map_atoms(phi.inner, fn)
+        return phi if inner is phi.inner else FNot(inner)
+    if isinstance(phi, (Incl, Eq)):
+        return fn(phi)
+    raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
+
+
+def map_sides(phi: Formula, fn: Callable[[Concept], Concept]) -> Formula:
+    """phi with both sides of every inclusion and equality replaced by fn
+    of them (left side first, atoms left to right)."""
+
+    def atom(a: Formula) -> Formula:
+        left, right = fn(a.left), fn(a.right)
+        if left is a.left and right is a.right:
+            return a
+        return type(a)(left, right)
+
+    return map_atoms(phi, atom)
+
+
+def subconcepts(x: Concept | Formula) -> Iterator[Concept]:
+    """Preorder walk over the concept nodes of a concept, or of every side
+    of a formula's inclusions and equalities (left before right, repeats
+    included)."""
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Concept):
+            yield node
+        if isinstance(node, (And, Or, Incl, Eq, FAnd, FOr)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, (Not, Exists, AtMost, FNot)):
+            stack.append(node.inner)
+
+
 def expand_eq(phi: Formula) -> Formula:
     """Normalize every concept equality into the two inclusions."""
-    if isinstance(phi, Eq):
-        return FAnd(Incl(phi.left, phi.right), Incl(phi.right, phi.left))
-    if isinstance(phi, FAnd):
-        return FAnd(expand_eq(phi.left), expand_eq(phi.right))
-    if isinstance(phi, FOr):
-        return FOr(expand_eq(phi.left), expand_eq(phi.right))
-    if isinstance(phi, FNot):
-        return FNot(expand_eq(phi.inner))
-    return phi
+    return map_atoms(phi, lambda a: FAnd(Incl(a.left, a.right), Incl(a.right, a.left))
+                     if isinstance(a, Eq) else a)
 
 
 def concepts_of(phi: Formula) -> tuple[Concept, ...]:
@@ -318,32 +391,12 @@ def concepts_of(phi: Formula) -> tuple[Concept, ...]:
     as inclusions both ways): deduplicated, in first-occurrence order."""
     seen: dict[Concept, None] = {}
 
-    def walk(f: Formula) -> None:
-        if isinstance(f, (Incl, Eq)):
-            seen.setdefault(f.left)
-            seen.setdefault(f.right)
-        elif isinstance(f, (FAnd, FOr)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, FNot):
-            walk(f.inner)
-        else:  # pragma: no cover
-            raise TypeError(f"not a formula: {f!r}")
+    def visit(c: Concept) -> Concept:
+        seen.setdefault(c)
+        return c
 
-    walk(phi)
+    map_sides(phi, visit)
     return tuple(seen)
-
-
-def subconcepts(c: Concept) -> Iterator[Concept]:
-    """The concept and all its subconcepts, preorder."""
-    yield c
-    if isinstance(c, (And, Or)):
-        yield from subconcepts(c.left)
-        yield from subconcepts(c.right)
-    elif isinstance(c, Not):
-        yield from subconcepts(c.inner)
-    elif isinstance(c, (Exists, AtMost)):
-        yield from subconcepts(c.inner)
 
 
 def closure_concepts(phi: Formula) -> tuple[Concept, ...]:
@@ -436,39 +489,6 @@ def check_symbols(phi: Formula, vocab: Vocabulary) -> None:
         missing = syms[kind] - have
         if missing:
             raise UnknownSymbolError(f"unknown {kind}: {sorted(missing)}")
-
-
-def has_update_roles(phi: Formula) -> bool:
-    found = False
-
-    def cwalk(c: Concept) -> None:
-        nonlocal found
-        if isinstance(c, (And, Or)):
-            cwalk(c.left)
-            cwalk(c.right)
-        elif isinstance(c, Not):
-            cwalk(c.inner)
-        elif isinstance(c, (Exists, AtMost)):
-            if c.role.updates:
-                found = True
-            cwalk(c.inner)
-
-    for f in _atoms(phi):
-        cwalk(f.left)
-        cwalk(f.right)
-    return found
-
-
-def _atoms(phi: Formula) -> Iterator[Union[Incl, Eq]]:
-    if isinstance(phi, (Incl, Eq)):
-        yield phi
-    elif isinstance(phi, (FAnd, FOr)):
-        yield from _atoms(phi.left)
-        yield from _atoms(phi.right)
-    elif isinstance(phi, FNot):
-        yield from _atoms(phi.inner)
-    else:  # pragma: no cover
-        raise TypeError(f"not a formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------

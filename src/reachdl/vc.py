@@ -20,7 +20,7 @@ from .structures import FiniteStructure, eval_formula
 from .syntax import (FAnd, FNot, Formula, ReachDLError, TRUE, conj,
                      formula_symbols)
 from .wp import (LABEL_PREFIX, eliminate_updates, ext_name, label_nominal,
-                 tau_rem_map, theta_full)
+                 theta_full)
 
 
 class MissingAnnotationError(ReachDLError):
@@ -44,35 +44,32 @@ def _annotation(prog: Program, node: str, which: str) -> Formula:
     return table[node]
 
 
-def vc_formula(prog: Program, edge: tuple[str, str]) -> Formula:
-    """not [ shp(tail) /\\ cnt(tail) /\\ Theta(shp(head) /\\ not cnt(head)) ],
-    with update roles eliminated from the transformer output."""
+def _negated_vc_parts(prog: Program, edge: tuple[str, str]) -> tuple[Formula, ...]:
+    """shp(tail), cnt(tail) and Theta(shp(head) /\\ not cnt(head)) with
+    update roles eliminated: the conjuncts the VC negates."""
     tail, head = edge
     if edge not in prog.code:
         raise ReachDLError(f"not an edge: {edge}")
     post = FAnd(_annotation(prog, head, "shp"), FNot(_annotation(prog, head, "cnt")))
     res = theta_full(prog.code[edge], post, prog.heap)
     inner = eliminate_updates(res.formula)
-    return FNot(conj([_annotation(prog, tail, "shp"),
-                      _annotation(prog, tail, "cnt"), inner]))
-
-
-def _negated_vc_parts(prog: Program, edge: tuple[str, str]) -> tuple[Formula, ...]:
-    tail, head = edge
-    post = FAnd(_annotation(prog, head, "shp"), FNot(_annotation(prog, head, "cnt")))
-    res = theta_full(prog.code[edge], post, prog.heap)
-    inner = eliminate_updates(res.formula)
     return (_annotation(prog, tail, "shp"), _annotation(prog, tail, "cnt"), inner)
+
+
+def vc_formula(prog: Program, edge: tuple[str, str]) -> Formula:
+    """not [ shp(tail) /\\ cnt(tail) /\\ Theta(shp(head) /\\ not cnt(head)) ],
+    with update roles eliminated from the transformer output."""
+    return FNot(conj(_negated_vc_parts(prog, edge)))
 
 
 def check_vc(prog: Program, edge: tuple[str, str], bound: int,
              min_pool: int = 1) -> VCEntry:
     """Search for a memory structure with at most `bound` address cells
     (plus extension symbols) satisfying the negation of the VC."""
-    formula = vc_formula(prog, edge)
+    parts = _negated_vc_parts(prog, edge)
+    formula = FNot(conj(parts))
     if bound < 1:
         return VCEntry(edge, formula, "bound-exhausted", bound)
-    parts = _negated_vc_parts(prog, edge)
     heap = prog.heap
     syms = {"concepts": set(), "roles": set(), "nominals": set()}
     for p in parts:
@@ -93,8 +90,9 @@ def check_vc(prog: Program, edge: tuple[str, str], bound: int,
                 continue
             if not _realizable(cand, code, heap, ext_concepts):
                 continue
-            for p in parts:  # re-validate before reporting
-                assert eval_formula(cand.fs, p)
+            if not all(eval_formula(cand.fs, p) for p in parts):  # re-validate
+                raise ReachDLError(f"edge {edge}: search returned a structure "
+                                   "that does not falsify the VC")
             MemoryStructure(heap, _strip_extras(cand.fs, ext_concepts, labels)).check(0)
             return VCEntry(edge, formula, "counterexample", bound, cand.fs, candidates)
     return VCEntry(edge, formula, "valid-up-to-bound", bound, None, candidates)
@@ -102,8 +100,9 @@ def check_vc(prog: Program, edge: tuple[str, str], bound: int,
 
 def _strip_extras(fs: FiniteStructure, ext_concepts: Iterable[str],
                   labels: Iterable[str]) -> FiniteStructure:
-    cons = {k: v for k, v in fs.concepts.items() if k not in set(ext_concepts)}
-    noms = {k: v for k, v in fs.nominals.items() if k not in set(labels)}
+    ext_concepts, labels = set(ext_concepts), set(labels)
+    cons = {k: v for k, v in fs.concepts.items() if k not in ext_concepts}
+    noms = {k: v for k, v in fs.nominals.items() if k not in labels}
     return FiniteStructure(fs.universe, cons, fs.roles, noms)
 
 

@@ -16,10 +16,11 @@ from .programs import (AndB, Assign, Assume, BoolExpr, Dispose, EqB, Expr,
                        FalseB, FalseE, FieldE, If, New, NotB, NullE, OrB,
                        ReadField, Seq, Skip, Stmt, TrueB, TrueE, UnallocB,
                        VarE, WriteField, instrument_abort, labels_of)
-from .syntax import (And, AtMost, Atomic, BOT, Bot, Concept, Eq, Exists, FAnd,
+from .syntax import (And, AtMost, Atomic, BOT, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, KindMismatchError, Nominal, Not,
-                     Or, ReachDLError, Role, TOP, Top, TRUE, UpdatePoint,
-                     Vocabulary, formula_symbols, role)
+                     Or, ReachDLError, Role, TOP, TRUE, UpdatePoint,
+                     formula_symbols, map_concept, map_sides, role,
+                     subconcepts)
 
 
 class AssumeInPsiError(ReachDLError):
@@ -65,37 +66,11 @@ def tau_rem_map(heap: HeapVocabulary) -> dict[str, str]:
 # Substitution
 
 
-def _subst_concept(c: Concept, fn) -> Concept:
-    out = fn(c)
-    if out is not None:
-        return out
-    if isinstance(c, (Atomic, Nominal, Top, Bot)):
-        return c
-    if isinstance(c, And):
-        return And(_subst_concept(c.left, fn), _subst_concept(c.right, fn))
-    if isinstance(c, Or):
-        return Or(_subst_concept(c.left, fn), _subst_concept(c.right, fn))
-    if isinstance(c, Not):
-        return Not(_subst_concept(c.inner, fn))
+def _with_role(c: Concept, r: Role) -> Concept:
+    """The restriction c (Exists or AtMost) over the role expression r."""
     if isinstance(c, Exists):
-        return Exists(c.role, _subst_concept(c.inner, fn))
-    if isinstance(c, AtMost):
-        return AtMost(c.bound, c.role, _subst_concept(c.inner, fn))
-    raise TypeError(f"not a concept: {c!r}")  # pragma: no cover
-
-
-def _map_formula(phi: Formula, cfn) -> Formula:
-    if isinstance(phi, Incl):
-        return Incl(cfn(phi.left), cfn(phi.right))
-    if isinstance(phi, Eq):
-        return Eq(cfn(phi.left), cfn(phi.right))
-    if isinstance(phi, FAnd):
-        return FAnd(_map_formula(phi.left, cfn), _map_formula(phi.right, cfn))
-    if isinstance(phi, FOr):
-        return FOr(_map_formula(phi.left, cfn), _map_formula(phi.right, cfn))
-    if isinstance(phi, FNot):
-        return FNot(_map_formula(phi.inner, cfn))
-    raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
+        return Exists(r, c.inner)
+    return AtMost(c.bound, r, c.inner)
 
 
 def substitute(phi: Formula, target, replacement) -> Formula:
@@ -111,56 +86,39 @@ def substitute(phi: Formula, target, replacement) -> Formula:
             raise KindMismatchError("a nominal substitutes only for a nominal")
         old, new = target.name, replacement.name
 
-        def crename(c: Concept) -> Concept:
-            def fn(cc: Concept):
-                if isinstance(cc, Nominal) and cc.name == old:
-                    return replacement
-                if isinstance(cc, (Exists, AtMost)) and cc.role.updates:
-                    ups = tuple(UpdatePoint(new if p.source == old else p.source,
-                                            new if p.target == old else p.target)
-                                for p in cc.role.updates)
-                    r2 = Role(cc.role.name, cc.role.inverted, ups)
-                    if isinstance(cc, Exists):
-                        return Exists(r2, crename(cc.inner))
-                    return AtMost(cc.bound, r2, crename(cc.inner))
-                return None
+        def fn(c: Concept) -> Concept:
+            if isinstance(c, Nominal) and c.name == old:
+                return replacement
+            if isinstance(c, (Exists, AtMost)) and c.role.updates:
+                ups = tuple(UpdatePoint(new if p.source == old else p.source,
+                                        new if p.target == old else p.target)
+                            for p in c.role.updates)
+                if ups != c.role.updates:
+                    return _with_role(c, Role(c.role.name, c.role.inverted, ups))
+            return c
 
-            return _subst_concept(c, fn)
-
-        return _map_formula(phi, crename)
-
-    if isinstance(target, Atomic):
+    elif isinstance(target, Atomic):
         if not isinstance(replacement, Concept):
             raise KindMismatchError("a concept expression must replace a concept name")
 
-        def creplace(c: Concept) -> Concept:
-            return _subst_concept(
-                c, lambda cc: replacement if cc == target else None)
+        def fn(c: Concept) -> Concept:
+            return replacement if c == target else c
 
-        return _map_formula(phi, creplace)
-
-    if isinstance(target, Role):
+    elif isinstance(target, Role):
         if target.inverted or target.updates:
             raise KindMismatchError("role substitution targets a plain role name")
         if not isinstance(replacement, Role) or replacement.inverted:
             raise KindMismatchError("role replacement must be a non-inverted role expression")
 
-        def rreplace(c: Concept) -> Concept:
-            def fn(cc: Concept):
-                if isinstance(cc, (Exists, AtMost)) and cc.role.name == target.name:
-                    r2 = Role(replacement.name, cc.role.inverted,
-                              replacement.updates + cc.role.updates)
-                    inner = rreplace(cc.inner)
-                    if isinstance(cc, Exists):
-                        return Exists(r2, inner)
-                    return AtMost(cc.bound, r2, inner)
-                return None
+        def fn(c: Concept) -> Concept:
+            if isinstance(c, (Exists, AtMost)) and c.role.name == target.name:
+                return _with_role(c, Role(replacement.name, c.role.inverted,
+                                          replacement.updates + c.role.updates))
+            return c
 
-            return _subst_concept(c, fn)
-
-        return _map_formula(phi, rreplace)
-
-    raise KindMismatchError(f"cannot substitute for {target!r}")
+    else:
+        raise KindMismatchError(f"cannot substitute for {target!r}")
+    return map_sides(phi, lambda c: map_concept(c, fn))
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +254,6 @@ def theta(s: Stmt, post: Formula, heap: HeapVocabulary,
     return theta_full(s, post, heap, ext_map, mode).formula
 
 
-def theta_vocabulary(heap: HeapVocabulary, res: ThetaResult) -> Vocabulary:
-    """The vocabulary of theta's output: tau plus the ext copies, the label
-    nominals actually mentioned, and the abort variable."""
-    vocab = heap.with_variables(("abo",)).vocabulary()
-    ext_concepts = [ext_name(c) for c in heap.data_concepts]
-    ext_roles = [ext_name(r) for r in heap.data_roles]
-    mentioned = formula_symbols(res.formula)["nominals"]
-    labels = tuple(name for name in res.label_nominals if name in mentioned)
-    return vocab.with_concepts(ext_concepts).with_roles(ext_roles).with_nominals(labels)
-
-
 def theta_structure(m1: "MemoryStructure", m2: "MemoryStructure",
                     d: dict[int, int], d_abo: int,
                     ext_map: dict[str, str] | None = None) -> "FiniteStructure":
@@ -334,73 +281,13 @@ def theta_structure(m1: "MemoryStructure", m2: "MemoryStructure",
 # Update-role elimination
 
 
-def _count_updates(phi: Formula) -> int:
-    total = 0
-
-    def cwalk(c: Concept) -> None:
-        nonlocal total
-        if isinstance(c, (And, Or)):
-            cwalk(c.left)
-            cwalk(c.right)
-        elif isinstance(c, Not):
-            cwalk(c.inner)
-        elif isinstance(c, (Exists, AtMost)):
-            total += len(c.role.updates)
-            cwalk(c.inner)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, (Incl, Eq)):
-            cwalk(f.left)
-            cwalk(f.right)
-        elif isinstance(f, (FAnd, FOr)):
-            walk(f.left)
-            walk(f.right)
-        else:
-            walk(f.inner)
-
-    walk(phi)
-    return total
-
-
-def _first_updated(phi: Formula) -> Concept | None:
-    found: list[Concept] = []
-
-    def cwalk(c: Concept) -> bool:
-        if isinstance(c, (And, Or)):
-            return cwalk(c.left) or cwalk(c.right)
-        if isinstance(c, Not):
-            return cwalk(c.inner)
-        if isinstance(c, (Exists, AtMost)):
-            if c.role.updates:
-                found.append(c)
-                return True
-            return cwalk(c.inner)
-        return False
-
-    def walk(f: Formula) -> bool:
-        if isinstance(f, (Incl, Eq)):
-            return cwalk(f.left) or cwalk(f.right)
-        if isinstance(f, (FAnd, FOr)):
-            return walk(f.left) or walk(f.right)
-        return walk(f.inner)
-
-    walk(phi)
-    return found[0] if found else None
-
-
-def _replace_concept(phi: Formula, old: Concept, new: Concept) -> Formula:
-    def crepl(c: Concept) -> Concept:
-        return _subst_concept(c, lambda cc: new if cc == old else None)
-
-    return _map_formula(phi, crepl)
-
-
 def eliminate_updates(phi: Formula) -> Formula:
     """Rewrite away update roles, outermost point first.  The point's
     target-membership test is a global condition, so each step splits the
     whole formula on it; the result is update-free and equivalent on every
     structure interpreting the point nominals."""
-    target = _first_updated(phi)
+    target = next((c for c in subconcepts(phi)
+                   if isinstance(c, (Exists, AtMost)) and c.role.updates), None)
     if target is None:
         return phi
     r = target.role
@@ -440,7 +327,10 @@ def eliminate_updates(phi: Formula) -> Formula:
             else:
                 repl_true = And(Not(t), AtMost(0, base_inv, rest_c))
 
-    phi_true = _replace_concept(phi, target, repl_true)
-    phi_false = _replace_concept(phi, target, repl_false)
-    return FOr(FAnd(eliminate_updates(side), eliminate_updates(phi_true)),
-               FAnd(FNot(eliminate_updates(side)), eliminate_updates(phi_false)))
+    def replaced(new: Concept) -> Formula:
+        return map_sides(phi, lambda c: map_concept(
+            c, lambda node: new if node == target else node))
+
+    side = eliminate_updates(side)
+    return FOr(FAnd(side, eliminate_updates(replaced(repl_true))),
+               FAnd(FNot(side), eliminate_updates(replaced(repl_false))))

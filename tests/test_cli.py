@@ -166,3 +166,30 @@ def test_usage_error_exit_2(capsys, tmp_path):
     missing = tmp_path / "nope.spec"
     rc = main(["check-sat", str(missing)])
     assert rc == 2
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
+def test_bad_ceiling_env_exit_2(capsys, files, monkeypatch):
+    monkeypatch.setenv("REACHDL_CEILING", "abc")
+    assert main(["check-sat", files["list.spec"]]) == 2
+    assert "REACHDL_CEILING" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("option", ["--seed", "--pool"])
+def test_removed_options_exit_2(capsys, files, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-sat", files["list.spec"], option, "1"])
+    assert exc.value.code == 2
+    assert option in _one_error_line(capsys)
+
+
+def test_deep_nesting_exit_2(capsys, tmp_path):
+    f = tmp_path / "deep.dl"
+    f.write_text("CONCEPT L\n" + "!" * 3000 + "L <= L\n")
+    assert main(["parse", str(f)]) == 2
+    assert _one_error_line(capsys) == "error: input nested too deeply\n"

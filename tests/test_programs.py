@@ -5,12 +5,13 @@ import pytest
 
 from reachdl.memory import HeapVocabulary, MemoryStructure, make_memory
 from reachdl.parser import parse_block, parse_program_file
-from reachdl.programs import (ABORT, ERR, Assign, Assume, Dispose, EqB, FalseE,
-                              FieldE, If, New, NotB, NullE, OrB, Program,
-                              ReadField, Seq, Skip, StateCapError, TrueE,
-                              UnallocB, VarE, WriteField, eval_bool, eval_expr,
-                              instrument_abort, labels_of, reach_sets, relabel,
-                              run_all, run_labeled, run_loopless, run_path, seq)
+from reachdl.programs import (ABORT, ERR, Assign, Assume, Dispose, EqB, FalseB,
+                              FalseE, FieldE, If, New, NotB, NullE, OrB,
+                              Program, ReadField, Seq, Skip, StateCapError,
+                              TrueB, TrueE, UnallocB, VarE, WriteField,
+                              eval_bool, eval_expr, instrument_abort, labels_of,
+                              reach_sets, relabel, run_all, run_labeled,
+                              run_loopless, run_path, seq)
 from gen import DEFAULT_HEAP, random_bool, random_memory, random_stmt
 
 HEAP = HeapVocabulary(fields=("f",), variables=("x", "y"), data_concepts=("P1",))
@@ -235,6 +236,20 @@ def walker_memory():
     heap = HeapVocabulary(fields=("next",), variables=("e", "hd"))
     return make_memory(heap, alloc=2, targets=0, pool=2,
                        fields={"next": {3: 4, 4: 0}}, variables={"hd": 3, "e": 0})
+
+
+@pytest.mark.parametrize("cond, want", [
+    ("T = x", EqB(TrueE(), VarE("x"))),
+    ("F = x", EqB(FalseE(), VarE("x"))),
+    ("~(T = x)", NotB(EqB(TrueE(), VarE("x")))),
+    ("x = T", EqB(VarE("x"), TrueE())),
+    ("T", TrueB()),
+    ("F", FalseB()),
+    ("~F or T", OrB(NotB(FalseB()), TrueB())),
+])
+def test_parse_conditions_with_literals(cond, want):
+    stmt, _ = parse_block(f"assume({cond})")
+    assert isinstance(stmt, Assume) and stmt.cond == want
 
 
 def test_program_validation():

@@ -4,9 +4,10 @@ import pytest
 
 from reachdl.parser import ParseError, parse_formula, parse_spec_file
 from reachdl.syntax import (And, AtMost, Atomic, Eq, Exists, FAnd, Incl,
-                            Nominal, Not, Role, TOP, UnknownSymbolError,
-                            Vocabulary, concepts_of, formula_size, inv, role,
-                            to_text)
+                            Nominal, Not, Or, Role, TOP, UnknownSymbolError,
+                            Vocabulary, closure_concepts, concepts_of,
+                            formula_size, inv, map_concept, map_sides, role,
+                            subconcepts, to_text)
 from gen import random_formula
 
 V = Vocabulary(concepts={"L", "A", "B"}, roles={"next", "left", "r"},
@@ -75,6 +76,44 @@ def test_concepts_of_tree_clauses():
     cs2 = concepts_of(assoc_formula(spec))
     assert len(cs2) == 5
     assert Atomic("T") in cs2
+
+
+def test_map_concept_is_post_order_and_keeps_unchanged_nodes():
+    a, b = Atomic("A"), Atomic("B")
+    c = And(Not(a), Exists(role("r"), b))
+    seen = []
+    assert map_concept(c, lambda n: seen.append(n) or n) is c
+    assert seen == [a, Not(a), b, Exists(role("r"), b), c]
+    out = map_concept(c, lambda n: b if n == a else n)
+    assert out == And(Not(b), Exists(role("r"), b))
+    assert out.right is c.right
+
+
+def test_map_sides_identity_returns_input():
+    rng = random.Random(5)
+    for _ in range(50):
+        phi = random_formula(rng, V, depth=2, cdepth=3)
+        assert map_sides(phi, lambda c: c) is phi
+
+
+def test_subconcepts_preorder_matches_closure_order():
+    """Fresh-symbol numbering follows closure_concepts' order, which must be
+    first occurrence in a left-to-right preorder over the sides."""
+    from reachdl.reach import tree_spec
+    from reachdl.reduction import ord_reduction, semi_formula
+
+    def preorder(c):
+        yield c
+        if isinstance(c, (And, Or)):
+            yield from preorder(c.left)
+            yield from preorder(c.right)
+        elif isinstance(c, (Not, Exists, AtMost)):
+            yield from preorder(c.inner)
+
+    for phi in (semi_formula(tree_spec()), ord_reduction(tree_spec(), "poly")[0]):
+        want = tuple(dict.fromkeys(c for side in concepts_of(phi) for c in preorder(side)))
+        assert closure_concepts(phi) == want
+        assert tuple(dict.fromkeys(subconcepts(phi))) == want
 
 
 def test_role_inverse_normalizes():
