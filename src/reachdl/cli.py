@@ -29,12 +29,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-universe", type=int, default=6)
-    p.add_argument("--ord", choices=("exp", "poly"), default="poly")
-    p.add_argument("--jobs", type=int, default=1)
+_OPTIONS = {
+    "--max-universe": {"type": int, "default": 6},
+    "--ord": {"choices": ("exp", "poly"), "default": "poly"},
+    "--jobs": {"type": int, "default": 1},
+    "--trace": {"action": "store_true"},
+}
+
+
+def _verb(sub, name: str, help: str, *options: str) -> argparse.ArgumentParser:
+    """A subcommand taking --json plus the named shared options."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--trace", action="store_true")
+    for option in options:
+        p.add_argument(option, **_OPTIONS[option])
+    return p
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -53,67 +62,56 @@ def main(argv: list[str] | None = None) -> int:
     top = _Parser(prog="reachdl")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a formula file and print it back")
+    p = _verb(sub, "parse", "parse a formula file and print it back")
     p.add_argument("file")
-    _add_common(p)
 
-    p = sub.add_parser("eval", help="evaluate a formula file over a structure file")
+    p = _verb(sub, "eval", "evaluate a formula file over a structure file")
     p.add_argument("structure")
     p.add_argument("formula")
-    _add_common(p)
 
-    p = sub.add_parser("check-sat", help="bounded satisfiability of a spec file")
+    p = _verb(sub, "check-sat", "bounded satisfiability of a spec file", "--max-universe")
     p.add_argument("spec")
-    _add_common(p)
 
-    p = sub.add_parser("check-implies", help="bounded implication between two spec files")
+    p = _verb(sub, "check-implies", "bounded implication between two spec files",
+              "--max-universe")
     p.add_argument("spec1")
     p.add_argument("spec2")
-    _add_common(p)
 
-    p = sub.add_parser("reduce", help="emit the satisfiability-pipeline output")
+    p = _verb(sub, "reduce", "emit the satisfiability-pipeline output", "--ord")
     p.add_argument("spec")
     p.add_argument("--owl", action="store_true", help="also emit an OWL functional-syntax export")
-    _add_common(p)
 
-    p = sub.add_parser("find-model", help="bounded model search for a spec file")
+    p = _verb(sub, "find-model", "bounded model search for a spec file", "--max-universe")
     p.add_argument("spec")
-    _add_common(p)
 
-    p = sub.add_parser("repair", help="repair a semi-connected structure into a model")
+    p = _verb(sub, "repair", "repair a semi-connected structure into a model", "--trace")
     p.add_argument("structure")
     p.add_argument("spec")
-    _add_common(p)
 
-    p = sub.add_parser("swap", help="apply the successor-swap operation")
+    p = _verb(sub, "swap", "apply the successor-swap operation")
     p.add_argument("structure")
     p.add_argument("a0", type=int)
     p.add_argument("a1", type=int)
     p.add_argument("role")
-    _add_common(p)
 
-    p = sub.add_parser("run", help="run a program path on a memory structure")
+    p = _verb(sub, "run", "run a program path on a memory structure")
     p.add_argument("program")
     p.add_argument("memory")
     p.add_argument("--path", required=True, help="comma-separated node sequence")
-    _add_common(p)
 
-    p = sub.add_parser("wp", help="backwards propagation of a formula over a code block")
+    p = _verb(sub, "wp", "backwards propagation of a formula over a code block", "--trace")
     p.add_argument("program", help="program file (its first/only edge block is used) or block file")
     p.add_argument("formula")
-    _add_common(p)
 
-    p = sub.add_parser("vc", help="bounded verification-condition report for a program")
+    p = _verb(sub, "vc", "bounded verification-condition report for a program", "--jobs")
     p.add_argument("program")
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--cex-prefix", default="vc_cex")
-    _add_common(p)
 
-    p = sub.add_parser("reach", help="bounded reachable-set soundness check")
+    p = _verb(sub, "reach", "bounded reachable-set soundness check")
     p.add_argument("program")
     p.add_argument("memory", nargs="+")
     p.add_argument("--depth", type=int, default=4)
-    _add_common(p)
 
     args = top.parse_args(argv)
     try:
@@ -142,15 +140,18 @@ def _dispatch(args) -> int:
         _emit(args, {"value": value}, ["true" if value else "false"])
         return 0 if value else 1
 
-    if args.command == "check-sat":
+    if args.command in ("check-sat", "find-model"):
         vocab, spec = _load_spec(args.spec)
         m = models.find_model(spec, vocab, 1, args.max_universe)
-        if m is None:
+        text = None if m is None else structure_to_text(m, vocab.functional)
+        if args.command == "find-model":
+            _emit(args, {"model": text}, [f"NO MODEL up to universe {args.max_universe}"]
+                  if text is None else [text.rstrip()])
+        elif text is None:
             _emit(args, {"satisfiable": False}, [f"UNSAT up to universe {args.max_universe}"])
-            return 1
-        _emit(args, {"satisfiable": True, "model": structure_to_text(m, vocab.functional)},
-              ["SAT", structure_to_text(m, vocab.functional).rstrip()])
-        return 0
+        else:
+            _emit(args, {"satisfiable": True, "model": text}, ["SAT", text.rstrip()])
+        return 1 if text is None else 0
 
     if args.command == "check-implies":
         v1, s1 = _load_spec(args.spec1)
@@ -178,9 +179,6 @@ def _dispatch(args) -> int:
             payload["owl"] = owl
         _emit(args, payload, lines)
         return 0
-
-    if args.command == "find-model":
-        return _dispatch_find_model(args)
 
     if args.command == "repair":
         vocab, fs = parse_structure_file(Path(args.structure).read_text())
@@ -310,17 +308,6 @@ def _wp_trace(res, phi, heap) -> list[str]:
 def _load_memory(path: str, prog) -> MemoryStructure:
     ms = parse_memory_file(Path(path).read_text())
     return MemoryStructure(prog.heap, ms.fs).check(min_pool=0)
-
-
-def _dispatch_find_model(args) -> int:
-    vocab, spec = _load_spec(args.spec)
-    m = models.find_model(spec, vocab, 1, args.max_universe)
-    if m is None:
-        _emit(args, {"model": None}, [f"NO MODEL up to universe {args.max_universe}"])
-        return 1
-    text = structure_to_text(m, vocab.functional)
-    _emit(args, {"model": text}, [text.rstrip()])
-    return 0
 
 
 def main_entry() -> None:  # console-script shim

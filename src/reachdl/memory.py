@@ -1,6 +1,11 @@
 """Heap memory structures: the required partition symbols, field functions,
-ghost copies, the axiom checker, builders, and a staged enumerator over
-small memory structures used by the verification-condition search.
+ghost copies, the axiom checker, builders, and an enumerator over small
+memory structures used by the verification-condition search.
+
+`MemorySearch` is a list of slots over `models.StagedSearch`, in this
+order: the Alloc/PossibleTargets/MemPool partition of the addresses, then
+one slot each for the variables, fields, data concepts, data roles,
+extension concepts and label nominals the formulas or the caller need.
 
 Universe layout convention: elements 0, 1, 2 interpret null, T and F (the
 Aux cells); addresses follow.  The memory pool is a finite stand-in for
@@ -12,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .models import compile_formula
+from .models import StagedSearch, env_structure, symbol_slot
 from .structures import FiniteStructure
-from .syntax import (Formula, ReachDLError, Vocabulary, conjuncts,
-                     formula_symbols)
+from .syntax import Formula, ReachDLError, Vocabulary, conj, formula_symbols
 
 GHOST_SUFFIX = "_gho"
 REQUIRED_CONCEPTS = ("Addresses", "Alloc", "PossibleTargets", "MemPool", "Aux")
@@ -302,15 +306,8 @@ class MemorySearch:
         heap = self.heap
         n = 3 + self.n_addresses
         full = (1 << n) - 1
-        aux_mask = 0b111
-        addr_mask = full & ~aux_mask
-        addr_ids = list(range(3, n))
 
-        support = {"concepts": set(), "roles": set(), "nominals": set()}
-        for phi in self.formulas:
-            s = formula_symbols(phi)
-            for k in support:
-                support[k] |= s[k]
+        support = formula_symbols(conj(self.formulas))
         support["roles"] |= set(self.need_roles)
         support["nominals"] |= set(self.need_nominals)
 
@@ -322,47 +319,52 @@ class MemorySearch:
                    if v not in RESERVED_NOMINALS and v in support["nominals"]]
         cons_on = [c for c in heap.all_concepts()
                    if c not in REQUIRED_CONCEPTS and c in support["concepts"]]
-        ext_cons = list(self.extra_concepts)
-        ext_noms = list(self.extra_nominals)
 
-        # slots in assignment order; each is (setter-iterator factory)
-        slot_names: list[tuple[str, str]] = [("partition", "")]
-        slot_names += [("nominal", v) for v in vars_on]
-        slot_names += [("role", f) for f in fields_on]
-        slot_names += [("concept", c) for c in cons_on]
-        slot_names += [("role", r) for r in droles_on]
-        slot_names += [("concept", c) for c in ext_cons]
-        slot_names += [("nominal", o) for o in ext_noms]
+        def partition(env: dict) -> Iterator[None]:
+            cons = env["cons"]
+            for colors in product((0, 1, 2), repeat=self.n_addresses):
+                masks = [0, 0, 0]
+                for a, c in enumerate(colors, start=3):
+                    masks[c] |= 1 << a
+                cons["Alloc"], cons["PossibleTargets"], cons["MemPool"] = masks
+                yield
 
-        reach_slot: dict[tuple[str, str], int] = {}
-        for i, key in enumerate(slot_names):
-            reach_slot[key] = i
-        partition_syms = {("concept", c) for c in REQUIRED_CONCEPTS}
+        # the variables, fields and data relations range over the cells
+        # outside MemPool, read off the partition; a pool cell's fields map
+        # to null or F, and the Aux cells have no fields
+        def cells(env: dict) -> list[int]:
+            pool = env["cons"]["MemPool"]
+            return [u for u in range(n) if not pool >> u & 1]
 
-        def slot_of(kind: str, name: str) -> int:
-            if (kind, name) in reach_slot:
-                return reach_slot[(kind, name)]
-            return 0  # pinned or required: available from the start
+        def subsets(env: dict) -> list[int]:
+            pool = env["cons"]["MemPool"]
+            return [m for m in range(1 << n) if not m & pool]
 
-        checks: dict[int, list[Callable[[dict], bool]]] = {}
-        for phi in self.formulas:
-            for cj in conjuncts(phi):
-                s = formula_symbols(cj)
-                stage = 0
-                for c in s["concepts"]:
-                    stage = max(stage, slot_of("concept", c))
-                for r in s["roles"]:
-                    stage = max(stage, slot_of("role", r))
-                for o in s["nominals"]:
-                    stage = max(stage, slot_of("nominal", o))
-                checks.setdefault(stage, []).append(compile_formula(cj))
+        def field_maps(env: dict) -> Iterator[tuple[int, ...]]:
+            pool = env["cons"]["MemPool"]
+            targets = tuple(1 << u for u in cells(env))
+            return product(*[(0,) if u < 3 else (1 << 0, 1 << 2) if pool >> u & 1 else targets
+                             for u in range(n)])
 
+        def relations(env: dict) -> Iterator[tuple[int, ...]]:
+            pool = env["cons"]["MemPool"]
+            rows = subsets(env)
+            return product(*[(0,) if pool >> u & 1 else rows for u in range(n)])
+
+        slots = [((("concepts", "Alloc"), ("concepts", "PossibleTargets"),
+                   ("concepts", "MemPool")), partition)]
+        slots += [symbol_slot("nominals", v, cells) for v in vars_on]
+        slots += [symbol_slot("roles", f, field_maps) for f in fields_on]
+        slots += [symbol_slot("concepts", c, subsets) for c in cons_on]
+        slots += [symbol_slot("roles", r, relations) for r in droles_on]
+        slots += [symbol_slot("concepts", c, lambda env: range(1 << n))
+                  for c in self.extra_concepts]
+        slots += [symbol_slot("nominals", o, lambda env: range(n))
+                  for o in self.extra_nominals]
+
+        # pin unsupported symbols: fields map every address to null
         env: dict = {"n": n, "full": full, "noms": {"null": 0, "T": 1, "F": 2},
-                     "cons": {}, "rsucc": {}}
-        env["cons"]["Aux"] = aux_mask
-        env["cons"]["Addresses"] = addr_mask
-
-        # pin unsupported symbols
+                     "cons": {"Aux": 0b111, "Addresses": full & ~0b111}, "rsucc": {}}
         for f in heap.all_fieldlike():
             if f not in fields_on:
                 env["rsucc"][f] = [1 if 3 <= u < n else 0 for u in range(n)]
@@ -376,100 +378,7 @@ class MemorySearch:
             if c not in REQUIRED_CONCEPTS and c not in cons_on:
                 env["cons"][c] = 0
 
-        def passes(stage: int) -> bool:
-            return all(check(env) for check in checks.get(stage, ()))
-
-        def build() -> MemoryStructure:
-            cons = {}
-            for c in heap.all_concepts() + tuple(ext_cons):
-                cons[c] = frozenset(u for u in range(n) if env["cons"].get(c, 0) >> u & 1)
-            roles = {}
-            for r in heap.all_roles():
-                succ = env["rsucc"][r]
-                pairs = set()
-                for u in range(n):
-                    m = succ[u]
-                    while m:
-                        b = m & -m
-                        pairs.add((u, b.bit_length() - 1))
-                        m ^= b
-                roles[r] = frozenset(pairs)
-            noms = dict(env["noms"])
-            return MemoryStructure(heap, FiniteStructure(tuple(range(n)), cons, roles, noms))
-
-        def assign(idx: int) -> Iterator[MemoryStructure]:
-            if idx == len(slot_names):
-                yield build()
-                return
-            kind, name = slot_names[idx]
-            if kind == "partition":
-                for colors in product((0, 1, 2), repeat=len(addr_ids)):
-                    alloc = pt = pool = 0
-                    for a, c in zip(addr_ids, colors):
-                        if c == 0:
-                            alloc |= 1 << a
-                        elif c == 1:
-                            pt |= 1 << a
-                        else:
-                            pool |= 1 << a
-                    env["cons"]["Alloc"] = alloc
-                    env["cons"]["PossibleTargets"] = pt
-                    env["cons"]["MemPool"] = pool
-                    env["nonpool"] = full & ~pool
-                    if passes(0):
-                        yield from assign(idx + 1)
-            elif kind == "nominal" and name in ext_noms:
-                for u in range(n):
-                    env["noms"][name] = u
-                    if passes(idx):
-                        yield from assign(idx + 1)
-            elif kind == "nominal":
-                choices = [u for u in range(n) if env["nonpool"] >> u & 1]
-                for u in choices:
-                    env["noms"][name] = u
-                    if passes(idx):
-                        yield from assign(idx + 1)
-            elif kind == "role" and name in fieldlike:
-                pool = env["cons"]["MemPool"]
-                per_addr = []
-                for a in addr_ids:
-                    if pool >> a & 1:
-                        per_addr.append((1 << 0, 1 << 2))  # null or F
-                    else:
-                        per_addr.append(tuple(1 << u for u in range(n)
-                                              if env["nonpool"] >> u & 1))
-                for combo in product(*per_addr):
-                    succ = [0] * n
-                    for a, tgt in zip(addr_ids, combo):
-                        succ[a] = tgt
-                    env["rsucc"][name] = succ
-                    if passes(idx):
-                        yield from assign(idx + 1)
-            elif kind == "role":
-                nonpool_ids = [u for u in range(n) if env["nonpool"] >> u & 1]
-                rowmasks = [m for m in range(1 << n)
-                            if not (m & ~env["nonpool"])]
-                for combo in product(rowmasks, repeat=len(nonpool_ids)):
-                    succ = [0] * n
-                    for u, row in zip(nonpool_ids, combo):
-                        succ[u] = row
-                    env["rsucc"][name] = succ
-                    if passes(idx):
-                        yield from assign(idx + 1)
-            elif kind == "concept" and name in ext_cons:
-                for mask in range(1 << n):
-                    env["cons"][name] = mask
-                    if passes(idx):
-                        yield from assign(idx + 1)
-            else:  # data or ghost concept: subsets of the non-pool part
-                nonpool_ids = [u for u in range(n) if env["nonpool"] >> u & 1]
-                for bits in range(1 << len(nonpool_ids)):
-                    mask = 0
-                    for i, u in enumerate(nonpool_ids):
-                        if bits >> i & 1:
-                            mask |= 1 << u
-                    env["cons"][name] = mask
-                    if passes(idx):
-                        yield from assign(idx + 1)
-
-        yield from assign(0)
+        concepts = heap.all_concepts() + self.extra_concepts
+        roles = heap.all_roles()
+        for _ in StagedSearch(slots, self.formulas).search(env):
+            yield MemoryStructure(heap, env_structure(env, concepts, roles))

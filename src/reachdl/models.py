@@ -1,11 +1,17 @@
 """Model tools: the successor-swap operation, useful labelings, graph
-values, the repair loop, and the bounded brute-force model finder.
+values, the repair loop, the staged search engine and the bounded
+brute-force model finder.
 
-The model finder enumerates interpretations over small universes with
-symmetry pruning (canonical nominal placement, sorted colorings of the
-unpinned elements) and stage-wise constraint checking: conjuncts are
-evaluated as soon as all their symbols are assigned, over bitmask
-interpretations compiled once per universe size.
+`StagedSearch` is the one enumerator behind both bounded searches: it
+assigns symbols slot by slot over bitmask interpretations and checks each
+conjunct, compiled once per search, right after the slot that binds the
+last of its symbols.  `find_model` is one list of slots over it, per
+universe size: canonical nominal placements (which also bind the
+`role_canon` roles), a filter of each functional role's maps by its
+single-role conjuncts, sorted concept colorings of the unpinned elements,
+one slot per functional role, one per plain role, and a last slot that
+counts the candidate and runs the connectivity checks.
+`memory.MemorySearch` is the other list.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import graphs
-from .reach import (ReachSpec, check_semi_connected, check_spec,
+from .reach import (ReachAssertion, ReachSpec, check_semi_connected, check_spec,
                     graph_sources, reach_graph)
 from .reduction import semi_formula
 from .structures import FiniteStructure, eval_formula, types_of_all
@@ -451,13 +457,91 @@ def compile_formula(phi: Formula) -> Callable[[dict], bool]:
 
 
 # ---------------------------------------------------------------------------
-# The staged model finder
+# The staged search engine
 
 
 @dataclass
 class SearchStats:
     candidates: int = 0
     pruned: int = 0
+
+
+# A slot: the (kind, name) symbols it binds, kind as in formula_symbols, and
+# a function that writes each of the slot's values into env in turn and
+# yields once per value.
+Slot = tuple[tuple[tuple[str, str], ...], Callable[[dict], Iterable[None]]]
+
+_ENV_TABLE = {"concepts": "cons", "roles": "rsucc", "nominals": "noms"}
+
+
+def symbol_slot(kind: str, name: str, values: Callable[[dict], Iterable]) -> Slot:
+    """The slot binding one symbol to each of values(env) in turn."""
+
+    def assign(env: dict) -> Iterator[None]:
+        table = env[_ENV_TABLE[kind]]
+        for value in values(env):
+            table[name] = value
+            yield
+
+    return ((kind, name),), assign
+
+
+class StagedSearch:
+    """Depth-first enumeration over a fixed order of slots.
+
+    The env holds bitmask interpretations: `n`, `full`, `noms` (name ->
+    element), `cons` (name -> mask) and `rsucc` (name -> successor mask per
+    element).  Each conjunct of the formulas is compiled once, here, and
+    checked right after the slot with the largest index among those binding
+    its symbols (a symbol no slot binds counts as slot 0).  `search` yields
+    the env once per full assignment that passes every check."""
+
+    def __init__(self, slots: Iterable[Slot], formulas: Iterable[Formula],
+                 stats: SearchStats | None = None) -> None:
+        slots = list(slots)
+        self.stats = stats if stats is not None else SearchStats()
+        index = {sym: i for i, (syms, _) in enumerate(slots) for sym in syms}
+        checks: list[list[Callable[[dict], bool]]] = [[] for _ in slots]
+        for phi in formulas:
+            for cj in conjuncts(phi):
+                at = max((index.get((kind, name), 0)
+                          for kind, names in formula_symbols(cj).items()
+                          for name in names), default=0)
+                checks[at].append(compile_formula(cj))
+        self.stages = [(values, tuple(cs)) for (_, values), cs in zip(slots, checks)]
+
+    def search(self, env: dict) -> Iterator[dict]:
+        stages, stats, last = self.stages, self.stats, len(self.stages)
+
+        def rec(i: int) -> Iterator[dict]:
+            if i == last:
+                yield env
+                return
+            values, checks = stages[i]
+            for _ in values(env):
+                for check in checks:
+                    if not check(env):
+                        stats.pruned += 1
+                        break
+                else:
+                    yield from rec(i + 1)
+
+        return rec(0)
+
+
+def env_structure(env: dict, concepts: Iterable[str], roles: Iterable[str]) -> FiniteStructure:
+    """The finite structure an env describes, over the given concept and
+    role names and every nominal of the env."""
+    cons = {name: _mask_to_set(env["cons"].get(name, 0)) for name in concepts}
+    rels = {name: frozenset((u, b.bit_length() - 1)
+                            for u, row in enumerate(env["rsucc"][name])
+                            for b in _mask_bits(row))
+            for name in roles}
+    return FiniteStructure(tuple(range(env["n"])), cons, rels, dict(env["noms"]))
+
+
+# ---------------------------------------------------------------------------
+# The model finder
 
 
 def _canonical_placements(m: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -514,6 +598,33 @@ def _simplify_functional(phi: Formula, functional: frozenset[str]) -> Formula:
     return map_sides(phi, lambda c: map_concept(c, simp))
 
 
+def _connectivity_check(a: ReachAssertion) -> Callable[[dict], bool]:
+    """Mask-level check that every target element of assertion `a` is
+    reachable from its source inside the target."""
+    srcf = compile_concept(a.source)
+    tgt_name = a.target
+    rnames = sorted(a.roles)
+
+    def conn(env: dict) -> bool:
+        tgt = env["cons"].get(tgt_name, 0)
+        reach = srcf(env) & tgt
+        frontier = reach
+        while frontier:
+            step = 0
+            rest = frontier
+            while rest:
+                b = rest & -rest
+                u = b.bit_length() - 1
+                rest ^= b
+                for rn in rnames:
+                    step |= env["rsucc"][rn][u]
+            frontier = step & tgt & ~reach
+            reach |= frontier
+        return reach == tgt
+
+    return conn
+
+
 def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
                min_size: int = 1, max_size: int = 6, *,
                ceiling: int | None = None,
@@ -524,7 +635,8 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
 
     Deterministic order: universe size ascending, canonical nominal
     placements lexicographic, concept colorings lexicographic, functional
-    roles as partial functions, remaining roles as adjacency masks.
+    roles as partial functions, remaining roles as adjacency masks, each
+    kind of role in name order.
     Symbols the target does not mention are pinned (nominals to element 0,
     concepts and roles to empty).  role_canon maps a role name to a
     nominal: that role is interpreted as the total relation into that
@@ -547,7 +659,11 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
         phi = target
     phi = _simplify_functional(phi, vocab.functional)
 
-    syms = formula_symbols(phi)
+    conj_syms = [(cj, formula_symbols(cj)) for cj in conjuncts(phi)]
+    syms: dict[str, set[str]] = {"concepts": set(), "roles": set(), "nominals": set()}
+    for _, cs in conj_syms:
+        for kind in syms:
+            syms[kind] |= cs[kind]
     if spec is not None:
         for a in spec.re:
             if isinstance(a.source, Nominal):
@@ -575,153 +691,80 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     pinned_cons = sorted(vocab.concepts - set(concepts))
     pinned_roles = sorted(vocab.roles - set(froles) - set(proles) - set(role_canon))
 
-    # conjunct staging: 0 after nominals, 1 after concepts, 2+i after role i;
-    # conjuncts supported by nominals and a single role alone filter that
+    # Conjuncts over nominals and one functional role alone filter that
     # role's maps once per placement instead of once per coloring.
-    # Roles with more single-role conjuncts are enumerated first so their
-    # pruning happens before the other roles multiply the space.
-    def _constraint_count(rname: str) -> int:
-        count = 0
-        for cj in conjuncts(phi):
-            mentioned = formula_symbols(cj)["roles"] & (set(froles) | set(proles))
-            if mentioned == {rname}:
-                count += 1
-        return count
+    enumerated = set(froles) | set(proles)
+    local_checks: dict[str, list[Callable[[dict], bool]]] = {r: [] for r in froles}
+    staged: list[Formula] = []
+    for cj, cs in conj_syms:
+        enum_syms = [r for r in cs["roles"] if r in enumerated]
+        if not cs["concepts"] and len(enum_syms) == 1 and enum_syms[0] in froles:
+            local_checks[enum_syms[0]].append(compile_formula(cj))
+        else:
+            staged.append(cj)
+    conn_checks = [_connectivity_check(a) for a in spec.re] if spec is not None else []
+    ncolors = 1 << len(concepts)
 
-    froles.sort(key=lambda r: (-_constraint_count(r), r))
-    proles.sort(key=lambda r: (-_constraint_count(r), r))
-    enumerated_roles = froles + proles
-    stage_of_role = {rname: 2 + i for i, rname in enumerate(enumerated_roles)}
-    staged: dict[int, list[Callable[[dict], bool]]] = {}
-    local_role_checks: dict[str, list[Callable[[dict], bool]]] = {r: [] for r in froles}
-    for cj in conjuncts(phi):
-        cs = formula_symbols(cj)
-        enum_syms = [r for r in cs["roles"] if r in stage_of_role]
-        if (not cs["concepts"] and len(enum_syms) == 1 and enum_syms[0] in froles):
-            local_role_checks[enum_syms[0]].append(compile_formula(cj))
-            continue
-        stage = 0
-        if cs["concepts"]:
-            stage = 1
-        for rname in cs["roles"]:
-            stage = max(stage, stage_of_role.get(rname, 0))
-        staged.setdefault(stage, []).append(compile_formula(cj))
+    def placements(env: dict) -> Iterator[None]:
+        n = env["n"]
+        for placement in _canonical_placements(len(nominals), n):
+            noms = env["noms"] = dict(zip(nominals, placement))
+            for pn in pinned_noms:
+                noms[pn] = 0
+            for rname, nom in role_canon.items():
+                env["rsucc"][rname] = [1 << noms[nom]] * n
+            yield
 
-    # mask-level connectivity per assertion, run on full candidates
-    conn_checks: list[Callable[[dict], bool]] = []
-    if spec is not None:
-        for a in spec.re:
-            srcf = compile_concept(a.source)
-            tgt_name = a.target
-            rnames = sorted(a.roles)
+    def filter_maps(env: dict) -> Iterator[None]:
+        for rname in froles:
+            kept = env["all_maps"]
+            if local_checks[rname]:
+                kept = []
+                for fmap in env["all_maps"]:
+                    env["rsucc"][rname] = fmap
+                    if all(check(env) for check in local_checks[rname]):
+                        kept.append(fmap)
+                if not kept:
+                    return
+            env["maps"][rname] = kept
+        yield
 
-            def conn(env: dict, srcf=srcf, tgt_name=tgt_name, rnames=rnames) -> bool:
-                tgt = env["cons"].get(tgt_name, 0)
-                reach = srcf(env) & tgt
-                frontier = reach
-                while frontier:
-                    step = 0
-                    rest = frontier
-                    while rest:
-                        b = rest & -rest
-                        u = b.bit_length() - 1
-                        rest ^= b
-                        for rn in rnames:
-                            step |= env["rsucc"][rn][u]
-                    frontier = step & tgt & ~reach
-                    reach |= frontier
-                return reach == tgt
+    def colorings(env: dict) -> Iterator[None]:
+        n = env["n"]
+        placed = sorted(set(env["noms"].values()))
+        free = [u for u in range(n) if u not in placed]
+        for coloring in _colorings(free, placed, ncolors):
+            for ci, cname in enumerate(concepts):
+                env["cons"][cname] = _color_mask(coloring, ci, n)
+            yield
 
-            conn_checks.append(conn)
+    def connected(env: dict) -> Iterator[None]:
+        stats.candidates += 1
+        if all(conn(env) for conn in conn_checks):
+            yield
 
-    def build(env: dict, n: int) -> FiniteStructure:
-        cons = {name: _mask_to_set(env["cons"].get(name, 0)) for name in vocab.concepts}
-        roles = {}
-        for rname in vocab.roles:
-            succ = env["rsucc"][rname]
-            roles[rname] = frozenset((u, b.bit_length() - 1)
-                                     for u in range(n)
-                                     for b in _mask_bits(succ[u]))
-        return FiniteStructure(tuple(range(n)), cons, roles, dict(env["noms"]))
+    slots: list[Slot] = [
+        (tuple(("nominals", o) for o in nominals)
+         + tuple(("roles", r) for r in role_canon), placements),
+        ((), filter_maps),
+        (tuple(("concepts", c) for c in concepts), colorings)]
+    slots += [symbol_slot("roles", r, lambda env, r=r: env["maps"][r]) for r in froles]
+    slots += [symbol_slot("roles", r, lambda env: product(range(1 << env["n"]), repeat=env["n"]))
+              for r in proles]
+    slots.append(((), connected))
+    engine = StagedSearch(slots, staged, stats)
 
-    def checks_pass(env: dict, stage: int) -> bool:
-        for check in staged.get(stage, ()):
-            if not check(env):
-                stats.pruned += 1
-                return False
-        return True
-
-    sizes = range(max(min_size, 1 if vocab.nominals else 0), max_size + 1)
-    for n in sizes:
-        full = (1 << n) - 1
-        env: dict = {"n": n, "full": full, "noms": {}, "cons": {}, "rsucc": {}}
-        for rname in pinned_roles:
-            env["rsucc"][rname] = [0] * n
-        for cname in pinned_cons:
-            env["cons"][cname] = 0
-        all_frole_maps = [tuple(0 if t < 0 else 1 << t for t in fmap)
-                          for fmap in product(range(-1, n), repeat=n)]
-        ncolors = 1 << len(concepts)
-
-        def role_stages(stage: int, maps: dict[str, list]) -> Iterator[None]:
-            # entering stage s means symbols of stages < s+1 are assigned;
-            # role i is assigned in the body of stage i+1 and its conjuncts
-            # (stage value i+2) are checked on entering stage i+2
-            if not checks_pass(env, stage):
-                return
-            i = stage - 1
-            if i < len(enumerated_roles):
-                rname = enumerated_roles[i]
-                if rname in froles:
-                    for fmap in maps[rname]:
-                        env["rsucc"][rname] = fmap
-                        yield from role_stages(stage + 1, maps)
-                else:
-                    for rows in product(range(1 << n), repeat=n):
-                        env["rsucc"][rname] = rows
-                        yield from role_stages(stage + 1, maps)
-            else:
-                stats.candidates += 1
-                if all(conn(env) for conn in conn_checks):
-                    yield None
-
-        def candidates() -> Iterator[FiniteStructure]:
-            for placement in _canonical_placements(len(nominals), n):
-                env["noms"] = dict(zip(nominals, placement))
-                for pn in pinned_noms:
-                    env["noms"][pn] = 0
-                for rname, nom in role_canon.items():
-                    env["rsucc"][rname] = [1 << env["noms"][nom]] * n
-                if not checks_pass(env, 0):
-                    continue
-                maps: dict[str, list] = {}
-                dead = False
-                for rname in froles:
-                    if local_role_checks[rname]:
-                        kept = []
-                        for fmap in all_frole_maps:
-                            env["rsucc"][rname] = fmap
-                            if all(check(env) for check in local_role_checks[rname]):
-                                kept.append(fmap)
-                        maps[rname] = kept
-                        if not kept:
-                            dead = True
-                            break
-                    else:
-                        maps[rname] = all_frole_maps
-                if dead:
-                    continue
-                placed = sorted(set(env["noms"].values()))
-                free = [u for u in range(n) if u not in placed]
-                for coloring in _colorings(free, placed, ncolors):
-                    for ci, cname in enumerate(concepts):
-                        env["cons"][cname] = _color_mask(coloring, ci, n)
-                    yield from (build(env, n) for _ in role_stages(1, maps))
-
-        for m in candidates():
-            if extra_pred is not None and not extra_pred(m):
-                continue
-            return m
+    for n in range(max(min_size, 1 if vocab.nominals else 0), max_size + 1):
+        env = {"n": n, "full": (1 << n) - 1, "noms": {},
+               "cons": dict.fromkeys(pinned_cons, 0),
+               "rsucc": {r: [0] * n for r in pinned_roles},
+               "all_maps": [tuple(0 if t < 0 else 1 << t for t in fmap)
+                            for fmap in product(range(-1, n), repeat=n)],
+               "maps": {}}
+        for _ in engine.search(env):
+            m = env_structure(env, vocab.concepts, vocab.roles)
+            if extra_pred is None or extra_pred(m):
+                return m
     return None
 
 

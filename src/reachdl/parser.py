@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .structures import FiniteStructure
 from .syntax import (AtMost, Atomic, BOT, Concept, Eq, Exists, FAnd, FNot,
@@ -29,10 +30,24 @@ from .syntax import (AtMost, Atomic, BOT, Concept, Eq, Exists, FAnd, FNot,
 
 
 class ParseError(ReachDLError):
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"{line}:{col}: {message}")
+    """A syntax error; `line` is None for one that has no single position."""
+
+    def __init__(self, message: str, line: int | None = 1, col: int = 1):
+        super().__init__(message if line is None else f"{line}:{col}: {message}")
         self.line = line
         self.col = col
+
+
+def _parse_whole(parser, rule: Callable[[], Any]) -> Any:
+    """Apply one grammar rule to the whole token stream.  The parsers
+    recurse once per nesting level, so input nested past the interpreter's
+    recursion limit is reported as a ParseError."""
+    try:
+        out = rule()
+    except RecursionError:
+        raise ParseError("input nested too deeply", None) from None
+    parser.expect("eof")
+    return out
 
 
 RESERVED = {"top", "bot", "and", "or", "not", "E"}
@@ -265,16 +280,12 @@ class _Parser:
 def parse_formula(text: str, vocab: Vocabulary, allow_updates: bool = False) -> Formula:
     """Parse one formula; derived forms (E>=, E=) expand at parse time."""
     parser = _Parser(tokenize(text), vocab, allow_updates)
-    phi = parser.formula()
-    parser.expect("eof")
-    return phi
+    return _parse_whole(parser, parser.formula)
 
 
 def parse_concept(text: str, vocab: Vocabulary, allow_updates: bool = False) -> Concept:
     parser = _Parser(tokenize(text), vocab, allow_updates)
-    c = parser.concept()
-    parser.expect("eof")
-    return c
+    return _parse_whole(parser, parser.concept)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +338,8 @@ def parse_formula_file(text: str, base: Vocabulary | None = None,
         try:
             parts.append(parse_formula(line, vocab, allow_updates))
         except ParseError as exc:
+            if exc.line is None:
+                raise
             raise ParseError(f"line {lineno}: {exc}", lineno) from None
     return vocab, conj(parts)
 
@@ -631,9 +644,7 @@ def parse_block(text: str) -> tuple["Stmt", list[str]]:
     from .programs import relabel
 
     parser = _StmtParser(tokenize(text))
-    out = parser.block()
-    parser.expect("eof")
-    return relabel(out), parser.temps
+    return relabel(_parse_whole(parser, parser.block)), parser.temps
 
 
 _NODE_RE = re.compile(r"NODE\s+(\w+)((?:\s+(?:shp|cnt)=\w+)*)\s*$")
@@ -715,8 +726,7 @@ def parse_program_file(text: str):
     code: dict[tuple[str, str], "Stmt"] = {}
     for edge, body in blocks_raw.items():
         parser = _StmtParser(tokenize(body))
-        stmt = parser.block()
-        parser.expect("eof")
+        stmt = _parse_whole(parser, parser.block)
         for t in parser.temps:
             fresh = f"__tmp{len(temps) + 1}"
             temps.append(fresh)

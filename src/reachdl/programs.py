@@ -377,11 +377,10 @@ def _allocate(ms: MemoryStructure, var: str, cell: int) -> MemoryStructure:
     return ms.with_fs(fs)
 
 
-def run_loopless(ms: MemoryStructure, s: Stmt, alloc_policy: str = "least",
-                 trace: dict[int, int] | None = None):
-    """One deterministic run; returns the final structure or ABORT.
-    `trace`, when given, records the pinned value of each labeled
-    field-read and allocation."""
+def run_loopless(ms: MemoryStructure, s: Stmt, trace: dict[int, int] | None = None):
+    """One deterministic run, allocating the least pool cell; returns the
+    final structure or ABORT.  `trace`, when given, records the pinned
+    value of each labeled field-read and allocation."""
     if isinstance(s, Skip):
         return ms
     if isinstance(s, Assign):
@@ -408,8 +407,6 @@ def run_loopless(ms: MemoryStructure, s: Stmt, alloc_policy: str = "least",
         pool = sorted(ms.pool())
         if not pool:
             raise PoolExhaustedError("memory pool exhausted (finite stand-in)")
-        if alloc_policy != "least":
-            raise ReachDLError(f"unknown allocation policy {alloc_policy!r}")
         cell = pool[0]
         if trace is not None:
             trace[s.label] = cell
@@ -430,12 +427,12 @@ def run_loopless(ms: MemoryStructure, s: Stmt, alloc_policy: str = "least",
         tv = eval_bool(ms, s.cond)
         if tv is ERR:
             return ABORT
-        return run_loopless(ms, s.then if tv else s.els, alloc_policy, trace)
+        return run_loopless(ms, s.then if tv else s.els, trace)
     if isinstance(s, Seq):
-        mid = run_loopless(ms, s.first, alloc_policy, trace)
+        mid = run_loopless(ms, s.first, trace)
         if mid is ABORT:
             return ABORT
-        return run_loopless(mid, s.second, alloc_policy, trace)
+        return run_loopless(mid, s.second, trace)
     raise TypeError(f"not a statement: {s!r}")  # pragma: no cover
 
 
@@ -624,8 +621,7 @@ class Program:
 
 
 def run_path(ms: MemoryStructure, prog: Program,
-             path: Sequence[tuple[str, str]], alloc_policy: str = "least",
-             nondet: bool = False) -> frozenset:
+             path: Sequence[tuple[str, str]]) -> frozenset:
     """Fold the blocks along a path; the empty path yields {M}.  Aborting
     branches are pruned, so the result may be empty."""
     for (a, b), (c, _) in zip(path, path[1:]):
@@ -638,12 +634,9 @@ def run_path(ms: MemoryStructure, prog: Program,
     for e in path:
         nxt: set = set()
         for m in states:
-            if nondet:
-                nxt |= {r for r in run_all(m, prog.code[e]) if r is not ABORT}
-            else:
-                r = run_loopless(m, prog.code[e], alloc_policy)
-                if r is not ABORT:
-                    nxt.add(r)
+            r = run_loopless(m, prog.code[e])
+            if r is not ABORT:
+                nxt.add(r)
         states = nxt
     return frozenset(states)
 

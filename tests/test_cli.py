@@ -193,3 +193,41 @@ def test_deep_nesting_exit_2(capsys, tmp_path):
     f.write_text("CONCEPT L\n" + "!" * 3000 + "L <= L\n")
     assert main(["parse", str(f)]) == 2
     assert _one_error_line(capsys) == "error: input nested too deeply\n"
+
+
+ALIST4_MODEL = "UNIVERSE 0..0\nCONCEPT L: 0\nFROLE next: \nNOMINAL head = 0\n"
+
+
+def test_find_model_golden(capsys, files, tmp_path):
+    rc, out = run(capsys, "find-model", files["alist.spec"], "--max-universe", "4")
+    assert (rc, out) == (0, ALIST4_MODEL)
+    rc, out = run(capsys, "find-model", files["alist.spec"], "--max-universe", "4", "--json")
+    assert (rc, json.loads(out)) == (0, {"model": ALIST4_MODEL})
+    unsat = tmp_path / "unsat.spec"
+    unsat.write_text(LIST_SPEC + "L == bot\nhead <= L\n")
+    rc, out = run(capsys, "find-model", str(unsat), "--max-universe", "4")
+    assert (rc, out) == (1, "NO MODEL up to universe 4\n")
+    rc, out = run(capsys, "find-model", str(unsat), "--max-universe", "3", "--json")
+    assert (rc, json.loads(out)) == (1, {"model": None})
+
+
+def test_check_sat_golden(capsys, files, tmp_path):
+    rc, out = run(capsys, "check-sat", files["alist.spec"], "--max-universe", "4")
+    assert (rc, out) == (0, "SAT\n" + ALIST4_MODEL)
+    rc, out = run(capsys, "check-sat", files["alist.spec"], "--json")
+    assert (rc, json.loads(out)) == (0, {"satisfiable": True, "model": ALIST4_MODEL})
+    unsat = tmp_path / "unsat.spec"
+    unsat.write_text(LIST_SPEC + "L == bot\nhead <= L\n")
+    rc, out = run(capsys, "check-sat", str(unsat), "--max-universe", "3")
+    assert (rc, out) == (1, "UNSAT up to universe 3\n")
+    rc, out = run(capsys, "check-sat", str(unsat), "--max-universe", "3", "--json")
+    assert (rc, json.loads(out)) == (1, {"satisfiable": False})
+
+
+def test_verb_rejects_options_it_does_not_read(capsys, tmp_path):
+    f = tmp_path / "f.dl"
+    f.write_text("CONCEPT L\nL <= L\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", str(f), "--ord", "poly"])
+    assert exc.value.code == 2
+    assert "--ord" in _one_error_line(capsys)

@@ -9,12 +9,15 @@ from reachdl.models import (NotConnectedError, PremiseViolationError,
                             labeling_is_useful, min_value_base,
                             naive_find_model, repair, type_concepts,
                             useful_labeling)
+from reachdl.parser import parse_formula, structure_to_text
 from reachdl.reach import (ReachAssertion, ReachSpec, alist_spec,
                            check_semi_connected, check_spec, clist_spec,
-                           list_spec, LIST_VOCAB)
+                           list_spec, tree_spec, LIST_VOCAB, TREE_VOCAB)
+from reachdl.reduction import (boolean_closure_reduction, implication_reduction,
+                               nnf)
 from reachdl.structures import eval_concept, eval_formula, structure, types_of_all
-from reachdl.syntax import (Atomic, Exists, Incl, Nominal, TRUE, Vocabulary,
-                            closure_concepts, concepts_of, inv)
+from reachdl.syntax import (Atomic, Exists, FAnd, Incl, Nominal, TOP, TRUE,
+                            Vocabulary, closure_concepts, concepts_of, inv)
 from gen import (connected_instance, random_formula, random_reach_spec,
                  random_structure, scramble_same_type)
 
@@ -339,3 +342,79 @@ def test_repair_step_invariants_detailed():
             current = nxt
             checked_steps += 1
     assert checked_steps > 20
+
+
+# ---------------------------------------------------------------------------
+# Golden enumeration: counters and first models of the staged search
+
+
+def _filled(spec: ReachSpec, concept: str) -> ReachSpec:
+    """The spec with every element in its reach target."""
+    return ReachSpec(FAnd(spec.base, Incl(TOP, Atomic(concept))), spec.re, spec.di)
+
+
+def _kappa(s1: ReachSpec, s2: ReachSpec):
+    kappa, fresh = implication_reduction(s1, s2)
+    return kappa, LIST_VOCAB.with_concepts(fresh)
+
+
+_PLAIN_VOCAB = Vocabulary(concepts={"A", "B"}, roles={"r"}, functional=set(),
+                          nominals={"o"})
+_TWO_VOCAB = Vocabulary(roles={"f", "g"}, functional={"f", "g"}, nominals={"o", "p"})
+
+
+def _golden_cases():
+    list4 = "UNIVERSE 0..3\nCONCEPT L: 0\nFROLE next: \nNOMINAL head = 0\n"
+    chain4 = ("UNIVERSE 0..3\nCONCEPT {}: 0 1 2 3\n{}FROLE {}: (0,1) (1,2) (2,3)\n"
+              "NOMINAL {} = 0\n")
+    yield "list", list_spec(), LIST_VOCAB, 4, 4, (1, 1, list4)
+    yield "alist", alist_spec(), LIST_VOCAB, 4, 4, (1, 1, list4)
+    yield "tree", tree_spec(), TREE_VOCAB, 4, 4, (
+        1, 1, "UNIVERSE 0..3\nCONCEPT T: 0\nFROLE left: \nFROLE right: \n"
+              "NOMINAL root = 0\n")
+    yield "list-full", _filled(list_spec(), "L"), LIST_VOCAB, 4, 4, (
+        23, 330, chain4.format("L", "", "next", "head"))
+    yield "alist-full", _filled(alist_spec(), "L"), LIST_VOCAB, 4, 4, (
+        10, 343, chain4.format("L", "", "next", "head"))
+    yield "tree-full", _filled(tree_spec(), "T"), TREE_VOCAB, 4, 4, (
+        10, 343, chain4.format("T", "FROLE left: \n", "right", "root"))
+    yield "kappa-alist-list", *_kappa(alist_spec(), list_spec()), 1, 4, (118, 26308, None)
+    yield "kappa-list-alist", *_kappa(list_spec(), alist_spec()), 3, 3, (
+        1, 17, "UNIVERSE 0..2\nCONCEPT L: 0\nCONCEPT __imp_X1: \nFROLE next: (0,0)\n"
+               "NOMINAL head = 0\n")
+    yield "plain-role", parse_formula("A <= E r.B and B <= !A and o <= A", _PLAIN_VOCAB), \
+        _PLAIN_VOCAB, 3, 3, (1, 1287, "UNIVERSE 0..2\nCONCEPT A: 0\nCONCEPT B: 2\n"
+                                      "ROLE r: (0,2)\nNOMINAL o = 0\n")
+    # two functional roles, g with more single-role conjuncts: roles are
+    # enumerated in name order, f outermost
+    yield "two-roles", parse_formula("o & p <= bot and p <= E g.top and o <= E g.top and "
+                                     "(o <= E f.p or o <= E g.p)", _TWO_VOCAB), \
+        _TWO_VOCAB, 3, 3, (1, 13, "UNIVERSE 0..2\nFROLE f: \nFROLE g: (0,1) (1,0)\n"
+                                  "NOMINAL o = 0\nNOMINAL p = 1\n")
+
+
+@pytest.mark.parametrize("case", list(_golden_cases()), ids=lambda c: c[0])
+def test_find_model_golden(case):
+    """Exact counters and first model: any change to the enumeration order,
+    the check schedule or the pruning shows here."""
+    _, target, vocab, lo, hi, (candidates, pruned, text) = case
+    stats = SearchStats()
+    m = find_model(target, vocab, lo, hi, stats=stats)
+    assert (stats.candidates, stats.pruned) == (candidates, pruned)
+    assert (None if m is None else structure_to_text(m, vocab.functional)) == text
+
+
+def test_find_model_golden_role_canon():
+    """The boolean-closure auxiliary roles pinned by role_canon."""
+    rng = random.Random(61)
+    v = Vocabulary(concepts={"A"}, roles={"f"}, functional={"f"}, nominals={"o"})
+    phi = nnf(random_formula(rng, v, depth=1, cdepth=1))
+    psi, info = boolean_closure_reduction(phi)
+    vocab = info.extend(v)
+    stats = SearchStats()
+    m = find_model(psi, vocab, 3, 3, role_canon=info.role_canon, stats=stats)
+    assert (stats.candidates, stats.pruned) == (1, 204)
+    assert structure_to_text(m, vocab.functional) == (
+        "UNIVERSE 0..2\nCONCEPT A: \nROLE __bc_r1: (0,1) (1,1) (2,1)\nFROLE f: \n"
+        "NOMINAL __bc_o2 = 0\nNOMINAL __bc_o3 = 1\nNOMINAL __bc_o4 = 1\n"
+        "NOMINAL __bc_o5 = 0\nNOMINAL __bc_o6 = 0\nNOMINAL __bc_o7 = 0\nNOMINAL o = 1\n")

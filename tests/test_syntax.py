@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from reachdl.parser import ParseError, parse_formula, parse_spec_file
+from reachdl.parser import (ParseError, parse_block, parse_concept, parse_formula,
+                            parse_spec_file)
 from reachdl.syntax import (And, AtMost, Atomic, Eq, Exists, FAnd, Incl,
                             Nominal, Not, Or, Role, TOP, UnknownSymbolError,
                             Vocabulary, closure_concepts, concepts_of,
@@ -145,3 +146,14 @@ REACH <head> {next} <L>
     assert spec.re[0].source == Nominal("head")
     assert spec.re[0].target == "L"
     assert spec.re[0].roles == frozenset({"next"})
+
+
+def test_parse_deep_nesting_is_a_parse_error():
+    """The library entry points report over-deep input as a ParseError,
+    not a RecursionError."""
+    vocab = Vocabulary(concepts={"L"})
+    for call in (lambda: parse_formula("!" * 3000 + "L <= L", vocab),
+                 lambda: parse_concept("!" * 3000 + "L", vocab),
+                 lambda: parse_block("assume(" + "~" * 3000 + "x = null)")):
+        with pytest.raises(ParseError, match="^input nested too deeply$"):
+            call()
