@@ -4,14 +4,27 @@ brute-force model finder.
 
 `StagedSearch` is the one enumerator behind both bounded searches: it
 assigns symbols slot by slot over bitmask interpretations and checks each
-conjunct, compiled once per search, right after the slot that binds the
-last of its symbols.  `find_model` is one list of slots over it, per
-universe size: canonical nominal placements (which also bind the
-`role_canon` roles), a filter of each functional role's maps by its
-single-role conjuncts, sorted concept colorings of the unpinned elements,
-one slot per functional role, one per plain role, and a last slot that
-counts the candidate and runs the connectivity checks.
-`memory.MemorySearch` is the other list.
+conjunct right after the slot that binds the last of its symbols.
+`find_model` is one list of slots over it, per universe size: canonical
+nominal placements (which also bind the `role_canon` roles), a filter of
+each functional role's maps by its single-role conjuncts, sorted concept
+colorings of the unpinned elements, one slot per functional role, one per
+plain role, and a last slot that counts the candidate and runs the
+connectivity checks.  `memory.MemorySearch` is the other list.
+
+`Kernel` is the one bitmask evaluator.  A search compiles all its
+conjuncts into one kernel, with one node per distinct subterm (concepts,
+formulas and the views of updated or inverted roles), shared across
+conjuncts.  A node's level is the largest slot index among its symbols,
+so its value can change only when that slot writes a new value.  A node
+read at a later stage than its level, or read more than once, gets a
+cell in the store of its level, so it is computed at most once per value
+of that slot; other nodes are evaluated inline.  The reset points: each
+value a slot writes clears that slot's store, and each `search(env)`
+clears them all first.  Two callers rebind roles without a slot write, so
+a cell would go stale there; they use the kernel uncached
+(`compile_formula` / `compile_concept`): `find_model`'s per-map filter of
+single-role conjuncts and the connectivity check.
 """
 
 from __future__ import annotations
@@ -358,102 +371,257 @@ def repair(m: FiniteStructure, spec: ReachSpec,
 
 
 # ---------------------------------------------------------------------------
-# Compiled bitmask evaluation
+# The evaluation kernel
 
 
-def _compile_role(r: Role) -> Callable[[dict], list[int]]:
-    name = r.name
-    updates = r.updates
-    inverted = r.inverted
+class Kernel:
+    """Bitmask evaluation of concepts and formulas over an env (see
+    StagedSearch), compiled to one node per distinct subterm.
 
-    def get(env: dict) -> list[int]:
-        succ = env["rsucc"][name]
-        if updates:
-            succ = list(succ)
-            for p in updates:
-                succ[env["noms"][p.source]] = 1 << env["noms"][p.target]
-        if inverted:
-            n = env["n"]
-            pred = [0] * n
-            for u in range(n):
-                m = succ[u]
+    Nodes are hash-consed on their constructor and child node ids, so a
+    subterm repeated anywhere in the added formulas is one node.  A role
+    expression is a chain of role views: the successor array, one node per
+    update point, then an inversion; E r^-.C never needs the inversion, it
+    is the image of C under r.  Given `slot_of`, the slot index of each
+    (kind, name) symbol, each node has a level: the largest slot index
+    among its symbols (0 if none), taken from its leaves' and children's
+    levels.  A non-leaf node read at a later stage than its level (a parent
+    has a higher level) or read more than once (several parents, or a
+    parent and a root read) keeps its value in a cell of `stores[level]`;
+    every other node is evaluated inline by its parent.  Whoever writes the
+    symbols of a slot must clear that slot's store.  Without `slot_of`
+    nothing is cached: each call evaluates afresh, for callers that rebind
+    symbols outside any slot."""
+
+    def __init__(self, slot_of: Mapping[tuple[str, str], int] | None = None) -> None:
+        self.slot_of = slot_of
+        self.levels: list[int] = []
+        self.stores: dict[int, dict[int, object]] = {}
+        self._keys: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._reads: list[int] = []
+        self._late: list[bool] = []
+
+    def _node(self, key: tuple, children: tuple[int, ...] = (), level: int = 0) -> int:
+        nid = self._ids.get(key)
+        if nid is None:
+            levels = self.levels
+            for ch in children:
+                if levels[ch] > level:
+                    level = levels[ch]
+            nid = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            levels.append(level)
+            self._reads.append(0)
+            self._late.append(False)
+            for ch in children:
+                self._reads[ch] += 1
+                if levels[ch] < level:
+                    self._late[ch] = True
+        return nid
+
+    def _leaf(self, tag: str, kind: str, name: str) -> int:
+        slot = 0 if self.slot_of is None else self.slot_of.get((kind, name), 0)
+        return self._node((tag, name), level=slot)
+
+    def _role(self, r: Role, inverted: bool) -> int:
+        nid = self._leaf("succ", "roles", r.name)
+        for p in r.updates:
+            src = self._leaf("nom", "nominals", p.source)
+            tgt = self._leaf("nom", "nominals", p.target)
+            nid = self._node(("upd", nid, src, tgt), (nid, src, tgt))
+        return self._node(("inv", nid), (nid,)) if inverted else nid
+
+    def concept(self, c: Concept) -> int:
+        """The node of concept c, added with its subterms if new."""
+        t = type(c)
+        if t is Atomic:
+            return self._leaf("atom", "concepts", c.name)
+        if t is Nominal:
+            return self._leaf("nom", "nominals", c.name)
+        if t is And or t is Or:
+            left, right = self.concept(c.left), self.concept(c.right)
+            return self._node((t.__name__, left, right), (left, right))
+        if t is Not:
+            inner = self.concept(c.inner)
+            return self._node(("Not", inner), (inner,))
+        if t is Exists:
+            view, inner = self._role(c.role, False), self.concept(c.inner)
+            return self._node(("image" if c.role.inverted else "Exists", view, inner),
+                              (view, inner))
+        if t is AtMost:
+            view, inner = self._role(c.role, c.role.inverted), self.concept(c.inner)
+            return self._node(("AtMost", view, inner, c.bound), (view, inner))
+        if t is Top or t is Bot:
+            return self._node((t.__name__,))
+        raise TypeError(f"not a concept: {c!r}")  # pragma: no cover
+
+    def formula(self, phi: Formula) -> int:
+        """The node of formula phi, added with its subterms if new."""
+        t = type(phi)
+        if t is Incl or t is Eq:
+            left, right = self.concept(phi.left), self.concept(phi.right)
+        elif t is FAnd or t is FOr:
+            left, right = self.formula(phi.left), self.formula(phi.right)
+        elif t is FNot:
+            inner = self.formula(phi.inner)
+            return self._node(("FNot", inner), (inner,))
+        else:  # pragma: no cover
+            raise TypeError(f"not a formula: {phi!r}")
+        return self._node((t.__name__, left, right), (left, right))
+
+    def root(self, nid: int) -> int:
+        """Count a read of node nid by the kernel's user; returns nid."""
+        self._reads[nid] += 1
+        return nid
+
+    def compile(self) -> list[Callable[[dict], object]]:
+        """The evaluation function of every node, by node id."""
+        fns: list[Callable[[dict], object]] = []
+        for nid, key in enumerate(self._keys):
+            fn = _compile_node(key, fns)
+            if (self.slot_of is not None and key[0] not in _LEAVES
+                    and (self._reads[nid] > 1 or self._late[nid])):
+                fn = _cell(fn, self.stores.setdefault(self.levels[nid], {}), nid)
+            fns.append(fn)
+        return fns
+
+
+_LEAVES = frozenset({"atom", "nom", "succ", "Top", "Bot"})
+
+
+def _cell(fn: Callable[[dict], object], store: dict, nid: int) -> Callable[[dict], object]:
+    get = store.get
+
+    def cell(env: dict) -> object:
+        value = get(nid)
+        if value is None:
+            value = store[nid] = fn(env)
+        return value
+
+    return cell
+
+
+def _compile_node(key: tuple, fns: list[Callable[[dict], object]]) -> Callable[[dict], object]:
+    """The one set of node rules.  `fns` holds the functions of the nodes
+    before this one, its children among them.  A concept gives an element
+    mask, a role view one successor (predecessor, if inverted) mask per
+    element, a formula a bool."""
+    tag = key[0]
+    if tag == "atom":
+        name = key[1]
+        return lambda env: env["cons"].get(name, 0)
+    if tag == "nom":
+        name = key[1]
+        return lambda env: 1 << env["noms"][name]
+    if tag == "succ":
+        name = key[1]
+        return lambda env: env["rsucc"][name]
+    if tag == "Top":
+        return lambda env: env["full"]
+    if tag == "Bot":
+        return lambda env: 0
+    a = fns[key[1]]
+    if tag == "Not":
+        return lambda env: env["full"] & ~a(env)
+    if tag == "FNot":
+        return lambda env: not a(env)
+    if tag == "inv":
+
+        def inv(env: dict) -> list[int]:
+            succ = a(env)
+            pred = [0] * len(succ)
+            for u, m in enumerate(succ):
                 while m:
                     b = m & -m
                     pred[b.bit_length() - 1] |= 1 << u
                     m ^= b
             return pred
-        return succ
 
-    return get
+        return inv
+    b = fns[key[2]]
+    if tag == "And":
+        return lambda env: a(env) & b(env)
+    if tag == "Or":
+        return lambda env: a(env) | b(env)
+    if tag == "FAnd":
+        return lambda env: a(env) and b(env)
+    if tag == "FOr":
+        return lambda env: a(env) or b(env)
+    if tag == "Eq":
+        return lambda env: a(env) == b(env)
+    if tag == "Incl":
 
+        def incl(env: dict) -> bool:
+            left = a(env)
+            return not left or not left & ~b(env)
 
-def compile_concept(c: Concept) -> Callable[[dict], int]:
-    if isinstance(c, Atomic):
-        name = c.name
-        return lambda env: env["cons"].get(name, 0)
-    if isinstance(c, Nominal):
-        name = c.name
-        return lambda env: 1 << env["noms"][name]
-    if isinstance(c, Top):
-        return lambda env: env["full"]
-    if isinstance(c, Bot):
-        return lambda env: 0
-    if isinstance(c, And):
-        lf, rf = compile_concept(c.left), compile_concept(c.right)
-        return lambda env: lf(env) & rf(env)
-    if isinstance(c, Or):
-        lf, rf = compile_concept(c.left), compile_concept(c.right)
-        return lambda env: lf(env) | rf(env)
-    if isinstance(c, Not):
-        f = compile_concept(c.inner)
-        return lambda env: env["full"] & ~f(env)
-    if isinstance(c, Exists):
-        rolef, innerf = _compile_role(c.role), compile_concept(c.inner)
+        return incl
+    if tag == "upd":
+        c = fns[key[3]]
+
+        def upd(env: dict) -> list[int]:
+            succ = list(a(env))
+            succ[b(env).bit_length() - 1] = c(env)
+            return succ
+
+        return upd
+    if tag == "Exists":
 
         def ex(env: dict) -> int:
-            succ = rolef(env)
-            cm = innerf(env)
+            cm = b(env)
             out = 0
-            for u in range(env["n"]):
-                if succ[u] & cm:
-                    out |= 1 << u
+            if cm:
+                bit = 1
+                for s in a(env):
+                    if s & cm:
+                        out |= bit
+                    bit <<= 1
             return out
 
         return ex
-    if isinstance(c, AtMost):
-        rolef, innerf = _compile_role(c.role), compile_concept(c.inner)
-        bound = c.bound
+    if tag == "image":
+
+        def image(env: dict) -> int:
+            cm = b(env)
+            out = 0
+            if cm:
+                for s in a(env):
+                    if cm & 1:
+                        out |= s
+                    cm >>= 1
+            return out
+
+        return image
+    if tag == "AtMost":
+        bound = key[3]
 
         def atm(env: dict) -> int:
-            succ = rolef(env)
-            cm = innerf(env)
+            cm = b(env)
             out = 0
-            for u in range(env["n"]):
-                if (succ[u] & cm).bit_count() <= bound:
-                    out |= 1 << u
+            bit = 1
+            for s in a(env):
+                if (s & cm).bit_count() <= bound:
+                    out |= bit
+                bit <<= 1
             return out
 
         return atm
-    raise TypeError(f"not a concept: {c!r}")  # pragma: no cover
+    raise TypeError(f"unknown kernel node {tag!r}")  # pragma: no cover
+
+
+def compile_concept(c: Concept) -> Callable[[dict], int]:
+    """The kernel's uncached function of concept c."""
+    kernel = Kernel()
+    nid = kernel.concept(c)
+    return kernel.compile()[nid]
 
 
 def compile_formula(phi: Formula) -> Callable[[dict], bool]:
-    if isinstance(phi, Incl):
-        lf, rf = compile_concept(phi.left), compile_concept(phi.right)
-        return lambda env: not (lf(env) & (env["full"] & ~rf(env)))
-    if isinstance(phi, Eq):
-        lf, rf = compile_concept(phi.left), compile_concept(phi.right)
-        return lambda env: lf(env) == rf(env)
-    if isinstance(phi, FAnd):
-        lf, rf = compile_formula(phi.left), compile_formula(phi.right)
-        return lambda env: lf(env) and rf(env)
-    if isinstance(phi, FOr):
-        lf, rf = compile_formula(phi.left), compile_formula(phi.right)
-        return lambda env: lf(env) or rf(env)
-    if isinstance(phi, FNot):
-        f = compile_formula(phi.inner)
-        return lambda env: not f(env)
-    raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
+    """The kernel's uncached function of formula phi."""
+    kernel = Kernel()
+    nid = kernel.formula(phi)
+    return kernel.compile()[nid]
 
 
 # ---------------------------------------------------------------------------
@@ -491,34 +659,41 @@ class StagedSearch:
 
     The env holds bitmask interpretations: `n`, `full`, `noms` (name ->
     element), `cons` (name -> mask) and `rsucc` (name -> successor mask per
-    element).  Each conjunct of the formulas is compiled once, here, and
-    checked right after the slot with the largest index among those binding
-    its symbols (a symbol no slot binds counts as slot 0).  `search` yields
-    the env once per full assignment that passes every check."""
+    element).  All conjuncts of the formulas are compiled here into one
+    Kernel over the slot index of each symbol (a symbol no slot binds
+    counts as slot 0), and each conjunct is checked right after the slot of
+    its level.  Each value a slot writes clears that slot's kernel store,
+    and `search` clears every store first, so no value outlives the env it
+    was computed from; one engine runs one search at a time.  `search`
+    yields the env once per full assignment that passes every check."""
 
     def __init__(self, slots: Iterable[Slot], formulas: Iterable[Formula],
                  stats: SearchStats | None = None) -> None:
         slots = list(slots)
         self.stats = stats if stats is not None else SearchStats()
-        index = {sym: i for i, (syms, _) in enumerate(slots) for sym in syms}
+        kernel = Kernel({sym: i for i, (syms, _) in enumerate(slots) for sym in syms})
+        roots = [kernel.root(kernel.formula(cj)) for phi in formulas for cj in conjuncts(phi)]
+        fns = kernel.compile()
         checks: list[list[Callable[[dict], bool]]] = [[] for _ in slots]
-        for phi in formulas:
-            for cj in conjuncts(phi):
-                at = max((index.get((kind, name), 0)
-                          for kind, names in formula_symbols(cj).items()
-                          for name in names), default=0)
-                checks[at].append(compile_formula(cj))
-        self.stages = [(values, tuple(cs)) for (_, values), cs in zip(slots, checks)]
+        for nid in roots:
+            checks[kernel.levels[nid]].append(fns[nid])
+        self.stores = list(kernel.stores.values())
+        self.stages = [(values, tuple(cs), kernel.stores[i].clear if i in kernel.stores else None)
+                       for i, ((_, values), cs) in enumerate(zip(slots, checks))]
 
     def search(self, env: dict) -> Iterator[dict]:
+        for store in self.stores:
+            store.clear()
         stages, stats, last = self.stages, self.stats, len(self.stages)
 
         def rec(i: int) -> Iterator[dict]:
             if i == last:
                 yield env
                 return
-            values, checks = stages[i]
+            values, checks, clear = stages[i]
             for _ in values(env):
+                if clear is not None:
+                    clear()
                 for check in checks:
                     if not check(env):
                         stats.pruned += 1
@@ -581,6 +756,13 @@ def _colorings(free: list[int], pinned: list[int], ncolors: int) -> Iterator[dic
         del acc[free[i]]
 
     yield from rec_free(0, 0, {})
+
+
+def _functional_maps(n: int) -> list[tuple[int, ...]]:
+    """Every partial function on [0,n), as a successor mask per element, in
+    lexicographic order with undefined first: (n+1)^n tables."""
+    return [tuple(0 if t < 0 else 1 << t for t in fmap)
+            for fmap in product(range(-1, n), repeat=n)]
 
 
 def _simplify_functional(phi: Formula, functional: frozenset[str]) -> Formula:
@@ -758,8 +940,7 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
         env = {"n": n, "full": (1 << n) - 1, "noms": {},
                "cons": dict.fromkeys(pinned_cons, 0),
                "rsucc": {r: [0] * n for r in pinned_roles},
-               "all_maps": [tuple(0 if t < 0 else 1 << t for t in fmap)
-                            for fmap in product(range(-1, n), repeat=n)],
+               "all_maps": _functional_maps(n) if froles else [],
                "maps": {}}
         for _ in engine.search(env):
             m = env_structure(env, vocab.concepts, vocab.roles)

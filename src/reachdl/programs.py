@@ -288,7 +288,8 @@ def relabel(s: Stmt, start: int = 1) -> Stmt:
 
     out = walk(s)
     labs = labels_of(out)
-    assert len(labs) == len(set(labs))
+    if len(labs) != len(set(labs)):
+        raise ReachDLError(f"relabel gave duplicate labels: {labs}")
     return out
 
 

@@ -10,6 +10,7 @@ formula and the memory axioms before being reported."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -132,8 +133,9 @@ def check_all_vcs(prog: Program, bound: int, jobs: int = 1) -> list[VCEntry]:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = [pool.submit(check_vc, prog, e, bound) for e in edges]
                 return [f.result() for f in futures]
-        except (OSError, ImportError):  # pragma: no cover - platform dependent
-            pass
+        except (OSError, ImportError) as err:
+            warnings.warn(f"check_all_vcs: no process pool ({err!r}); checking serially",
+                          stacklevel=2)
     return [check_vc(prog, e, bound) for e in edges]
 
 

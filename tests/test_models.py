@@ -1,14 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
 from reachdl.models import (NotConnectedError, PremiseViolationError,
-                            SearchStats, SwapTuple, apply_swap, check_model,
-                            dfs_labeling, exhaustive_graph_value, find_model,
+                            SearchStats, StagedSearch, SwapTuple, apply_swap,
+                            check_model, dfs_labeling, env_structure,
+                            exhaustive_graph_value, find_model,
                             find_semi_useful_model, graph_value,
                             labeling_is_useful, min_value_base,
-                            naive_find_model, repair, type_concepts,
-                            useful_labeling)
+                            naive_find_model, repair, symbol_slot,
+                            type_concepts, useful_labeling)
 from reachdl.parser import parse_formula, structure_to_text
 from reachdl.reach import (ReachAssertion, ReachSpec, alist_spec,
                            check_semi_connected, check_spec, clist_spec,
@@ -16,8 +18,9 @@ from reachdl.reach import (ReachAssertion, ReachSpec, alist_spec,
 from reachdl.reduction import (boolean_closure_reduction, implication_reduction,
                                nnf)
 from reachdl.structures import eval_concept, eval_formula, structure, types_of_all
-from reachdl.syntax import (Atomic, Exists, FAnd, Incl, Nominal, TOP, TRUE,
-                            Vocabulary, closure_concepts, concepts_of, inv)
+from reachdl.syntax import (AtMost, Atomic, Exists, FAnd, Incl, Nominal, TOP,
+                            TRUE, Vocabulary, closure_concepts, concepts_of,
+                            inv, map_concept, map_sides)
 from gen import (connected_instance, random_formula, random_reach_spec,
                  random_structure, scramble_same_type)
 
@@ -379,6 +382,8 @@ def _golden_cases():
     yield "tree-full", _filled(tree_spec(), "T"), TREE_VOCAB, 4, 4, (
         10, 343, chain4.format("T", "FROLE left: \n", "right", "root"))
     yield "kappa-alist-list", *_kappa(alist_spec(), list_spec()), 1, 4, (118, 26308, None)
+    yield "kappa-alist-list-5", *_kappa(alist_spec(), list_spec()), 1, 5, (1205, 569611, None)
+    yield "kappa-clist-list-5", *_kappa(clist_spec(), list_spec()), 1, 5, (1205, 569611, None)
     yield "kappa-list-alist", *_kappa(list_spec(), alist_spec()), 3, 3, (
         1, 17, "UNIVERSE 0..2\nCONCEPT L: 0\nCONCEPT __imp_X1: \nFROLE next: (0,0)\n"
                "NOMINAL head = 0\n")
@@ -418,3 +423,85 @@ def test_find_model_golden_role_canon():
         "UNIVERSE 0..2\nCONCEPT A: \nROLE __bc_r1: (0,1) (1,1) (2,1)\nFROLE f: \n"
         "NOMINAL __bc_o2 = 0\nNOMINAL __bc_o3 = 1\nNOMINAL __bc_o4 = 1\n"
         "NOMINAL __bc_o5 = 0\nNOMINAL __bc_o6 = 0\nNOMINAL __bc_o7 = 0\nNOMINAL o = 1\n")
+
+
+def test_find_model_role_free_builds_no_map_table(monkeypatch):
+    """A target with no functional role to enumerate never builds the
+    (n+1)^n table of functional maps; model and counters are unchanged."""
+    import reachdl.models as models
+
+    def no_table(n):
+        raise AssertionError("functional map table built")
+
+    monkeypatch.setattr(models, "_functional_maps", no_table)
+    v = Vocabulary(concepts={"A", "B"}, roles={"f"}, functional={"f"}, nominals={"o"})
+    phi = parse_formula("o <= A and not (top <= A) and not (!A <= B) and not (!A <= !B)", v)
+    stats = SearchStats()
+    m = find_model(phi, v, 1, 4, stats=stats)
+    assert (stats.candidates, stats.pruned) == (1, 29)
+    assert structure_to_text(m, v.functional) == (
+        "UNIVERSE 0..2\nCONCEPT A: 0\nCONCEPT B: 2\nFROLE f: \nNOMINAL o = 0\n")
+
+
+# ---------------------------------------------------------------------------
+# The cached kernel against the semantic evaluator
+
+
+_KERNEL_VOCAB = Vocabulary(concepts={"A", "B"}, roles={"r", "s"}, functional={"s"},
+                           nominals={"o", "p"})
+
+
+def _with_updates(rng: random.Random, phi):
+    """phi with some role restrictions over updated roles r[o1->o2]...,
+    which the random generator never produces."""
+
+    def update(c):
+        if isinstance(c, (Exists, AtMost)) and rng.random() < 0.5:
+            r = c.role
+            for _ in range(rng.randint(1, 2)):
+                r = r.updated(rng.choice("op"), rng.choice("op"))
+            return Exists(r, c.inner) if isinstance(c, Exists) else AtMost(c.bound, r, c.inner)
+        return c
+
+    return map_sides(phi, lambda side: map_concept(side, update))
+
+
+def _kernel_slots(order):
+    values = {
+        "concepts": lambda env: range(1 << env["n"]),
+        "roles": lambda env: product(range(1 << env["n"]), repeat=env["n"]),
+        "nominals": lambda env: range(env["n"]),
+    }
+    return [symbol_slot(kind, name, values[kind]) for kind, name in order]
+
+
+def _snapshot(env):
+    return (tuple(sorted(env["cons"].items())), tuple(sorted(env["noms"].items())),
+            tuple((r, tuple(row)) for r, row in sorted(env["rsucc"].items())))
+
+
+def test_kernel_matches_eval_formula_over_slot_orders():
+    """StagedSearch yields exactly the enumerated structures that satisfy
+    the formulas under structures.eval_formula, in enumeration order, for
+    random formulas (with updated roles) and random slot orders."""
+    rng = random.Random(404)
+    symbols = [("concepts", "A"), ("roles", "r"), ("nominals", "o"), ("nominals", "p"),
+               ("concepts", "B")]
+    for _ in range(4):
+        order = rng.sample(symbols, len(symbols))
+        slots = _kernel_slots(order)
+        runs = []
+        for n in (2, 1):
+            # s is bound by no slot: pinned, every element maps to the last
+            env = {"n": n, "full": (1 << n) - 1, "cons": {}, "noms": {},
+                   "rsucc": {"s": [1 << n - 1] * n}}
+            runs.append((env, [(_snapshot(e), env_structure(e, ("A", "B"), ("r", "s")))
+                               for e in StagedSearch(slots, []).search(env)]))
+        for _ in range(10):
+            formulas = [_with_updates(rng, random_formula(rng, _KERNEL_VOCAB, depth=1, cdepth=2))
+                        for _ in range(rng.randint(1, 3))]
+            engine = StagedSearch(slots, formulas)
+            for env, space in runs:
+                want = [key for key, m in space
+                        if all(eval_formula(m, phi) for phi in formulas)]
+                assert [_snapshot(e) for e in engine.search(env)] == want, (order, formulas)

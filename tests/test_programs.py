@@ -12,6 +12,7 @@ from reachdl.programs import (ABORT, ERR, Assign, Assume, Dispose, EqB, FalseB,
                               eval_bool, eval_expr, instrument_abort, labels_of,
                               reach_sets, relabel, run_all, run_labeled,
                               run_loopless, run_path, seq)
+from reachdl.syntax import ReachDLError
 from gen import DEFAULT_HEAP, random_bool, random_memory, random_stmt
 
 HEAP = HeapVocabulary(fields=("f",), variables=("x", "y"), data_concepts=("P1",))
@@ -58,6 +59,20 @@ def test_skip_and_assume():
     # assume(x = null) with x at null leaves the structure unchanged
     assert run_loopless(m, Assume(EqB(VarE("x"), NullE()))) == m
     assert run_loopless(m, Assume(NotB(EqB(VarE("x"), NullE())))) is ABORT
+
+
+def test_relabel_numbers_commands_in_order():
+    s = relabel(seq(New("x"), If(TrueB(), Skip(), Dispose("x"))), start=4)
+    assert labels_of(s) == [4, 5, 6, 7]
+
+
+def test_relabel_duplicate_labels_raise(monkeypatch):
+    """The uniqueness check is an error, not an assert (it holds under -O)."""
+    import reachdl.programs as programs
+
+    monkeypatch.setattr(programs, "labels_of", lambda s: [1, 1])
+    with pytest.raises(ReachDLError, match="duplicate labels"):
+        programs.relabel(seq(Skip(), Skip()))
 
 
 def test_new_then_dispose_cell_movement():

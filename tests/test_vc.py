@@ -69,6 +69,26 @@ def test_check_all_vcs_sorted():
     assert [e.edge for e in entries] == [("a", "b"), ("a", "c")]
 
 
+def test_check_all_vcs_reports_serial_fallback(monkeypatch):
+    """Without a process pool the edges are checked serially, with the same
+    entries, and the fallback is reported."""
+    import concurrent.futures
+
+    prog = Program(HEAP, ("a", "b", "c"), (("a", "b"), ("a", "c")), "a",
+                   {"a": TRUE, "b": TRUE, "c": TRUE},
+                   {"a": TRUE, "b": TRUE, "c": parse_formula("x <= Alloc", V)},
+                   {("a", "b"): relabel(Skip()), ("a", "c"): relabel(Assign("x", NullE()))})
+    serial = check_all_vcs(prog, 1)
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no semaphores")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.warns(UserWarning, match="no semaphores"):
+        assert check_all_vcs(prog, 1, jobs=2) == serial
+    assert [e.verdict for e in serial] == ["valid-up-to-bound", "counterexample"]
+
+
 def test_inductive_trivial_and_broken():
     prog = tiny_program(Assign("x", NullE()),
                         cnt_b=parse_formula("x == null", V))
