@@ -5,7 +5,8 @@ from .syntax import (And, AtMost, Atomic, BOT, Bot, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, Nominal, Not, Or, Role, TOP,
                      TRUE, Top, UpdatePoint, Vocabulary, concepts_of, conj,
                      disj, exactly, atleast, inv, role, to_text)
-from .structures import FiniteStructure, eval_concept, eval_formula, structure, type_of
+from .structures import (Evaluator, FiniteStructure, eval_concept, eval_formula, structure,
+                         type_of)
 from .parser import (parse_concept, parse_formula, parse_formula_file,
                      parse_spec_file, parse_structure_file, structure_to_text)
 from .reach import (DisjAssertion, ReachAssertion, ReachSpec, assoc_formula,

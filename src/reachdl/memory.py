@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
-from .models import StagedSearch, env_structure, symbol_slot
-from .structures import FiniteStructure
+from .models import StagedSearch, symbol_slot
+from .structures import FiniteStructure, env_structure
 from .syntax import Formula, ReachDLError, Vocabulary, conj, formula_symbols
 
 GHOST_SUFFIX = "_gho"

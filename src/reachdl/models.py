@@ -12,19 +12,22 @@ colorings of the unpinned elements, one slot per functional role, one per
 plain role, and a last slot that counts the candidate and runs the
 connectivity checks.  `memory.MemorySearch` is the other list.
 
-`Kernel` is the one bitmask evaluator.  A search compiles all its
-conjuncts into one kernel, with one node per distinct subterm (concepts,
-formulas and the views of updated or inverted roles), shared across
-conjuncts.  A node's level is the largest slot index among its symbols,
-so its value can change only when that slot writes a new value.  A node
-read at a later stage than its level, or read more than once, gets a
-cell in the store of its level, so it is computed at most once per value
-of that slot; other nodes are evaluated inline.  The reset points: each
-value a slot writes clears that slot's store, and each `search(env)`
-clears them all first.  Two callers rebind roles without a slot write, so
-a cell would go stale there; they use the kernel uncached
-(`compile_formula` / `compile_concept`): `find_model`'s per-map filter of
-single-role conjuncts and the connectivity check.
+`Kernel` is the search front-end of the one set of bitmask node rules
+(`structures.update` / `invert` / `exists` / `image` / `at_most`); the
+other front-end is `structures.Evaluator`, which evaluates over the mask
+view of one finite structure.  Both hash-cons on (constructor, child node
+ids).  A search compiles all its conjuncts into one kernel, with one node
+per distinct subterm (concepts, formulas and the views of updated or
+inverted roles), shared across conjuncts.  A node's level is the largest
+slot index among its symbols, so its value can change only when that
+slot writes a new value.  A node read at a later stage than its level, or
+read more than once, gets a cell in the store of its level, so it is
+computed at most once per value of that slot; other nodes are evaluated
+inline.  The reset points: each value a slot writes clears that slot's
+store, and each `search(env)` clears them all first.  Two callers rebind
+roles without a slot write, so a cell would go stale there; they use the
+kernel uncached (`compile_formula` / `compile_concept`): `find_model`'s
+per-map filter of single-role conjuncts and the connectivity check.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from . import graphs
 from .reach import (ReachAssertion, ReachSpec, check_semi_connected, check_spec,
                     graph_sources, reach_graph)
 from .reduction import semi_formula
-from .structures import FiniteStructure, eval_formula, types_of_all
+from .structures import (FiniteStructure, at_most, env_structure, eval_formula, exists,
+                         image, invert, types_of_all, update)
 from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,
                      FOr, Formula, Incl, Nominal, Not, Or, ReachDLError, Role,
                      TOP, Top, Vocabulary, closure_concepts, conjuncts,
@@ -503,10 +507,11 @@ def _cell(fn: Callable[[dict], object], store: dict, nid: int) -> Callable[[dict
 
 
 def _compile_node(key: tuple, fns: list[Callable[[dict], object]]) -> Callable[[dict], object]:
-    """The one set of node rules.  `fns` holds the functions of the nodes
-    before this one, its children among them.  A concept gives an element
-    mask, a role view one successor (predecessor, if inverted) mask per
-    element, a formula a bool."""
+    """The function of one kernel node over an env, from the shared node
+    rules.  `fns` holds the functions of the nodes before this one, its
+    children among them.  A concept gives an element mask, a role view one
+    successor (predecessor, if inverted) mask per element, a formula a
+    bool."""
     tag = key[0]
     if tag == "atom":
         name = key[1]
@@ -527,18 +532,7 @@ def _compile_node(key: tuple, fns: list[Callable[[dict], object]]) -> Callable[[
     if tag == "FNot":
         return lambda env: not a(env)
     if tag == "inv":
-
-        def inv(env: dict) -> list[int]:
-            succ = a(env)
-            pred = [0] * len(succ)
-            for u, m in enumerate(succ):
-                while m:
-                    b = m & -m
-                    pred[b.bit_length() - 1] |= 1 << u
-                    m ^= b
-            return pred
-
-        return inv
+        return lambda env: invert(a(env))
     b = fns[key[2]]
     if tag == "And":
         return lambda env: a(env) & b(env)
@@ -559,54 +553,14 @@ def _compile_node(key: tuple, fns: list[Callable[[dict], object]]) -> Callable[[
         return incl
     if tag == "upd":
         c = fns[key[3]]
-
-        def upd(env: dict) -> list[int]:
-            succ = list(a(env))
-            succ[b(env).bit_length() - 1] = c(env)
-            return succ
-
-        return upd
+        return lambda env: update(a(env), b(env), c(env))
     if tag == "Exists":
-
-        def ex(env: dict) -> int:
-            cm = b(env)
-            out = 0
-            if cm:
-                bit = 1
-                for s in a(env):
-                    if s & cm:
-                        out |= bit
-                    bit <<= 1
-            return out
-
-        return ex
+        return lambda env: exists(a(env), b(env))
     if tag == "image":
-
-        def image(env: dict) -> int:
-            cm = b(env)
-            out = 0
-            if cm:
-                for s in a(env):
-                    if cm & 1:
-                        out |= s
-                    cm >>= 1
-            return out
-
-        return image
+        return lambda env: image(a(env), b(env))
     if tag == "AtMost":
         bound = key[3]
-
-        def atm(env: dict) -> int:
-            cm = b(env)
-            out = 0
-            bit = 1
-            for s in a(env):
-                if (s & cm).bit_count() <= bound:
-                    out |= bit
-                bit <<= 1
-            return out
-
-        return atm
+        return lambda env: at_most(a(env), b(env), bound)
     raise TypeError(f"unknown kernel node {tag!r}")  # pragma: no cover
 
 
@@ -702,17 +656,6 @@ class StagedSearch:
                     yield from rec(i + 1)
 
         return rec(0)
-
-
-def env_structure(env: dict, concepts: Iterable[str], roles: Iterable[str]) -> FiniteStructure:
-    """The finite structure an env describes, over the given concept and
-    role names and every nominal of the env."""
-    cons = {name: _mask_to_set(env["cons"].get(name, 0)) for name in concepts}
-    rels = {name: frozenset((u, b.bit_length() - 1)
-                            for u, row in enumerate(env["rsucc"][name])
-                            for b in _mask_bits(row))
-            for name in roles}
-    return FiniteStructure(tuple(range(env["n"])), cons, rels, dict(env["noms"]))
 
 
 # ---------------------------------------------------------------------------
@@ -960,17 +903,6 @@ def find_semi_useful_model(spec: ReachSpec, vocab: Vocabulary,
     concepts = closure_concepts(phi)
     return find_model(phi, vocab, min_size, max_size, ceiling=ceiling, stats=stats,
                       extra_pred=lambda m: has_useful_labelings(m, spec, concepts))
-
-
-def _mask_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b
-        mask ^= b
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(b.bit_length() - 1 for b in _mask_bits(mask))
 
 
 def _color_mask(coloring: Mapping[int, int], bit: int, n: int) -> int:

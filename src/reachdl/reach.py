@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
-from .structures import FiniteStructure, eval_formula
+from .structures import FiniteStructure, eval_concept, eval_formula
 from .syntax import (And, Atomic, BOT, Eq, Exists, FAnd, FNot, Formula, Incl,
                      Nominal, Not, Or, ReachDLError, TOP, TRUE, Vocabulary,
                      conj, exactly, inv, role)
@@ -132,7 +132,6 @@ def reach_graph(m: FiniteStructure, a: ReachAssertion) -> dict[int, list[int]]:
 
 
 def graph_sources(m: FiniteStructure, a: ReachAssertion) -> set[int]:
-    from .structures import eval_concept
     return set(eval_concept(m, a.source)) & set(m.concept_ext(a.target))
 
 

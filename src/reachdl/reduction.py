@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .reach import ReachSpec, assoc_formula
-from .structures import FiniteStructure, eval_concept, eval_formula
+from .structures import Evaluator, FiniteStructure, eval_formula
 from .syntax import (And, AtMost, Atomic, BOT, Bot, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, Nominal, Not, Or, ReachDLError,
                      Role, TOP, Top, Vocabulary, big_and, big_or,
@@ -505,10 +505,11 @@ def _relativize_atoms(phi: Formula, guard: Concept) -> Formula:
     return map_sides(phi, lambda c: And(c, guard))
 
 
-def _bc(phi: Formula, info: BCInfo, m: FiniteStructure | None,
+def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
         assign: dict[str, object]) -> Formula:
-    """The recursion; when m is given, `assign` collects interpretations of
-    the fresh symbols making the output true over m's universe."""
+    """The recursion; when an evaluator over a model is given, `assign`
+    collects interpretations of the fresh symbols making the output true
+    over its universe."""
     if isinstance(phi, Incl):
         return phi
     if isinstance(phi, FNot):
@@ -516,23 +517,24 @@ def _bc(phi: Formula, info: BCInfo, m: FiniteStructure | None,
             raise NonNNFError("negation on a non-atomic formula; convert to NNF first")
         o = Nominal(info.next_nominal())
         c, d = phi.inner.left, phi.inner.right
-        if m is not None:
-            witnesses = sorted(eval_concept(m, c) - eval_concept(m, d))
-            assign[o.name] = witnesses[0] if witnesses else min(m.universe)
+        if ev is not None:
+            witnesses = ev.concept(c) & ~ev.concept(d)
+            assign[o.name] = min(ev.elements(witnesses) or ev.structure.universe)
         return FAnd(Incl(o, c), Incl(d, Not(o)))
     if isinstance(phi, FAnd):
-        return FAnd(_bc(phi.left, info, m, assign), _bc(phi.right, info, m, assign))
+        return FAnd(_bc(phi.left, info, ev, assign), _bc(phi.right, info, ev, assign))
     if isinstance(phi, FOr):
         r = info.next_role()
         o1, o2, ox, oy = (Nominal(info.next_nominal()) for _ in range(4))
         info.role_canon[r] = ox.name
-        if m is None:
+        if ev is None:
             on = 0  # neither branch active; fresh symbols stay arbitrary
         else:
-            on = 1 if eval_formula(m, phi.left) else 2
-            if on == 2 and not eval_formula(m, phi.right):
+            on = 1 if ev.formula(phi.left) else 2
+            if on == 2 and not ev.formula(phi.right):
                 raise ReachDLError("cannot lift: the model satisfies neither disjunct")
-            elems = sorted(m.universe)
+            universe = ev.structure.universe
+            elems = sorted(universe)
             if len(elems) < 2:
                 raise ReachDLError("boolean-closure lifting needs at least 2 elements")
             d0, d1 = elems[0], elems[1]
@@ -540,9 +542,9 @@ def _bc(phi: Formula, info: BCInfo, m: FiniteStructure | None,
             assign[oy.name] = d1
             assign[o1.name] = d0 if on == 1 else d1
             assign[o2.name] = d1 if on == 1 else d0
-            assign[r] = frozenset((u, d0) for u in m.universe)
-        psi1 = _bc(phi.left, info, m if on == 1 else None, assign)
-        psi2 = _bc(phi.right, info, m if on == 2 else None, assign)
+            assign[r] = frozenset((u, d0) for u in universe)
+        psi1 = _bc(phi.left, info, ev if on == 1 else None, assign)
+        psi2 = _bc(phi.right, info, ev if on == 2 else None, assign)
         prep = conj([Incl(ox, Not(oy)), Incl(o1, Not(o2)),
                      Eq(Or(ox, oy), Or(o1, o2)),
                      Eq(Exists(role(r), ox), TOP),
@@ -551,7 +553,7 @@ def _bc(phi: Formula, info: BCInfo, m: FiniteStructure | None,
                      _relativize_atoms(psi1, Exists(role(r), o1)),
                      _relativize_atoms(psi2, Exists(role(r), o2))])
     if isinstance(phi, Eq):
-        return _bc(expand_eq(phi), info, m, assign)
+        return _bc(expand_eq(phi), info, ev, assign)
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
 
 
@@ -570,11 +572,12 @@ def bc_lift(phi: Formula, m: FiniteStructure) -> tuple[FiniteStructure, Formula,
     the fresh symbols (same universe) satisfying the reduction output."""
     if not is_nnf(expand_eq(phi)):
         raise NonNNFError("input must be in negation normal form")
-    if not eval_formula(m, phi):
+    ev = Evaluator(m)
+    if not ev.formula(phi):
         raise ReachDLError("bc_lift needs a model of the input formula")
     info = BCInfo()
     assign: dict[str, object] = {}
-    psi = _bc(expand_eq(phi), info, m, assign)
+    psi = _bc(expand_eq(phi), info, ev, assign)
     concepts = dict(m.concepts)
     roles = dict(m.roles)
     nominals = dict(m.nominals)

@@ -1,16 +1,29 @@
-"""Finite interpretations and the semantic evaluator.
+"""Finite interpretations, their bitmask view and the evaluator.
 
 A FiniteStructure interprets concept names as element sets, role names as
 pair sets and nominal names as single elements.  Concept and role names
 without an entry are interpreted as empty; a nominal used in a formula must
 be interpreted.  Structures are immutable and hashable so they can be used
 in fixpoint detection and deduplication.
+
+Evaluation runs on bitmasks.  `mask_view(m)` is m in the layout of the
+staged search's env (models.StagedSearch): bit i stands for m.universe[i],
+which need not be i (ord_lift offsets its fresh elements, and a structure
+may list any distinct ints), and `env_structure` is its inverse over
+range(n).  An `Evaluator` holds the view of one structure and computes
+each distinct subterm once, when first reached, with the node rules below
+(role updates, inversion, E r.C, the image E r^-.C, at-most) that
+models.Kernel shares.  Inclusions and equalities evaluate both sides, and
+FAnd / FOr short-circuit, so a missing nominal raises MissingNominalError
+exactly where evaluation reaches it.  `eval_concept`, `eval_formula`,
+`type_of` and `types_of_all` build one evaluator per call; a caller that
+evaluates several formulas over one structure holds one Evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,
                      FOr, Formula, Incl, Nominal, Not, Or, ReachDLError, Role,
@@ -19,10 +32,6 @@ from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,
 
 class MissingNominalError(ReachDLError):
     pass
-
-
-def _freeze_concepts(m: Mapping[str, Iterable[int]]) -> dict[str, frozenset[int]]:
-    return {k: frozenset(v) for k, v in m.items() if v or isinstance(v, frozenset)}
 
 
 @dataclass(frozen=True)
@@ -84,14 +93,7 @@ class FiniteStructure:
     def role_pairs(self, r: Role) -> frozenset[tuple[int, int]]:
         """Pairs of a role expression: overrides applied innermost-first,
         inversion last."""
-        pairs = self.role_ext(r.name)
-        for p in r.updates:
-            s = self.nominal_elem(p.source)
-            t = self.nominal_elem(p.target)
-            pairs = frozenset(pr for pr in pairs if pr[0] != s) | {(s, t)}
-        if r.inverted:
-            pairs = frozenset((b, a) for a, b in pairs)
-        return pairs
+        return Evaluator(self).role_pairs(r)
 
     # -- functional-update helpers (used by the operational semantics)
 
@@ -145,78 +147,351 @@ def structure(universe: Iterable[int], concepts: Mapping[str, Iterable[int]] | N
                            dict(nominals or {}))
 
 
+
+
 # ---------------------------------------------------------------------------
-# Evaluation
+# The mask view
 
 
-def eval_concept(m: FiniteStructure, c: Concept,
-                 _memo: dict[Concept, frozenset[int]] | None = None) -> frozenset[int]:
-    """The extension C^M.  Update roles evaluate as function override."""
-    memo: dict[Concept, frozenset[int]] = {} if _memo is None else _memo
+class _OnFirstRead(dict):
+    """A dict that builds a missing entry with `build(key)` when it is read."""
 
-    def ev(cc: Concept) -> frozenset[int]:
-        got = memo.get(cc)
-        if got is not None:
-            return got
-        if isinstance(cc, Atomic):
-            out = m.concept_ext(cc.name)
-        elif isinstance(cc, Nominal):
-            out = frozenset((m.nominal_elem(cc.name),))
-        elif isinstance(cc, Top):
-            out = frozenset(m.universe)
-        elif isinstance(cc, Bot):
-            out = frozenset()
-        elif isinstance(cc, And):
-            out = ev(cc.left) & ev(cc.right)
-        elif isinstance(cc, Or):
-            out = ev(cc.left) | ev(cc.right)
-        elif isinstance(cc, Not):
-            out = frozenset(m.universe) - ev(cc.inner)
-        elif isinstance(cc, Exists):
-            inner = ev(cc.inner)
-            out = frozenset(a for a, b in m.role_pairs(cc.role) if b in inner)
-        elif isinstance(cc, AtMost):
-            inner = ev(cc.inner)
-            counts: dict[int, int] = {}
-            for a, b in m.role_pairs(cc.role):
-                if b in inner:
-                    counts[a] = counts.get(a, 0) + 1
-            out = frozenset(u for u in m.universe if counts.get(u, 0) <= cc.bound)
-        else:  # pragma: no cover
-            raise TypeError(f"not a concept: {cc!r}")
-        memo[cc] = out
+    def __init__(self, build: Callable[[str], object]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: str) -> object:
+        value = self[key] = self.build(key)
+        return value
+
+
+def mask_view(m: FiniteStructure) -> dict:
+    """m as bitmasks, in the layout of the staged search's env: `n`,
+    `full`, `noms` (name -> bit), `cons` (name -> element mask) and `rsucc`
+    (name -> successor mask per element), bit i standing for m.universe[i];
+    `index` maps an element to its bit.  `cons` and `rsucc` build a name's
+    entry when it is first read."""
+    index = {u: i for i, u in enumerate(m.universe)}
+    n = len(index)
+
+    def concept_mask(name: str) -> int:
+        out = 0
+        for u in m.concept_ext(name):
+            out |= 1 << index[u]
         return out
 
-    return ev(c)
+    def successors(name: str) -> list[int]:
+        rows = [0] * n
+        for a, b in m.role_ext(name):
+            rows[index[a]] |= 1 << index[b]
+        return rows
+
+    return {"n": n, "full": (1 << n) - 1, "index": index,
+            "noms": {name: index[e] for name, e in m.nominals.items()},
+            "cons": _OnFirstRead(concept_mask), "rsucc": _OnFirstRead(successors)}
 
 
-def eval_formula(m: FiniteStructure, phi: Formula,
-                 _memo: dict[Concept, frozenset[int]] | None = None) -> bool:
+def _mask_bits(mask: int) -> Iterator[int]:
+    """The bit indices set in mask, ascending."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def env_structure(env: dict, concepts: Iterable[str], roles: Iterable[str]) -> FiniteStructure:
+    """The structure over range(env["n"]) that an env (or a mask view)
+    describes, over the given concept and role names and every nominal."""
+    cons = {name: frozenset(_mask_bits(env["cons"][name])) for name in concepts}
+    rels = {name: frozenset((u, v) for u, row in enumerate(env["rsucc"][name])
+                            for v in _mask_bits(row))
+            for name in roles}
+    return FiniteStructure(tuple(range(env["n"])), cons, rels, dict(env["noms"]))
+
+
+# ---------------------------------------------------------------------------
+# The node rules, shared with models.Kernel.  A role view is one successor
+# mask per element (predecessor masks, once inverted).
+
+
+def update(succ: list[int], src: int, tgt: int) -> list[int]:
+    """The view with the row of the element in mask src replaced by tgt."""
+    out = list(succ)
+    out[src.bit_length() - 1] = tgt
+    return out
+
+
+def invert(succ: list[int]) -> list[int]:
+    """The inverse view: one predecessor mask per element."""
+    pred = [0] * len(succ)
+    for u, row in enumerate(succ):
+        while row:
+            b = row & -row
+            pred[b.bit_length() - 1] |= 1 << u
+            row ^= b
+    return pred
+
+
+def exists(succ: list[int], cm: int) -> int:
+    """E r.C: the elements with a successor in C."""
+    out = 0
+    if cm:
+        bit = 1
+        for row in succ:
+            if row & cm:
+                out |= bit
+            bit <<= 1
+    return out
+
+
+def image(succ: list[int], cm: int) -> int:
+    """E r^-.C: the successors of the elements of C."""
+    out = 0
+    while cm:
+        b = cm & -cm
+        out |= succ[b.bit_length() - 1]
+        cm ^= b
+    return out
+
+
+def at_most(succ: list[int], cm: int, bound: int) -> int:
+    """E<=bound r.C: the elements with at most bound successors in C."""
+    out = 0
+    bit = 1
+    for row in succ:
+        if (row & cm).bit_count() <= bound:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The evaluator
+
+
+class Evaluator:
+    """Evaluation of concepts and formulas over the mask view of one
+    structure.
+
+    Every AST node reached gets a node id: an identity memo maps the node
+    object (and each role object) to it, and nodes are hash-consed on
+    (constructor, child node ids), like models.Kernel, so a structurally
+    equal copy maps to the node already computed.  A node's value is
+    computed once, when it is first reached; `computed` counts them.  FAnd
+    and FOr short-circuit and take the node of the operand that decides
+    them.  The walk keeps its own stack, so nesting depth is bounded by
+    memory, not by Python frames.  The evaluator holds the root of every
+    walk; the AST is immutable, so that keeps every object in the identity
+    memo alive and no id is reused while the evaluator lives."""
+
+    def __init__(self, m: FiniteStructure) -> None:
+        self.structure = m
+        self.view = mask_view(m)
+        self._ids: dict[int, int] = {}
+        self._roots: list[object] = []
+        self._nodes: dict[tuple, int] = {}
+        self._values: list = []
+
+    @property
+    def computed(self) -> int:
+        """The number of distinct subterms computed so far."""
+        return len(self._values)
+
+    def concept(self, c: Concept) -> int:
+        """The element mask of c."""
+        return self._values[self._walk(c)]
+
+    def formula(self, phi: Formula) -> bool:
+        """The truth of phi."""
+        return self._values[self._walk(phi)]
+
+    def elements(self, mask: int) -> frozenset[int]:
+        """The elements whose bits are set in mask."""
+        universe = self.structure.universe
+        return frozenset(universe[i] for i in _mask_bits(mask))
+
+    def role_pairs(self, r: Role) -> frozenset[tuple[int, int]]:
+        """The pairs of a role expression."""
+        nid = self._role(r)
+        if r.inverted:
+            nid = self._inverse(nid)
+        universe = self.structure.universe
+        return frozenset((universe[i], universe[j])
+                         for i, row in enumerate(self._values[nid]) for j in _mask_bits(row))
+
+    def _add(self, key: tuple, value) -> int:
+        nid = self._nodes[key] = len(self._values)
+        self._values.append(value)
+        return nid
+
+    def _nominal(self, name: str) -> int:
+        nid = self._nodes.get(("nom", name))
+        if nid is None:
+            bit = self.view["noms"].get(name)
+            if bit is None:
+                raise MissingNominalError(f"nominal {name} is not interpreted")
+            nid = self._add(("nom", name), 1 << bit)
+        return nid
+
+    def _leaf(self, c: Concept) -> int:
+        """The node of an atomic concept, nominal, top or bottom."""
+        t = type(c)
+        if t is Nominal:
+            nid = self._nominal(c.name)
+        else:
+            key = ("atom", c.name) if t is Atomic else (_TAGS[t],)
+            nid = self._nodes.get(key)
+            if nid is None:
+                value = (self.view["cons"][c.name] if t is Atomic
+                         else self.view["full"] if t is Top else 0)
+                nid = self._add(key, value)
+        self._ids[id(c)] = nid
+        return nid
+
+    def _role(self, r: Role) -> int:
+        """The node of r's successor view, updated at each point in turn
+        (inversion is left to the caller)."""
+        nodes, values = self._nodes, self._values
+        nid = nodes.get(("succ", r.name))
+        if nid is None:
+            nid = self._add(("succ", r.name), self.view["rsucc"][r.name])
+        for p in r.updates:
+            src, tgt = self._nominal(p.source), self._nominal(p.target)
+            key = ("upd", nid, src, tgt)
+            got = nodes.get(key)
+            if got is None:
+                got = self._add(key, update(values[nid], values[src], values[tgt]))
+            nid = got
+        return nid
+
+    def _inverse(self, nid: int) -> int:
+        got = self._nodes.get(("inv", nid))
+        if got is None:
+            got = self._add(("inv", nid), invert(self._values[nid]))
+        return got
+
+    def _walk(self, root: Concept | Formula) -> int:
+        """The node of a concept or formula.  A child without a node is
+        pushed (a leaf child gets its node at once), and gets its node
+        before its parent is looked at again, so children are computed
+        left to right, before their parent, as a recursive walk would."""
+        ids, nodes, values = self._ids, self._nodes, self._values
+        nid = ids.get(id(root))
+        if nid is not None:
+            return nid
+        self._roots.append(root)
+        if type(root) in _LEAVES:
+            return self._leaf(root)
+        leaves, leaf = _LEAVES, self._leaf
+        stack = [root]
+        while stack:
+            x = stack[-1]
+            t = type(x)
+            if t is And or t is Or or t is Incl or t is Eq:
+                c = x.left
+                left = ids.get(id(c))
+                if left is None:
+                    if type(c) not in leaves:
+                        stack.append(c)
+                        continue
+                    left = leaf(c)
+                c = x.right
+                right = ids.get(id(c))
+                if right is None:
+                    if type(c) not in leaves:
+                        stack.append(c)
+                        continue
+                    right = leaf(c)
+                key = (_TAGS[t], left, right)
+                nid = nodes.get(key)
+                if nid is None:
+                    a, b = values[left], values[right]
+                    if t is And:
+                        value = a & b
+                    elif t is Or:
+                        value = a | b
+                    elif t is Incl:
+                        value = not (a & ~b)
+                    else:
+                        value = a == b
+            elif t is FAnd or t is FOr:
+                nid = ids.get(id(x.left))
+                if nid is None:
+                    stack.append(x.left)
+                    continue
+                if values[nid] != (t is FOr):  # the left operand does not decide
+                    nid = ids.get(id(x.right))
+                    if nid is None:
+                        stack.append(x.right)
+                        continue
+            elif t is Not or t is Exists or t is AtMost or t is FNot:
+                c = x.inner
+                inner = ids.get(id(c))
+                if inner is None:
+                    if type(c) not in leaves:
+                        stack.append(c)
+                        continue
+                    inner = leaf(c)
+                if t is Not or t is FNot:
+                    key = (_TAGS[t], inner)
+                    nid = nodes.get(key)
+                    if nid is None:
+                        value = self.view["full"] & ~values[inner] if t is Not else not values[inner]
+                else:
+                    r = x.role
+                    view = ids.get(id(r))
+                    if view is None:
+                        view = ids[id(r)] = self._role(r)
+                    if t is Exists:
+                        key = ("image" if r.inverted else "Exists", view, inner)
+                        nid = nodes.get(key)
+                        if nid is None:
+                            value = (image if r.inverted else exists)(values[view], values[inner])
+                    else:
+                        if r.inverted:
+                            view = self._inverse(view)
+                        key = ("AtMost", view, inner, x.bound)
+                        nid = nodes.get(key)
+                        if nid is None:
+                            value = at_most(values[view], values[inner], x.bound)
+            else:  # pragma: no cover
+                raise TypeError(f"not a concept or formula: {x!r}")
+            if nid is None:
+                nid = nodes[key] = len(values)
+                values.append(value)
+            ids[id(x)] = nid
+            stack.pop()
+        return nid
+
+
+_LEAVES = frozenset({Atomic, Nominal, Top, Bot})
+_TAGS = {And: "And", Or: "Or", Incl: "Incl", Eq: "Eq", Not: "Not", FNot: "FNot",
+         Top: "Top", Bot: "Bot"}
+
+
+def eval_concept(m: FiniteStructure, c: Concept) -> frozenset[int]:
+    """The extension C^M.  Update roles evaluate as function override."""
+    ev = Evaluator(m)
+    return ev.elements(ev.concept(c))
+
+
+def eval_formula(m: FiniteStructure, phi: Formula) -> bool:
     """Truth of phi in m, with formula-level boolean connectives."""
-    memo: dict[Concept, frozenset[int]] = {} if _memo is None else _memo
-    if isinstance(phi, Incl):
-        return eval_concept(m, phi.left, memo) <= eval_concept(m, phi.right, memo)
-    if isinstance(phi, Eq):
-        return eval_concept(m, phi.left, memo) == eval_concept(m, phi.right, memo)
-    if isinstance(phi, FAnd):
-        return eval_formula(m, phi.left, memo) and eval_formula(m, phi.right, memo)
-    if isinstance(phi, FOr):
-        return eval_formula(m, phi.left, memo) or eval_formula(m, phi.right, memo)
-    if isinstance(phi, FNot):
-        return not eval_formula(m, phi.inner, memo)
-    raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
+    return Evaluator(m).formula(phi)
 
 
 def type_of(m: FiniteStructure, phi: Formula, u: int) -> frozenset[Concept]:
     """The type of u: the concepts of phi whose extension contains u."""
-    if u not in set(m.universe):
+    ev = Evaluator(m)
+    bit = ev.view["index"].get(u)
+    if bit is None:
         raise ReachDLError(f"element {u} is not in the universe")
-    memo: dict[Concept, frozenset[int]] = {}
-    return frozenset(c for c in concepts_of(phi) if u in eval_concept(m, c, memo))
+    return frozenset(c for c in concepts_of(phi) if ev.concept(c) >> bit & 1)
 
 
 def types_of_all(m: FiniteStructure, concepts: Iterable[Concept]) -> dict[int, frozenset[Concept]]:
-    """Types of every element at once (one evaluation per concept)."""
-    memo: dict[Concept, frozenset[int]] = {}
-    exts = [(c, eval_concept(m, c, memo)) for c in concepts]
-    return {u: frozenset(c for c, ext in exts if u in ext) for u in m.universe}
+    """Types of every element at once (one evaluator for all concepts)."""
+    ev = Evaluator(m)
+    masks = [(c, ev.concept(c)) for c in concepts]
+    return {u: frozenset(c for c, mask in masks if mask >> i & 1)
+            for i, u in enumerate(m.universe)}

@@ -18,10 +18,10 @@ one preorder walk, subconcepts, over a concept or a formula.  Walks that
 stay hand-written, on purpose: formula_symbols and formula_size (the
 symbol scan sits on the search set-up path; the size defines the node
 counts the benchmark reports), the printers below, the OWL export,
-models.Kernel (the bitmask kernel), structures.eval_* (the memoized
-evaluator), fol's translation (the independent oracle), nnf's polarity
-walk, the boolean-closure recursion _bc, and the statement walks of
-programs.py.
+models.Kernel and structures.Evaluator (the two front-ends of the bitmask
+node rules; the evaluator's walk keeps its own stack), fol's translation
+(the independent oracle), nnf's polarity walk, the boolean-closure
+recursion _bc, and the statement walks of programs.py.
 """
 
 from __future__ import annotations

@@ -91,7 +91,7 @@ def check_vc(prog: Program, edge: tuple[str, str], bound: int,
                 continue
             if not _realizable(cand, code, heap, ext_concepts):
                 continue
-            if not all(eval_formula(cand.fs, p) for p in parts):  # re-validate
+            if eval_formula(cand.fs, formula):  # re-validate: the VC must fail
                 raise ReachDLError(f"edge {edge}: search returned a structure "
                                    "that does not falsify the VC")
             MemoryStructure(heap, _strip_extras(cand.fs, ext_concepts, labels)).check(0)
@@ -187,16 +187,17 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
     with at most `bound` address cells steps only into structures
     satisfying the head annotations (over all allocation choices and all
     post-values of the unconstrained relations)."""
-    shp0, cnt0 = _annotations(prog, prog.initial)
+    initial = FAnd(*_annotations(prog, prog.initial))
     for m in init:
-        if not (eval_formula(m.fs, shp0) and eval_formula(m.fs, cnt0)):
+        if not eval_formula(m.fs, initial):
             return False, InductiveWitness(None, m.fs, None)
     heap = prog.heap
     for edge in sorted(prog.edges):
         tail, head = edge
         t_shp, t_cnt = _annotations(prog, tail)
         h_shp, h_cnt = _annotations(prog, head)
-        head_syms = formula_symbols(FAnd(h_shp, h_cnt))
+        head_ann = FAnd(h_shp, h_cnt)
+        head_syms = formula_symbols(head_ann)
         rem_concepts = [c for c in heap.data_concepts if c in head_syms["concepts"]]
         rem_roles = [r for r in heap.data_roles if r in head_syms["roles"]]
         code = prog.code[edge]
@@ -212,7 +213,7 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
                     if m2 is ABORT:
                         continue
                     for m2v in _rem_variants(m2, rem_concepts, rem_roles):
-                        if not (eval_formula(m2v.fs, h_shp) and eval_formula(m2v.fs, h_cnt)):
+                        if not eval_formula(m2v.fs, head_ann):
                             return False, InductiveWitness(edge, m1.fs, m2v.fs)
     return True, None
 

@@ -231,3 +231,13 @@ def test_verb_rejects_options_it_does_not_read(capsys, tmp_path):
         main(["parse", str(f), "--ord", "poly"])
     assert exc.value.code == 2
     assert "--ord" in _one_error_line(capsys)
+
+
+def test_eval_missing_nominal_exit_2(capsys, tmp_path):
+    st = tmp_path / "m.struct"
+    st.write_text("UNIVERSE 0..2\nCONCEPT L: 0 1\n")
+    for i, text in enumerate(("head <= L\n", "L & !L <= head\n")):
+        f = tmp_path / f"f{i}.dl"
+        f.write_text("CONCEPT L\nNOMINAL head\n" + text)
+        assert main(["eval", str(st), str(f)]) == 2
+        assert _one_error_line(capsys) == "error: nominal head is not interpreted\n"

@@ -1,13 +1,19 @@
 import random
 from itertools import product
 
+import pytest
+
+from reachdl.fol import fo_eval, to_first_order
 from reachdl.parser import parse_formula
-from reachdl.structures import (eval_concept, eval_formula, structure, type_of,
-                                types_of_all)
-from reachdl.syntax import (And, AtMost, Atomic, Bot, Exists, FAnd, Incl,
-                            Nominal, Not, Role, TOP, Top, UpdatePoint,
-                            Vocabulary, concepts_of, exactly, inv, role,
-                            to_text)
+from reachdl.structures import (Evaluator, FiniteStructure, MissingNominalError,
+                                env_structure, eval_concept, eval_formula,
+                                mask_view, structure, type_of, types_of_all)
+from reachdl.syntax import (And, AtMost, Atomic, Bot, Eq, Exists, FAnd, FNot,
+                            FOr, Incl, Nominal, Not, Or, Role, TOP, Top,
+                            UpdatePoint, Vocabulary, closure_concepts,
+                            concepts_of, exactly, inv, map_concept, map_sides,
+                            role, to_text)
+from reachdl.wp import eliminate_updates
 from gen import random_formula, random_structure
 
 V = Vocabulary(concepts={"L", "A", "B"}, roles={"next", "r"},
@@ -110,3 +116,172 @@ def test_lemma_types_same_types_agree():
 def test_empty_universe_admitted_without_nominals():
     m = structure((), {}, {}, {})
     assert eval_formula(m, Incl(TOP, Bot()))  # vacuous over the empty universe
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the first-order oracle
+
+DV = Vocabulary(concepts={"A", "B"}, roles={"r", "s"}, functional={"r"},
+                nominals={"o", "p"})
+PROBE = "__probe"
+
+
+def _gapped(rng: random.Random, m: FiniteStructure) -> FiniteStructure:
+    """m with element i renamed to a gapped label, the universe listed in
+    an unsorted order (as (7, 3, 12, 4))."""
+    n = len(m.universe)
+    labels = rng.sample(range(3 * n + 5), n)
+    if n > 1 and labels == sorted(labels):
+        labels.reverse()
+    to = dict(zip(m.universe, labels))
+    return FiniteStructure(tuple(labels),
+                           {k: frozenset(to[u] for u in v) for k, v in m.concepts.items()},
+                           {k: frozenset((to[a], to[b]) for a, b in v)
+                            for k, v in m.roles.items()},
+                           {k: to[e] for k, e in m.nominals.items()})
+
+
+def _oracle(m: FiniteStructure, phi) -> bool:
+    return fo_eval(m, to_first_order(eliminate_updates(phi)))
+
+
+def _check_against_oracle(m: FiniteStructure, phi) -> None:
+    assert eval_formula(m, phi) == _oracle(m, phi), to_text(phi)
+    for c in closure_concepts(phi):
+        ext = eval_concept(m, c)
+        assert ext <= frozenset(m.universe)
+        for u in m.universe:
+            probe = m.with_nominal(PROBE, u)
+            assert (u in ext) == _oracle(probe, Incl(Nominal(PROBE), c)), (to_text(phi), u)
+
+
+def test_eval_matches_first_order_oracle_on_gapped_universes():
+    rng = random.Random(41)
+    for _ in range(150):
+        m = _gapped(rng, random_structure(rng, DV, 5))
+        _check_against_oracle(m, random_formula(rng, DV, depth=2, cdepth=2))
+
+
+def _with_updates(rng: random.Random, phi, limit: int = 3):
+    """phi with some role restrictions given one or two update points."""
+    count = 0
+
+    def upd(c):
+        nonlocal count
+        if isinstance(c, (Exists, AtMost)) and count < limit and rng.random() < 0.6:
+            count += 1
+            r = c.role
+            for _ in range(rng.randint(1, 2)):
+                r = Role(r.name, r.inverted, r.updates + (UpdatePoint(
+                    rng.choice(("o", "p")), rng.choice(("o", "p"))),))
+            return Exists(r, c.inner) if isinstance(c, Exists) else AtMost(c.bound, r, c.inner)
+        return c
+
+    return map_sides(phi, lambda c: map_concept(c, upd))
+
+
+def test_eval_with_update_points_matches_oracle():
+    rng = random.Random(43)
+    for _ in range(120):
+        m = _gapped(rng, random_structure(rng, DV, 4))
+        _check_against_oracle(m, _with_updates(rng, random_formula(rng, DV, depth=1, cdepth=2)))
+
+
+# ---------------------------------------------------------------------------
+# Error semantics: which missing nominals raise
+
+NO_O = structure(range(2), {"A": [0]}, {"r": [(0, 1)]}, {"p": 1})
+
+
+def test_inclusion_evaluates_both_sides():
+    # the left side is empty, yet the right side's missing nominal raises
+    with pytest.raises(MissingNominalError, match="nominal o is not interpreted"):
+        eval_formula(NO_O, Incl(Bot(), Nominal("o")))
+    with pytest.raises(MissingNominalError):
+        eval_formula(NO_O, Incl(Not(TOP), Nominal("o")))
+    with pytest.raises(MissingNominalError):
+        eval_formula(NO_O, Eq(Nominal("o"), Bot()))
+    with pytest.raises(MissingNominalError):
+        eval_concept(NO_O, And(Bot(), Nominal("o")))
+
+
+def test_missing_nominal_in_update_point_raises():
+    u = Role("r", updates=(UpdatePoint("o", "p"),))
+    with pytest.raises(MissingNominalError, match="nominal o is not interpreted"):
+        eval_concept(NO_O, Exists(u, TOP))
+    with pytest.raises(MissingNominalError):
+        eval_concept(NO_O, Exists(u, Bot()))  # even when the filler is empty
+    with pytest.raises(MissingNominalError):
+        eval_concept(NO_O, AtMost(0, u.inverse(), TOP))
+
+
+def test_formula_connectives_short_circuit():
+    missing = Incl(Nominal("o"), TOP)
+    false, true = Incl(TOP, Bot()), Incl(Bot(), TOP)
+    assert eval_formula(NO_O, FAnd(false, missing)) is False
+    assert eval_formula(NO_O, FOr(true, missing)) is True
+    assert eval_formula(NO_O, FNot(FOr(true, missing))) is False
+    with pytest.raises(MissingNominalError):
+        eval_formula(NO_O, FAnd(true, missing))
+    with pytest.raises(MissingNominalError):
+        eval_formula(NO_O, FOr(false, missing))
+
+
+# ---------------------------------------------------------------------------
+# The evaluator: depth safety and the count of subterms computed
+
+RING = structure(range(3), {"A": [0]}, {"r": [(0, 1), (1, 2), (2, 0)]}, {"o": 2})
+
+
+def test_deep_not_chain():
+    c = Atomic("A")
+    for _ in range(10_000):
+        c = Not(c)
+    assert eval_concept(RING, c) == frozenset({0})
+    assert eval_concept(RING, Not(c)) == frozenset({1, 2})
+    phi = Incl(c, Atomic("A"))
+    for _ in range(10_001):
+        phi = FNot(phi)
+    assert eval_formula(RING, phi) is False
+
+
+def test_deep_exists_chain():
+    c = Nominal("o")
+    for _ in range(10_000):
+        c = Exists(role("r"), c)
+    # 10,000 r-steps from u reach u + 10,000 = u + 1 (mod 3)
+    assert eval_concept(RING, c) == frozenset({1})
+    d = Atomic("A")
+    for _ in range(10_000):
+        d = Exists(inv("r"), d)
+    assert eval_concept(RING, d) == frozenset({1})
+
+
+def test_evaluator_computes_each_subterm_once():
+    ev = Evaluator(RING)
+    c = Exists(role("r"), And(Atomic("A"), Not(Nominal("o"))))  # A, o, Not, And, r, E
+    phi = Incl(c, Atomic("A"))
+    chain = phi
+    for _ in range(9):
+        chain = FAnd(chain, phi)
+    assert ev.formula(chain) is False  # E r.(A & !o) = {2}, A = {0}
+    assert ev.computed == 7
+    copy = Exists(role("r"), And(Atomic("A"), Not(Nominal("o"))))
+    assert ev.concept(copy) == 0b100 and ev.computed == 7
+    assert ev.formula(FOr(Incl(copy, Nominal("o")), Incl(TOP, c))) is True
+    assert ev.computed == 8  # only the new inclusion: its left side decides
+    assert ev.formula(Incl(Or(c, Atomic("A")), TOP)) is True
+    assert ev.computed == 11  # Or, Top, Incl
+
+
+def test_mask_view_inverts_to_the_structure():
+    rng = random.Random(47)
+    for _ in range(30):
+        m = random_structure(rng, DV, 5)
+        assert env_structure(mask_view(m), sorted(DV.concepts), sorted(DV.roles)) == m
+        gapped = _gapped(rng, m)
+        view, bit = mask_view(gapped), gapped.universe.index
+        assert view["noms"] == {k: bit(e) for k, e in gapped.nominals.items()}
+        assert view["cons"]["A"] == sum(1 << bit(u) for u in gapped.concept_ext("A"))
+        assert view["rsucc"]["s"] == [sum(1 << bit(b) for a, b in gapped.role_ext("s") if a == u)
+                                      for u in gapped.universe]
