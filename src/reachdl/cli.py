@@ -16,9 +16,9 @@ from .memory import MemoryStructure
 from .parser import (parse_formula_file, parse_memory_file,
                      parse_program_file, parse_spec_file, parse_structure_file,
                      structure_to_text)
-from .programs import run_path
+from .programs import commands, run_path
 from .structures import eval_formula
-from .syntax import ReachDLError, to_text
+from .syntax import Eq, FAnd, Nominal, ReachDLError, to_text
 from .vc import check_all_vcs, check_reach_soundness
 
 
@@ -283,21 +283,8 @@ def _dispatch(args) -> int:
 def _wp_trace(res, phi, heap) -> list[str]:
     """One line per top-level command of the instrumented block: the
     intermediate transformer results, last command first."""
-    from .syntax import Eq, FAnd, Nominal
-    from .programs import Seq
-
-    cmds: list = []
-
-    def flatten(s) -> None:
-        if isinstance(s, Seq):
-            flatten(s.first)
-            flatten(s.second)
-        else:
-            cmds.append(s)
-
-    flatten(res.instrumented)
-    current = wp.phi_ext(cmds[-1], FAnd(phi, Eq(Nominal("abo"), Nominal("F"))),
-                         heap, res.ext_map)
+    cmds = list(commands(res.instrumented, branches=False))
+    current = wp.phi_ext(cmds[-1], FAnd(phi, Eq(Nominal("abo"), Nominal("F"))), heap)
     lines = [f"# step {len(cmds)}: {to_text(current)}"]
     for i in range(len(cmds) - 2, -1, -1):
         current = wp.psi(cmds[i], current, heap)

@@ -466,12 +466,13 @@ _STMT_KEYWORDS = {"skip", "dispose", "assume", "if", "then", "else", "fi", "new"
 class _StmtParser:
     """The concrete statement syntax.  Field-to-field assignments
     and if-then without else are desugared (fresh temporaries collected in
-    self.temps)."""
+    self.temps, numbered on from `temps_before`)."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], temps_before: int = 0):
         self.tokens = tokens
         self.pos = 0
         self.temps: list[str] = []
+        self.temps_before = temps_before
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -495,7 +496,7 @@ class _StmtParser:
         return tok.text
 
     def fresh_temp(self) -> str:
-        name = f"__tmp{len(self.temps) + 1}"
+        name = f"__tmp{self.temps_before + len(self.temps) + 1}"
         self.temps.append(name)
         return name
 
@@ -655,7 +656,7 @@ def parse_program_file(text: str):
     """Program file: heap declarations, named formulas, nodes with
     annotation references, and edges carrying code blocks."""
     from .memory import HeapVocabulary
-    from .programs import Program, relabel
+    from .programs import Program, labels_of, relabel
 
     fields: list[str] = []
     variables: list[str] = []
@@ -725,13 +726,9 @@ def parse_program_file(text: str):
     temps: list[str] = []
     code: dict[tuple[str, str], "Stmt"] = {}
     for edge, body in blocks_raw.items():
-        parser = _StmtParser(tokenize(body))
-        stmt = _parse_whole(parser, parser.block)
-        for t in parser.temps:
-            fresh = f"__tmp{len(temps) + 1}"
-            temps.append(fresh)
-            stmt = _rename_var(stmt, t, fresh)
-        code[edge] = stmt
+        parser = _StmtParser(tokenize(body), len(temps))
+        code[edge] = _parse_whole(parser, parser.block)
+        temps += parser.temps
 
     heap = HeapVocabulary(fields=tuple(fields), variables=tuple(variables) + tuple(temps),
                           data_concepts=tuple(data_concepts),
@@ -762,66 +759,10 @@ def parse_program_file(text: str):
     taken = 0
     relabeled = {}
     for edge in sorted(code):
-        from .programs import relabel as _relabel
-
-        relabeled[edge] = _relabel(code[edge], start=taken + 1)
-        taken = max([taken] + [c for c in _labels(relabeled[edge])])
+        relabeled[edge] = relabel(code[edge], start=taken + 1)
+        taken = max([taken] + labels_of(relabeled[edge]))
     return Program(heap, tuple(nodes), tuple(edges), initial,
                    resolve(shp_ref), resolve(cnt_ref), relabeled)
-
-
-def _labels(stmt) -> list[int]:
-    from .programs import labels_of
-
-    return labels_of(stmt)
-
-
-def _rename_var(stmt, old: str, new: str):
-    from .programs import (AndB, Assign, Assume, Dispose, EqB, FieldE, If,
-                           New, NotB, OrB, ReadField, Seq, UnallocB, VarE,
-                           WriteField)
-    from dataclasses import replace as _replace
-
-    def expr(e):
-        if isinstance(e, VarE) and e.name == old:
-            return VarE(new)
-        if isinstance(e, FieldE) and e.var == old:
-            return FieldE(new, e.fieldname)
-        return e
-
-    def cond(b):
-        if isinstance(b, EqB):
-            return EqB(expr(b.left), expr(b.right))
-        if isinstance(b, NotB):
-            return NotB(cond(b.inner))
-        if isinstance(b, AndB):
-            return AndB(cond(b.left), cond(b.right))
-        if isinstance(b, OrB):
-            return OrB(cond(b.left), cond(b.right))
-        if isinstance(b, UnallocB) and b.var == old:
-            return UnallocB(new)
-        return b
-
-    def walk(s):
-        if isinstance(s, Seq):
-            return Seq(walk(s.first), walk(s.second))
-        if isinstance(s, If):
-            return If(cond(s.cond), walk(s.then), walk(s.els), label=s.label)
-        if isinstance(s, Assume):
-            return Assume(cond(s.cond), label=s.label)
-        if isinstance(s, Assign):
-            return Assign(new if s.var == old else s.var, expr(s.expr), label=s.label)
-        if isinstance(s, ReadField):
-            return ReadField(new if s.var == old else s.var,
-                             new if s.src == old else s.src, s.fieldname, label=s.label)
-        if isinstance(s, WriteField):
-            return WriteField(new if s.var == old else s.var, s.fieldname,
-                              expr(s.expr), label=s.label)
-        if isinstance(s, (New, Dispose)):
-            return _replace(s, var=new if s.var == old else s.var)
-        return s
-
-    return walk(stmt)
 
 
 def parse_memory_file(text: str):

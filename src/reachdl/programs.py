@@ -1,17 +1,32 @@
 """The heap programming language: loopless statements, expression and
-boolean evaluation, the step relation (plain, label-refined, and
-all-allocations variants), abort instrumentation, control-flow-graph
-programs, path execution and bounded reachable-set computation.
+boolean evaluation, the step relation, abort instrumentation,
+control-flow-graph programs, path execution and bounded reachable-set
+computation.
 
 Dereferencing a variable whose target is unallocated is the only source
 of expression errors; reading a bare variable is total.  Abort is a
-normal return value, never an exception."""
+normal return value, never an exception.
+
+Traversals.  Statements are walked through one pair: map_stmt rebuilds a
+statement bottom-up, and commands walks its commands in preorder (or only
+the parts of its top-level sequence); cond_exprs walks the expressions of
+a condition.  All three loop over Seq chains with an explicit stack, so a
+long flat block costs no recursion depth.
+
+The step relation is written once, in _run, over three policies for
+allocation and field reads: the least pool cell (run_loopless, which can
+record the values it pinned), every pool cell (run_all), and a label
+assignment d that pins every labeled read and allocation (run_labeled).
+Disposing of a cell moves it from Alloc to PossibleTargets and sets its
+fields to null.  The memory axioms allow any field value on a possible
+target; null is the value the dispose row of wp.psi assumes."""
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import count
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .memory import MemoryStructure, PoolExhaustedError, HeapVocabulary
 from .syntax import Formula, ReachDLError, Vocabulary
@@ -254,111 +269,115 @@ def seq(*stmts: Stmt) -> Stmt:
     return Skip() if out is None else out
 
 
-def atomic_commands(s: Stmt) -> Iterator[Stmt]:
-    if isinstance(s, Seq):
-        yield from atomic_commands(s.first)
-        yield from atomic_commands(s.second)
-    elif isinstance(s, If):
-        yield s
-        yield from atomic_commands(s.then)
-        yield from atomic_commands(s.els)
-    else:
-        yield s
+# ---------------------------------------------------------------------------
+# The statement walks
+
+
+def commands(s: Stmt, branches: bool = True) -> Iterator[Stmt]:
+    """Preorder walk over the commands of s, in program order: Seq chains
+    are flattened, never yielded, and an if comes before the commands of
+    its then branch, which come before those of its else branch.  With
+    branches=False the walk stops at the ifs: it yields the parts of s's
+    top-level sequence."""
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack.append(node.second)
+            stack.append(node.first)
+            continue
+        yield node
+        if branches and isinstance(node, If):
+            stack.append(node.els)
+            stack.append(node.then)
+
+
+def map_stmt(s: Stmt, fn: Callable[[Stmt], Stmt]) -> Stmt:
+    """Bottom-up rebuild: fn is applied to every command, an if after its
+    branches are mapped, and its result replaces the command; Seq chains
+    keep their shape and are never passed to fn.  A subtree none of whose
+    commands changed comes back as the same object."""
+    out: list[Stmt] = []
+    stack: list[tuple[Stmt, bool]] = [(s, False)]
+    while stack:
+        node, done = stack.pop()
+        if isinstance(node, (Seq, If)) and not done:
+            stack.append((node, True))
+            stack += ([(node.second, False), (node.first, False)] if isinstance(node, Seq)
+                      else [(node.els, False), (node.then, False)])
+        elif isinstance(node, Seq):
+            second, first = out.pop(), out.pop()
+            out.append(node if first is node.first and second is node.second
+                       else Seq(first, second))
+        elif isinstance(node, If):
+            els, then = out.pop(), out.pop()
+            if then is not node.then or els is not node.els:
+                node = If(node.cond, then, els, node.label)
+            out.append(fn(node))
+        else:
+            out.append(fn(node))
+    return out[0]
+
+
+def cond_exprs(b: BoolExpr) -> Iterator[Expr]:
+    """The expressions a condition reads, left to right: both sides of
+    every equality test, and the variable of every allocation test."""
+    stack = [b]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EqB):
+            yield node.left
+            yield node.right
+        elif isinstance(node, UnallocB):
+            yield VarE(node.var)
+        elif isinstance(node, NotB):
+            stack.append(node.inner)
+        elif isinstance(node, (AndB, OrB)):
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 def labels_of(s: Stmt) -> list[int]:
-    return [c.label for c in atomic_commands(s)]
+    return [c.label for c in commands(s)]
 
 
-def relabel(s: Stmt, start: int = 1) -> Stmt:
-    """Assign unique labels 1.. in command order."""
-    counter = start - 1
-
-    def walk(t: Stmt) -> Stmt:
-        nonlocal counter
-        if isinstance(t, Seq):
-            first = walk(t.first)
-            return Seq(first, walk(t.second))
-        counter += 1
-        if isinstance(t, If):
-            lab = counter
-            then = walk(t.then)
-            return If(t.cond, then, walk(t.els), label=lab)
-        return replace(t, label=counter)
-
-    out = walk(s)
+def relabel(s: Stmt, start: int = 1, keep: frozenset[int] = frozenset()) -> Stmt:
+    """Fresh labels start, start+1, ... in command order; the commands
+    whose id is in `keep` keep their labels."""
+    # map_stmt reaches an if after its branches, so number in two passes:
+    # a unique negative tag per command, then each tag's preorder rank
+    tags = count(-1, -1)
+    tagged = map_stmt(s, lambda c: c if id(c) in keep else replace(c, label=next(tags)))
+    fresh = (c for c in commands(tagged) if id(c) not in keep)
+    rank = {c.label: lab for lab, c in enumerate(fresh, start)}
+    out = map_stmt(tagged, lambda c: c if id(c) in keep else replace(c, label=rank[c.label]))
     labs = labels_of(out)
     if len(labs) != len(set(labs)):
         raise ReachDLError(f"relabel gave duplicate labels: {labs}")
     return out
 
 
-def variables_read(s: Stmt) -> set[str]:
-    out: set[str] = set()
-
-    def expr(e: Expr) -> None:
-        if isinstance(e, VarE):
-            out.add(e.name)
-        elif isinstance(e, FieldE):
-            out.add(e.var)
-
-    def cond(b: BoolExpr) -> None:
-        if isinstance(b, EqB):
-            expr(b.left)
-            expr(b.right)
-        elif isinstance(b, NotB):
-            cond(b.inner)
-        elif isinstance(b, (AndB, OrB)):
-            cond(b.left)
-            cond(b.right)
-        elif isinstance(b, UnallocB):
-            out.add(b.var)
-
-    for c in atomic_commands(s):
-        if isinstance(c, Assign):
-            expr(c.expr)
-        elif isinstance(c, ReadField):
-            out.add(c.src)
-        elif isinstance(c, WriteField):
-            out.add(c.var)
-            expr(c.expr)
-        elif isinstance(c, (New,)):
-            pass
-        elif isinstance(c, Dispose):
-            out.add(c.var)
-        elif isinstance(c, (Assume, If)):
-            cond(c.cond)
-    return out
-
-
 def touched_symbols(s: Stmt) -> tuple[set[str], set[str]]:
     """(variables, fields) the statement reads or writes."""
-    variables: set[str] = set(variables_read(s))
+    variables: set[str] = set()
     fields: set[str] = set()
-    for c in atomic_commands(s):
-        if isinstance(c, (Assign, ReadField, New)):
-            variables.add(c.var)
-        if isinstance(c, ReadField):
-            fields.add(c.fieldname)
-        if isinstance(c, WriteField):
-            fields.add(c.fieldname)
-        if isinstance(c, Dispose):
-            variables.add(c.var)
-
-    def cond_fields(b: BoolExpr) -> None:
-        if isinstance(b, EqB):
-            for e in (b.left, b.right):
-                if isinstance(e, FieldE):
-                    fields.add(e.fieldname)
-        elif isinstance(b, NotB):
-            cond_fields(b.inner)
-        elif isinstance(b, (AndB, OrB)):
-            cond_fields(b.left)
-            cond_fields(b.right)
-
-    for c in atomic_commands(s):
+    for c in commands(s):
         if isinstance(c, (Assume, If)):
-            cond_fields(c.cond)
+            exprs = list(cond_exprs(c.cond))
+        else:
+            exprs = [c.expr] if isinstance(c, (Assign, WriteField)) else []
+            if not isinstance(c, Skip):
+                variables.add(c.var)
+            if isinstance(c, ReadField):
+                exprs.append(FieldE(c.src, c.fieldname))
+            if isinstance(c, WriteField):
+                fields.add(c.fieldname)
+        for e in exprs:
+            if isinstance(e, VarE):
+                variables.add(e.name)
+            elif isinstance(e, FieldE):
+                variables.add(e.var)
+                fields.add(e.fieldname)
     return variables, fields
 
 
@@ -378,149 +397,107 @@ def _allocate(ms: MemoryStructure, var: str, cell: int) -> MemoryStructure:
     return ms.with_fs(fs)
 
 
+# Allocation and read policies: the least pool cell, every pool cell (one
+# outcome each), or a label assignment d, which pins the value of every
+# labeled field read and the cell of every allocation.
+_LEAST = "least"
+_EVERY = "every"
+
+
+def _pool_cells(ms: MemoryStructure, c: New, policy) -> list[int]:
+    if isinstance(policy, Mapping):
+        cell = policy.get(c.label)
+        return [cell] if cell in ms.pool() else []
+    pool = sorted(ms.pool())
+    if not pool:
+        raise PoolExhaustedError("memory pool exhausted (finite stand-in)")
+    return pool if policy == _EVERY else pool[:1]
+
+
+def _exec(ms: MemoryStructure, c: Stmt, policy, trace: dict[int, int] | None):
+    """One command other than if and new: the structure after it, or ABORT."""
+    if isinstance(c, Skip):
+        return ms
+    if isinstance(c, Assume):
+        return ms if eval_bool(ms, c.cond) is True else ABORT
+    if isinstance(c, (Assign, ReadField)):
+        val = eval_expr(ms, c.expr if isinstance(c, Assign) else FieldE(c.src, c.fieldname))
+        if val is ERR:
+            return ABORT
+        if isinstance(c, ReadField):
+            if isinstance(policy, Mapping) and val != policy.get(c.label):
+                return ABORT
+            if trace is not None:
+                trace[c.label] = val
+        return _set_var(ms, c.var, val)
+    cell = ms.var(c.var)
+    if cell not in ms.alloc():
+        return ABORT
+    if isinstance(c, WriteField):
+        val = eval_expr(ms, c.expr)
+        if val is ERR:
+            return ABORT
+        return ms.with_fs(ms.fs.with_function_value(c.fieldname, cell, val))
+    if isinstance(c, Dispose):
+        fs = ms.fs.with_concept("Alloc", ms.alloc() - {cell})
+        fs = fs.with_concept("PossibleTargets", ms.targets() | {cell})
+        for f in ms.heap.fields:
+            fs = fs.with_function_value(f, cell, ms.null())
+        return ms.with_fs(fs)
+    raise TypeError(f"not a statement: {c!r}")  # pragma: no cover
+
+
+def _run(ms: MemoryStructure, s: Stmt, policy, trace: dict[int, int] | None = None) -> list:
+    """The step relation, written once: the outcomes of running s from ms
+    under the policy, folded over s's sequence part by part.  ABORT is
+    listed at most once, after the structures."""
+    states, aborted = [ms], False
+    for c in commands(s, branches=False):
+        nxt = []
+        for m in states:
+            if isinstance(c, If):
+                tv = eval_bool(m, c.cond)
+                outs = [ABORT] if tv is ERR else _run(m, c.then if tv else c.els,
+                                                      policy, trace)
+            elif isinstance(c, New):
+                cells = _pool_cells(m, c, policy)
+                if trace is not None and cells:
+                    trace[c.label] = cells[0]
+                outs = [_allocate(m, c.var, cell) for cell in cells] or [ABORT]
+            else:
+                outs = [_exec(m, c, policy, trace)]
+            for r in outs:
+                if r is ABORT:
+                    aborted = True
+                else:
+                    nxt.append(r)
+        states = nxt
+        if not states:
+            break
+    return states + [ABORT] if aborted else states
+
+
 def run_loopless(ms: MemoryStructure, s: Stmt, trace: dict[int, int] | None = None):
     """One deterministic run, allocating the least pool cell; returns the
     final structure or ABORT.  `trace`, when given, records the pinned
     value of each labeled field-read and allocation."""
-    if isinstance(s, Skip):
-        return ms
-    if isinstance(s, Assign):
-        val = eval_expr(ms, s.expr)
-        if val is ERR:
-            return ABORT
-        return _set_var(ms, s.var, val)
-    if isinstance(s, ReadField):
-        val = eval_expr(ms, FieldE(s.src, s.fieldname))
-        if val is ERR:
-            return ABORT
-        if trace is not None:
-            trace[s.label] = val
-        return _set_var(ms, s.var, val)
-    if isinstance(s, WriteField):
-        base = ms.var(s.var)
-        if base not in ms.alloc():
-            return ABORT
-        val = eval_expr(ms, s.expr)
-        if val is ERR:
-            return ABORT
-        return ms.with_fs(ms.fs.with_function_value(s.fieldname, base, val))
-    if isinstance(s, New):
-        pool = sorted(ms.pool())
-        if not pool:
-            raise PoolExhaustedError("memory pool exhausted (finite stand-in)")
-        cell = pool[0]
-        if trace is not None:
-            trace[s.label] = cell
-        return _allocate(ms, s.var, cell)
-    if isinstance(s, Dispose):
-        cell = ms.var(s.var)
-        if cell not in ms.alloc():
-            return ABORT
-        fs = ms.fs.with_concept("Alloc", ms.alloc() - {cell})
-        fs = fs.with_concept("PossibleTargets", ms.targets() | {cell})
-        return ms.with_fs(fs)
-    if isinstance(s, Assume):
-        tv = eval_bool(ms, s.cond)
-        if tv is True:
-            return ms
-        return ABORT
-    if isinstance(s, If):
-        tv = eval_bool(ms, s.cond)
-        if tv is ERR:
-            return ABORT
-        return run_loopless(ms, s.then if tv else s.els, trace)
-    if isinstance(s, Seq):
-        mid = run_loopless(ms, s.first, trace)
-        if mid is ABORT:
-            return ABORT
-        return run_loopless(mid, s.second, trace)
-    raise TypeError(f"not a statement: {s!r}")  # pragma: no cover
+    return _run(ms, s, _LEAST, trace)[0]
 
 
 def run_all(ms: MemoryStructure, s: Stmt) -> frozenset:
     """All outcomes under nondeterministic allocation: memory structures
     plus ABORT if some run aborts."""
-    if isinstance(s, New):
-        pool = sorted(ms.pool())
-        if not pool:
-            raise PoolExhaustedError("memory pool exhausted (finite stand-in)")
-        return frozenset(_allocate(ms, s.var, cell) for cell in pool)
-    if isinstance(s, If):
-        tv = eval_bool(ms, s.cond)
-        if tv is ERR:
-            return frozenset({ABORT})
-        return run_all(ms, s.then if tv else s.els)
-    if isinstance(s, Seq):
-        out = set()
-        for mid in run_all(ms, s.first):
-            if mid is ABORT:
-                out.add(ABORT)
-            else:
-                out |= run_all(mid, s.second)
-        return frozenset(out)
-    return frozenset({run_loopless(ms, s)})
+    return frozenset(_run(ms, s, _EVERY))
 
 
 def run_labeled(ms: MemoryStructure, s: Stmt, d: Mapping[int, int]):
     """The label-refined step: field reads must read d[label], allocations
     must allocate d[label]; otherwise the run aborts."""
-    if isinstance(s, ReadField):
-        val = eval_expr(ms, FieldE(s.src, s.fieldname))
-        if val is ERR or val != d.get(s.label):
-            return ABORT
-        return _set_var(ms, s.var, val)
-    if isinstance(s, New):
-        cell = d.get(s.label)
-        if cell not in ms.pool():
-            return ABORT
-        return _allocate(ms, s.var, cell)
-    if isinstance(s, If):
-        tv = eval_bool(ms, s.cond)
-        if tv is ERR:
-            return ABORT
-        return run_labeled(ms, s.then if tv else s.els, d)
-    if isinstance(s, Seq):
-        mid = run_labeled(ms, s.first, d)
-        if mid is ABORT:
-            return ABORT
-        return run_labeled(mid, s.second, d)
-    return run_loopless(ms, s)
+    return _run(ms, s, d)[0]
 
 
 # ---------------------------------------------------------------------------
 # Abort instrumentation
-
-
-def _deref_bases(b: BoolExpr) -> list[str]:
-    out: list[str] = []
-
-    def expr(e: Expr) -> None:
-        if isinstance(e, FieldE) and e.var not in out:
-            out.append(e.var)
-
-    def walk(bb: BoolExpr) -> None:
-        if isinstance(bb, EqB):
-            expr(bb.left)
-            expr(bb.right)
-        elif isinstance(bb, NotB):
-            walk(bb.inner)
-        elif isinstance(bb, (AndB, OrB)):
-            walk(bb.left)
-            walk(bb.right)
-
-    walk(b)
-    return out
-
-
-def _err_guard(b: BoolExpr, mode: str) -> BoolExpr | None:
-    bases = _deref_bases(b)
-    if not bases:
-        return None
-    parts: BoolExpr | None = None
-    for v in bases:
-        test: BoolExpr = UnallocB(v) if mode == "semantic" else EqB(VarE(v), NullE())
-        parts = test if parts is None else OrB(parts, test)
-    return parts
 
 
 def instrument_abort(s: Stmt, mode: str = "semantic") -> Stmt:
@@ -528,65 +505,31 @@ def instrument_abort(s: Stmt, mode: str = "semantic") -> Stmt:
     program instead raises the abo flag and continues.  In semantic mode
     the guards test allocation (exactly the abort condition); the
     null-test mode follows the syntactic construction and diverges on
-    dangling pointers."""
+    dangling pointers.  The original commands other than ifs keep their
+    labels (Y_Sbar strictly extends Y_S); the rest get fresh ones."""
     if mode not in ("semantic", "null-test"):
         raise ReachDLError(f"unknown instrumentation mode {mode!r}")
 
-    def guard_var(v: str) -> BoolExpr:
+    def guard(v: str) -> BoolExpr:
         return UnallocB(v) if mode == "semantic" else EqB(VarE(v), NullE())
 
-    def set_abo() -> Stmt:
+    def raise_abo() -> Stmt:
         return Assign("abo", TrueE())
 
-    def wrap(t: Stmt) -> Stmt:
-        if isinstance(t, Seq):
-            return Seq(wrap(t.first), wrap(t.second))
-        if isinstance(t, (Skip, Assign, New)):
-            return t
-        if isinstance(t, ReadField):
-            return If(guard_var(t.src), set_abo(), t)
-        if isinstance(t, WriteField):
-            return If(guard_var(t.var), set_abo(), t)
-        if isinstance(t, Dispose):
-            return If(guard_var(t.var), set_abo(), t)
-        if isinstance(t, Assume):
-            inner: Stmt = If(t.cond, Skip(), set_abo())
-            g = _err_guard(t.cond, mode)
-            return inner if g is None else If(g, set_abo(), inner)
-        if isinstance(t, If):
-            inner = If(t.cond, wrap(t.then), wrap(t.els))
-            g = _err_guard(t.cond, mode)
-            return inner if g is None else If(g, set_abo(), inner)
-        raise TypeError(f"not a statement: {t!r}")  # pragma: no cover
+    def wrap(c: Stmt) -> Stmt:
+        if isinstance(c, (ReadField, WriteField, Dispose)):
+            return If(guard(c.src if isinstance(c, ReadField) else c.var), raise_abo(), c)
+        if isinstance(c, (Assume, If)):
+            inner = If(c.cond, Skip(), raise_abo()) if isinstance(c, Assume) else c
+            bases = dict.fromkeys(e.var for e in cond_exprs(c.cond) if isinstance(e, FieldE))
+            if not bases:
+                return inner
+            return If(reduce(OrB, map(guard, bases)), raise_abo(), inner)
+        return c
 
-    out = Seq(Assign("abo", FalseE()), wrap(s))
-    return _relabel_preserving(out, s)
-
-
-def _relabel_preserving(out: Stmt, original: Stmt) -> Stmt:
-    """Fresh labels for instrumentation-added commands, keeping the
-    original commands' labels (Y_Sbar strictly extends Y_S)."""
-    keep = {id(c) for c in atomic_commands(original)}
-    used = set(labels_of(original))
-    counter = max(used, default=0)
-
-    def walk(t: Stmt) -> Stmt:
-        nonlocal counter
-        if isinstance(t, Seq):
-            first = walk(t.first)
-            return Seq(first, walk(t.second))
-        if id(t) in keep:
-            if isinstance(t, If):
-                raise AssertionError("original ifs are rebuilt, not kept")
-            return t
-        counter += 1
-        lab = counter
-        if isinstance(t, If):
-            then = walk(t.then)
-            return If(t.cond, then, walk(t.els), label=lab)
-        return replace(t, label=lab)
-
-    return walk(out)
+    keep = frozenset(id(c) for c in commands(s) if not isinstance(c, If))
+    return relabel(Seq(Assign("abo", FalseE()), map_stmt(s, wrap)),
+                   start=max(labels_of(s), default=0) + 1, keep=keep)
 
 
 # ---------------------------------------------------------------------------

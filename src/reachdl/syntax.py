@@ -20,8 +20,9 @@ symbol scan sits on the search set-up path; the size defines the node
 counts the benchmark reports), the printers below, the OWL export,
 models.Kernel and structures.Evaluator (the two front-ends of the bitmask
 node rules; the evaluator's walk keeps its own stack), fol's translation
-(the independent oracle), nnf's polarity walk, the boolean-closure
-recursion _bc, and the statement walks of programs.py.
+(the independent oracle), nnf's polarity walk and the boolean-closure
+recursion _bc.  Statements have their own walk pair, programs.map_stmt
+and programs.commands.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@ abort-aware composition (theta), and the update-role eliminator.
 The transformer rewrites the postcondition over the post-state into a
 formula over the pre-state extended with: one copy R_ext per unconstrained
 relation R, one label nominal per field read and allocation, and the abort
-flag's nominal."""
+flag's nominal.
+
+The dispose row rewrites every field f to f[x -> null]: the step relation
+(programs) sets every field of a disposed cell to null, so the transformer
+and the step agree on it."""
 
 from __future__ import annotations
 
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 from .memory import HeapVocabulary
 from .programs import (AndB, Assign, Assume, BoolExpr, Dispose, EqB, Expr,
                        FalseB, FalseE, FieldE, If, New, NotB, NullE, OrB,
-                       ReadField, Seq, Skip, Stmt, TrueB, TrueE, UnallocB,
-                       VarE, WriteField, instrument_abort, labels_of)
+                       ReadField, Skip, Stmt, TrueB, TrueE, UnallocB,
+                       VarE, WriteField, commands, instrument_abort, labels_of)
 from .syntax import (And, AtMost, Atomic, BOT, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, KindMismatchError, Nominal, Not,
                      Or, ReachDLError, Role, TOP, TRUE, UpdatePoint,
@@ -171,55 +175,54 @@ def _expr_nominal(e: Expr) -> Nominal:
 
 
 def psi(s: Stmt, phi: Formula, heap: HeapVocabulary) -> Formula:
-    """The raw backwards transformer; assume commands are out of scope
-    (theta handles them through the instrumentation)."""
-    if isinstance(s, Skip):
-        return phi
-    if isinstance(s, Assign):
-        return substitute(phi, Nominal(s.var), _expr_nominal(s.expr))
-    if isinstance(s, ReadField):
-        o_y = Nominal(label_nominal(s.label))
-        renamed = substitute(phi, Nominal(s.var), o_y)
-        return FAnd(renamed,
-                    Eq(Exists(Role(s.fieldname, inverted=True), Nominal(s.src)), o_y))
-    if isinstance(s, WriteField):
-        update = role(s.fieldname).updated(s.var, _expr_nominal(s.expr).name)
-        return substitute(phi, role(s.fieldname), update)
-    if isinstance(s, If):
-        eb = eps_bool(s.cond)
-        return FOr(FAnd(eb, psi(s.then, phi, heap)),
-                   FAnd(FNot(eb), psi(s.els, phi, heap)))
-    if isinstance(s, New):
-        o_y = Nominal(label_nominal(s.label))
-        out = substitute(phi, Nominal(s.var), o_y)
-        out = substitute(out, Atomic("Alloc"), Or(Atomic("Alloc"), o_y))
-        # the MemPool conjunct pins the allocation label to a pool cell;
-        # without it, assignments placing the label on an unallocated
-        # non-pool cell can satisfy the output although no run allocates it
-        return FAnd(FAnd(out, Incl(o_y, Not(Atomic("Alloc")))),
-                    Incl(o_y, Atomic("MemPool")))
-    if isinstance(s, Dispose):
-        out = substitute(phi, Atomic("Alloc"), And(Atomic("Alloc"), Not(Nominal(s.var))))
-        occurring = formula_symbols(out)["roles"]
-        for f in heap.fields:
-            if f in occurring:
-                out = substitute(out, role(f), role(f).updated(s.var, "null"))
-        return out
-    if isinstance(s, Seq):
-        return psi(s.first, psi(s.second, phi, heap), heap)
-    if isinstance(s, Assume):
-        raise AssumeInPsiError("assume is outside the transformer table; use theta")
-    raise TypeError(f"not a statement: {s!r}")  # pragma: no cover
+    """The raw backwards transformer, folded over the parts of s's
+    sequence, last part first; assume commands are out of scope (theta
+    handles them through the instrumentation)."""
+    for c in reversed(list(commands(s, branches=False))):
+        if isinstance(c, Skip):
+            continue
+        if isinstance(c, Assign):
+            phi = substitute(phi, Nominal(c.var), _expr_nominal(c.expr))
+        elif isinstance(c, ReadField):
+            o_y = Nominal(label_nominal(c.label))
+            renamed = substitute(phi, Nominal(c.var), o_y)
+            phi = FAnd(renamed,
+                       Eq(Exists(Role(c.fieldname, inverted=True), Nominal(c.src)), o_y))
+        elif isinstance(c, WriteField):
+            update = role(c.fieldname).updated(c.var, _expr_nominal(c.expr).name)
+            phi = substitute(phi, role(c.fieldname), update)
+        elif isinstance(c, If):
+            eb = eps_bool(c.cond)
+            phi = FOr(FAnd(eb, psi(c.then, phi, heap)),
+                      FAnd(FNot(eb), psi(c.els, phi, heap)))
+        elif isinstance(c, New):
+            o_y = Nominal(label_nominal(c.label))
+            out = substitute(phi, Nominal(c.var), o_y)
+            out = substitute(out, Atomic("Alloc"), Or(Atomic("Alloc"), o_y))
+            # the MemPool conjunct pins the allocation label to a pool cell;
+            # without it, assignments placing the label on an unallocated
+            # non-pool cell can satisfy the output although no run allocates it
+            phi = FAnd(FAnd(out, Incl(o_y, Not(Atomic("Alloc")))),
+                       Incl(o_y, Atomic("MemPool")))
+        elif isinstance(c, Dispose):
+            out = substitute(phi, Atomic("Alloc"), And(Atomic("Alloc"), Not(Nominal(c.var))))
+            occurring = formula_symbols(out)["roles"]
+            for f in heap.fields:
+                if f in occurring:
+                    out = substitute(out, role(f), role(f).updated(c.var, "null"))
+            phi = out
+        elif isinstance(c, Assume):
+            raise AssumeInPsiError("assume is outside the transformer table; use theta")
+        else:
+            raise TypeError(f"not a statement: {c!r}")  # pragma: no cover
+    return phi
 
 
-def phi_ext(s: Stmt, post: Formula, heap: HeapVocabulary,
-            ext_map: dict[str, str] | None = None) -> Formula:
+def phi_ext(s: Stmt, post: Formula, heap: HeapVocabulary) -> Formula:
     """psi after renaming the unconstrained relations of the postcondition
     to their post-state copies (the renaming happens once, up front)."""
-    ext_map = tau_rem_map(heap) if ext_map is None else ext_map
     renamed = post
-    for name in heap.tau_rem():
-        new = ext_map[name]
+    for name, new in tau_rem_map(heap).items():
         if name in heap.data_concepts:
             renamed = substitute(renamed, Atomic(name), Atomic(new))
         else:
@@ -235,42 +238,32 @@ class ThetaResult:
     ext_map: dict[str, str]
 
 
-def theta_full(s: Stmt, post: Formula, heap: HeapVocabulary,
-               ext_map: dict[str, str] | None = None,
-               mode: str = "semantic") -> ThetaResult:
+def theta_full(s: Stmt, post: Formula, heap: HeapVocabulary) -> ThetaResult:
     """theta(S, phi): phi_ext over the instrumented program applied to the
     conjunction of phi and (o_abo == o_F), with the fresh-symbol inventory."""
     check_postcondition(post)
-    ext_map = tau_rem_map(heap) if ext_map is None else ext_map
-    sbar = instrument_abort(s, mode)
+    sbar = instrument_abort(s)
     target = FAnd(post, Eq(Nominal("abo"), Nominal("F")))
-    out = phi_ext(sbar, target, heap, ext_map)
+    out = phi_ext(sbar, target, heap)
     labels = tuple(label_nominal(lab) for lab in sorted(labels_of(sbar)))
-    return ThetaResult(out, sbar, labels, dict(ext_map))
-
-
-def theta(s: Stmt, post: Formula, heap: HeapVocabulary,
-          ext_map: dict[str, str] | None = None, mode: str = "semantic") -> Formula:
-    return theta_full(s, post, heap, ext_map, mode).formula
+    return ThetaResult(out, sbar, labels, tau_rem_map(heap))
 
 
 def theta_structure(m1: "MemoryStructure", m2: "MemoryStructure",
-                    d: dict[int, int], d_abo: int,
-                    ext_map: dict[str, str] | None = None) -> "FiniteStructure":
+                    d: dict[int, int], d_abo: int) -> "FiniteStructure":
     """The extended pre-state of the backwards-propagation lemma: m1 plus
     the post-state copies of the unconstrained relations, the label
     constants, and the abort flag's initial value."""
     from .structures import FiniteStructure
 
     heap = m1.heap
-    ext_map = tau_rem_map(heap) if ext_map is None else ext_map
     concepts = dict(m1.fs.concepts)
     roles = dict(m1.fs.roles)
     nominals = dict(m1.fs.nominals)
     for name in heap.data_concepts:
-        concepts[ext_map[name]] = m2.fs.concept_ext(name)
+        concepts[ext_name(name)] = m2.fs.concept_ext(name)
     for name in heap.data_roles:
-        roles[ext_map[name]] = m2.fs.role_ext(name)
+        roles[ext_name(name)] = m2.fs.role_ext(name)
     for lab, elem in d.items():
         nominals[label_nominal(lab)] = elem
     nominals["abo"] = d_abo

@@ -13,7 +13,7 @@ from reachdl.models import (SwapTuple, apply_swap, dfs_labeling, find_model,
 from reachdl.parser import parse_formula
 from reachdl.programs import (ABORT, Assign, Assume, EqB, FieldE, If, New,
                               NullE, ReadField, Program, Skip, VarE,
-                              WriteField, atomic_commands, relabel,
+                              WriteField, commands, relabel,
                               run_loopless, seq)
 from reachdl.reach import (ReachAssertion, ReachSpec, alist_spec, check_spec,
                            check_semi_connected, clist_spec, list_spec,
@@ -236,7 +236,7 @@ def test_criterion_4_value_and_base_lemmas():
 
 
 def _relevant_labels(s):
-    return [c.label for c in atomic_commands(s) if isinstance(c, (ReadField, New))]
+    return [c.label for c in commands(s) if isinstance(c, (ReadField, New))]
 
 
 def _stmt_sized(rng, heap, max_relevant=3):

@@ -11,7 +11,7 @@ from reachdl.programs import (ABORT, ERR, Assign, Assume, Dispose, EqB, FalseB,
                               TrueB, TrueE, UnallocB, VarE, WriteField,
                               eval_bool, eval_expr, instrument_abort, labels_of,
                               reach_sets, relabel, run_all, run_labeled,
-                              run_loopless, run_path, seq)
+                              run_loopless, run_path, seq, touched_symbols)
 from reachdl.syntax import ReachDLError
 from gen import DEFAULT_HEAP, random_bool, random_memory, random_stmt
 
@@ -160,9 +160,9 @@ def test_labeled_equivalence_with_nondet():
 
 
 def _read_new(s):
-    from reachdl.programs import atomic_commands
+    from reachdl.programs import commands
 
-    return [c for c in atomic_commands(s) if isinstance(c, (ReadField, New))]
+    return [c for c in commands(s) if isinstance(c, (ReadField, New))]
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +307,27 @@ def test_reach_sets_cap():
     m = MemoryStructure(prog.heap, walker_memory().fs)
     with pytest.raises(StateCapError):
         reach_sets(prog, [m], 6, cap=1)
+
+
+def test_flat_block_is_not_nested(capsys, tmp_path):
+    """A long flat block goes through the walks, the step and the
+    transformer without RecursionError; only nesting may exhaust the stack."""
+    from reachdl.cli import main
+    from reachdl.syntax import TRUE
+    from reachdl.wp import theta_full
+
+    body = "; ".join(["x := null"] * 5000)
+    s, _ = parse_block(body)
+    assert labels_of(s) == list(range(1, 5001))
+    assert touched_symbols(s) == ({"x"}, set())
+    assert len(labels_of(instrument_abort(s))) == 5001
+    m = mem(alloc=1, pool=2, variables={"x": 3})
+    out = run_loopless(m, s)
+    assert out.var("x") == out.null()
+    assert run_all(m, s) == frozenset({out})
+    assert theta_full(s, TRUE, HEAP).formula is not None
+    prog = tmp_path / "flat.prog"
+    prog.write_text("FIELDS f\nVARS x y\nNODE a\nNODE b\nEDGE a -> b { " + body + " }\n")
+    assert main(["vc", str(prog), "--bound", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "EDGE a->b: VALID_UPTO 1\n" and captured.err == ""

@@ -27,7 +27,7 @@ from reachdl.parser import parse_block, parse_program_file
 from reachdl.programs import (ABORT, AndB, Assign, Assume, Dispose, EqB,
                               FalseB, FalseE, FieldE, If, New, NotB, NullE,
                               OrB, ReadField, Seq, Skip, TrueB, TrueE, VarE,
-                              WriteField, atomic_commands, instrument_abort,
+                              WriteField, commands, instrument_abort,
                               relabel, run_all, run_labeled, run_loopless,
                               touched_symbols)
 from gen import DEFAULT_HEAP, random_memory, random_stmt
@@ -273,7 +273,7 @@ def test_least_cell_run_is_one_of_all_runs():
                 run_all(m, s)
             continue
         assert one in run_all(m, s)
-        news = {c.label for c in atomic_commands(s) if isinstance(c, New)}
+        news = {c.label for c in commands(s) if isinstance(c, New)}
         cells = [v for lab, v in trace.items() if lab in news]
         assert cells == sorted(m.pool())[:len(cells)]
         if one is not ABORT:

@@ -160,3 +160,21 @@ EDGE ll -> le { assume(e = null) }
     bad = make_memory(prog.heap, alloc=1, targets=1, pool=2,
                       fields={"next": {3: 4, 4: 0}}, variables={"hd": 3, "e": 0})
     assert not check_reach_soundness(prog, [bad], depth=6)
+
+
+@pytest.mark.parametrize("code, cnt_a, cnt_b, want", [
+    ("x.f := x; dispose(x)", "x <= Alloc and Addresses & !Alloc <= E f.(null | F)",
+     "Addresses & !Alloc <= E f.(null | F)", True),
+    ("x.f := y; dispose(x)", "x <= Alloc", "x <= E f.null", True),
+    ("x.f := y; dispose(y)", "x <= Alloc", "x <= E f.y", False),
+    ("x.f := y; dispose(x)", "x <= Alloc and not (y == null)", "x <= E f.y", False),
+])
+def test_write_then_dispose_vc_agrees_with_inductive(code, cnt_a, cnt_b, want):
+    """Bound 2: every VC valid iff the edge is inductive, on programs that
+    write a field of a cell and then dispose of it."""
+    prog = parse_program_file(
+        f"FIELDS f\nVARS x y\nFORMULA pa: {cnt_a}\nFORMULA pb: {cnt_b}\n"
+        f"NODE a cnt=pa\nNODE b cnt=pb\nEDGE a -> b {{ {code} }}\n")
+    all_valid = all(e.verdict == "valid-up-to-bound" for e in check_all_vcs(prog, 2))
+    inductive, _ = check_inductive(prog, [], 2)
+    assert all_valid == inductive == want

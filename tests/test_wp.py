@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
-from reachdl.memory import HeapVocabulary, MemoryStructure, ghost, make_memory
+from reachdl.memory import (HeapVocabulary, MemoryStructure, PoolExhaustedError,
+                            ghost, make_memory)
 from reachdl.parser import parse_formula
 from reachdl.programs import (ABORT, Assign, Assume, Dispose, EqB, FieldE, If,
                               New, NullE, ReadField, Seq, Skip, VarE,
-                              WriteField, atomic_commands, labels_of, relabel,
+                              WriteField, commands, labels_of, relabel,
                               run_loopless, seq)
 from reachdl.structures import eval_concept, eval_formula, structure
 from reachdl.syntax import (And, AtMost, Atomic, Eq, Exists, FAnd, FNot,
@@ -15,7 +16,7 @@ from reachdl.syntax import (And, AtMost, Atomic, Eq, Exists, FAnd, FNot,
                             Role, TRUE, UpdatePoint, to_text)
 from reachdl.wp import (AssumeInPsiError, eliminate_updates, eps_bool,
                         label_nominal, phi_ext, psi, substitute, tau_rem_map,
-                        theta, theta_full, theta_structure)
+                        theta_full, theta_structure)
 from gen import random_memory, random_stmt, random_heap_formula, DEFAULT_HEAP
 
 HEAP = HeapVocabulary(fields=("wrkFor", "next"), variables=("e", "proj"),
@@ -159,7 +160,7 @@ def relabel_pair(s):
 
 
 def _contains_assume(s):
-    return any(isinstance(c, Assume) for c in atomic_commands(s))
+    return any(isinstance(c, Assume) for c in commands(s))
 
 
 def test_phi_renames_rem_symbols_only():
@@ -306,3 +307,62 @@ def test_phi_ext_composition_law():
         assert lhs == rhs
         checked += 1
     assert checked > 30
+
+
+# ---------------------------------------------------------------------------
+# dispose: the step and the transformer agree on the disposed cell's fields
+
+HEAP_F = HeapVocabulary(fields=("f",), variables=("x", "y"))
+DISPOSED_FIELD_POSTS = ["Addresses & !Alloc <= E f.(null | F)",
+                        "x <= E f.null", "x <= E f.x", "Alloc <= E f.(Alloc | null)"]
+
+
+def _lemma_sides(m1, s, post):
+    """(theta on the extended pre-state, post on the run's result), or
+    None when the run aborts."""
+    heap = m1.heap
+    res = theta_full(s, post, heap)
+    mb = MemoryStructure(heap.with_variables(("abo",)),
+                         m1.fs.with_nominal("abo", 2).with_nominal("abo_gho", 2))
+    trace = {}
+    assert run_loopless(mb, res.instrumented, trace=trace) is not ABORT
+    plain = run_loopless(m1, s)
+    if plain is ABORT:
+        return None
+    ext = theta_structure(m1, plain, trace, 2)
+    return eval_formula(ext, res.formula), eval_formula(plain.fs, post)
+
+
+def test_dispose_nulls_the_cells_fields_directed():
+    m1 = make_memory(HEAP_F, alloc=1, variables={"x": 3})
+    s = relabel(seq(WriteField("x", "f", VarE("x")), Dispose("x"), Assign("y", NullE())))
+    post = parse_formula(DISPOSED_FIELD_POSTS[0], HEAP_F.annotation_vocabulary())
+    assert _lemma_sides(m1, s, post) == (True, True)
+
+
+def test_write_then_dispose_theta_iff_post_random():
+    rng = random.Random(1729)
+    heap = DEFAULT_HEAP
+    posts = [parse_formula(p, heap.annotation_vocabulary()) for p in DISPOSED_FIELD_POSTS]
+    checked = 0
+    for _ in range(1000):
+        m1 = random_memory(rng)
+        live = [v for v in heap.variables if m1.var(v) in m1.alloc()]
+        if not live:
+            continue
+        v = rng.choice(live)
+        s = relabel(seq(WriteField(v, rng.choice(heap.fields),
+                                   VarE(rng.choice(heap.variables))),
+                        random_stmt(rng, heap, 1),
+                        Dispose(rng.choice(live)),
+                        random_stmt(rng, heap, 1)))
+        post = rng.choice(posts + [random_heap_formula(rng, heap)])
+        try:
+            sides = _lemma_sides(m1, s, post)
+        except PoolExhaustedError:
+            continue
+        if sides is not None:
+            theta_holds, post_holds = sides
+            assert theta_holds == post_holds, (s, post)
+            checked += 1
+    assert checked > 100
