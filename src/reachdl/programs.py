@@ -292,30 +292,35 @@ def commands(s: Stmt, branches: bool = True) -> Iterator[Stmt]:
             stack.append(node.then)
 
 
-def map_stmt(s: Stmt, fn: Callable[[Stmt], Stmt]) -> Stmt:
-    """Bottom-up rebuild: fn is applied to every command, an if after its
-    branches are mapped, and its result replaces the command; Seq chains
-    keep their shape and are never passed to fn.  A subtree none of whose
-    commands changed comes back as the same object."""
+def map_stmt(s: Stmt, fn: Callable[[Stmt, int], Stmt]) -> Stmt:
+    """Bottom-up rebuild: fn(c, i) is applied to every command c, where i
+    is c's position in commands(s), and its result replaces c.  An if
+    reaches fn after its branches are mapped; Seq chains keep their shape
+    and are never passed to fn.  A subtree none of whose commands changed
+    comes back as the same object."""
     out: list[Stmt] = []
-    stack: list[tuple[Stmt, bool]] = [(s, False)]
+    stack: list[tuple[Stmt, int | None]] = [(s, None)]
+    position = 0
     while stack:
-        node, done = stack.pop()
-        if isinstance(node, (Seq, If)) and not done:
-            stack.append((node, True))
-            stack += ([(node.second, False), (node.first, False)] if isinstance(node, Seq)
-                      else [(node.els, False), (node.then, False)])
-        elif isinstance(node, Seq):
-            second, first = out.pop(), out.pop()
-            out.append(node if first is node.first and second is node.second
-                       else Seq(first, second))
-        elif isinstance(node, If):
+        node, i = stack.pop()
+        if isinstance(node, Seq):
+            if i is None:
+                stack += [(node, 0), (node.second, None), (node.first, None)]
+            else:
+                second, first = out.pop(), out.pop()
+                out.append(node if first is node.first and second is node.second
+                           else Seq(first, second))
+        elif i is not None:  # an if whose branches are mapped
             els, then = out.pop(), out.pop()
             if then is not node.then or els is not node.els:
                 node = If(node.cond, then, els, node.label)
-            out.append(fn(node))
+            out.append(fn(node, i))
         else:
-            out.append(fn(node))
+            if isinstance(node, If):
+                stack += [(node, position), (node.els, None), (node.then, None)]
+            else:
+                out.append(fn(node, position))
+            position += 1
     return out[0]
 
 
@@ -344,13 +349,9 @@ def labels_of(s: Stmt) -> list[int]:
 def relabel(s: Stmt, start: int = 1, keep: frozenset[int] = frozenset()) -> Stmt:
     """Fresh labels start, start+1, ... in command order; the commands
     whose id is in `keep` keep their labels."""
-    # map_stmt reaches an if after its branches, so number in two passes:
-    # a unique negative tag per command, then each tag's preorder rank
-    tags = count(-1, -1)
-    tagged = map_stmt(s, lambda c: c if id(c) in keep else replace(c, label=next(tags)))
-    fresh = (c for c in commands(tagged) if id(c) not in keep)
-    rank = {c.label: lab for lab, c in enumerate(fresh, start)}
-    out = map_stmt(tagged, lambda c: c if id(c) in keep else replace(c, label=rank[c.label]))
+    fresh = (i for i, c in enumerate(commands(s)) if id(c) not in keep)
+    label = dict(zip(fresh, count(start)))
+    out = map_stmt(s, lambda c, i: replace(c, label=label[i]) if i in label else c)
     labs = labels_of(out)
     if len(labs) != len(set(labs)):
         raise ReachDLError(f"relabel gave duplicate labels: {labs}")
@@ -516,7 +517,7 @@ def instrument_abort(s: Stmt, mode: str = "semantic") -> Stmt:
     def raise_abo() -> Stmt:
         return Assign("abo", TrueE())
 
-    def wrap(c: Stmt) -> Stmt:
+    def wrap(c: Stmt, _: int) -> Stmt:
         if isinstance(c, (ReadField, WriteField, Dispose)):
             return If(guard(c.src if isinstance(c, ReadField) else c.var), raise_abo(), c)
         if isinstance(c, (Assume, If)):

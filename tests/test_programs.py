@@ -328,6 +328,11 @@ def test_flat_block_is_not_nested(capsys, tmp_path):
     assert theta_full(s, TRUE, HEAP).formula is not None
     prog = tmp_path / "flat.prog"
     prog.write_text("FIELDS f\nVARS x y\nNODE a\nNODE b\nEDGE a -> b { " + body + " }\n")
+    post = tmp_path / "post.formula"
+    post.write_text("x == null\n")
     assert main(["vc", str(prog), "--bound", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "EDGE a->b: VALID_UPTO 1\n" and captured.err == ""
+    assert main(["wp", str(prog), str(post)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("null == null and F == F\n") and captured.err == ""

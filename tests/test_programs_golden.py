@@ -25,8 +25,8 @@ from reachdl.cli import main
 from reachdl.memory import PoolExhaustedError
 from reachdl.parser import parse_block, parse_program_file
 from reachdl.programs import (ABORT, AndB, Assign, Assume, Dispose, EqB,
-                              FalseB, FalseE, FieldE, If, New, NotB, NullE,
-                              OrB, ReadField, Seq, Skip, TrueB, TrueE, VarE,
+                              FalseE, FieldE, New, NotB, NullE, OrB,
+                              ReadField, Seq, Skip, TrueB, TrueE, VarE,
                               WriteField, commands, instrument_abort,
                               relabel, run_all, run_labeled, run_loopless,
                               touched_symbols)
