@@ -10,8 +10,9 @@ normal return value, never an exception.
 Traversals.  Statements are walked through one pair: map_stmt rebuilds a
 statement bottom-up, and commands walks its commands in preorder (or only
 the parts of its top-level sequence); cond_exprs walks the expressions of
-a condition.  All three loop over Seq chains with an explicit stack, so a
-long flat block costs no recursion depth.
+a condition.  All three keep their own stack, so a long flat block costs
+no recursion depth; the step relation and wp.psi recurse once per nested
+if, not per command.
 
 The step relation is written once, in _run, over three policies for
 allocation and field reads: the least pool cell (run_loopless, which can
