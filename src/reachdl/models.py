@@ -12,6 +12,17 @@ colorings of the unpinned elements, one slot per functional role, one per
 plain role, and a last slot that counts the candidate and runs the
 connectivity checks.  `memory.MemorySearch` is the other list.
 
+A functional-role slot of `find_model` is bit-sliced: bit k of a Python
+int stands for map k of the (n+1)^n partial functions on [0,n), in
+`product(range(-1, n), repeat=n)` order.  The slot's conjuncts are
+evaluated once for every map at once, a concept as n row ints, a role view
+as an n x n matrix of rows and a formula as one mask; the leaf is the
+selector matrix of `functional_selectors` (bit k of `sel[a][b]` is set
+when map k sends a to b).  The slot then tries the set bits of the pass
+mask, lowest first, decoding each into the role's successor masks.  The
+filter of single-role conjuncts is the same sliced evaluation, giving the
+mask of maps the slot may try.
+
 `Kernel` is the search front-end of the one set of bitmask node rules
 (`structures.update` / `invert` / `exists` / `image` / `at_most`); the
 other front-end is `structures.Evaluator`, which evaluates over the mask
@@ -25,9 +36,10 @@ read more than once, gets a cell in the store of its level, so it is
 computed at most once per value of that slot; other nodes are evaluated
 inline.  The reset points: each value a slot writes clears that slot's
 store, and each `search(env)` clears them all first.  Two callers rebind
-roles without a slot write, so a cell would go stale there; they use the
-kernel uncached (`compile_formula` / `compile_concept`): `find_model`'s
-per-map filter of single-role conjuncts and the connectivity check.
+symbols without a slot write, so a cell would go stale there; they use the
+kernel uncached: `find_model`'s sliced filter of single-role conjuncts,
+which is evaluated once per nominal placement, and the connectivity check
+(`compile_concept`).
 """
 
 from __future__ import annotations
@@ -490,6 +502,59 @@ class Kernel:
             fns.append(fn)
         return fns
 
+    def sliced(self, roots: Iterable[int], role: str,
+               fns: list[Callable[[dict], object]]) -> Callable[[dict], int]:
+        """The pass mask of the formula nodes `roots` over every map of the
+        functional role `role` at once: bit k is set when all of them hold
+        with map k as the role (see functional_selectors) and the env's
+        values for every other symbol.  A node that depends on the role
+        gets a sliced value by the row rules of `_slice_node`; any other
+        node it reads is evaluated once by its function in `fns` (from
+        `compile`) and broadcast to all-ones or zero rows.  The roots are
+        read in turn until the mask is empty.  The env must hold `sel`,
+        the selectors of its universe size."""
+        keys, levels, roots = self._keys, self.levels, tuple(roots)
+        leaf = self._ids.get(("succ", role))
+        # the nodes under the roots that may depend on the role: none below
+        # a node of a lower level than the role's
+        below: set[int] = set()
+        stack = list(roots) if leaf is not None else []
+        while stack:
+            nid = stack.pop()
+            if nid not in below and levels[nid] >= levels[leaf]:
+                below.add(nid)
+                stack += _children(keys[nid])
+        # the nodes read: the roots, the nodes that depend on the role (all
+        # of whose parents do too), and what those read as sliced values
+        # (not the nominals of an update); a node read twice is memoized
+        dep: set[int] = set()
+        reads = dict.fromkeys(roots, 1)
+        for nid in sorted(below):
+            key = keys[nid]
+            kids = _children(key)
+            if nid == leaf or not dep.isdisjoint(kids):
+                dep.add(nid)
+                for ch in kids[:1] if key[0] == "upd" else kids:
+                    reads[ch] = reads.get(ch, 0) + 1
+        sfns: dict[int, Sliced] = {}
+        for nid in sorted(reads):
+            fn = (_slice_node(keys[nid], sfns, fns, dep) if nid in dep
+                  else _broadcast(keys[nid][0], fns[nid]))
+            sfns[nid] = _memo(fn, nid) if reads[nid] > 1 else fn
+        checks = [sfns[nid] for nid in roots]
+
+        def passing(env: dict) -> int:
+            ones = (1 << (env["n"] + 1) ** env["n"]) - 1
+            memo: dict[int, object] = {}
+            mask = ones
+            for check in checks:
+                mask &= check(env, ones, memo)
+                if not mask:
+                    break
+            return mask
+
+        return passing
+
 
 _LEAVES = frozenset({"atom", "nom", "succ", "Top", "Bot"})
 
@@ -571,11 +636,176 @@ def compile_concept(c: Concept) -> Callable[[dict], int]:
     return kernel.compile()[nid]
 
 
-def compile_formula(phi: Formula) -> Callable[[dict], bool]:
-    """The kernel's uncached function of formula phi."""
-    kernel = Kernel()
-    nid = kernel.formula(phi)
-    return kernel.compile()[nid]
+def functional_selectors(n: int) -> list[list[int]]:
+    """The leaf of a sliced functional role over [0,n): bit k of sel[a][b]
+    is set when map k sends a to b.  Map k's digits in base n+1, element 0
+    the most significant, are its values plus one (0 for undefined), as in
+    `product(range(-1, n), repeat=n)`; so sel[a][b] repeats a block of
+    (n+1)^(n-1-a) ones with period (n+1)^(n-a)."""
+    total = (n + 1) ** n
+    sel = []
+    for a in range(n):
+        block = (n + 1) ** (n - 1 - a)
+        first = ((1 << block) - 1) << block  # a -> 0 in the first period
+        width = block * (n + 1)
+        while width < total:
+            first |= first << width
+            width *= 2
+        first &= (1 << total) - 1
+        sel.append([first << b * block for b in range(n)])
+    return sel
+
+
+def _decode_map(k: int, n: int) -> list[int]:
+    """Map k of functional_selectors' order, as a successor mask per
+    element."""
+    rows = [0] * n
+    for a in range(n - 1, -1, -1):
+        k, digit = divmod(k, n + 1)
+        if digit:
+            rows[a] = 1 << digit - 1
+    return rows
+
+
+def _children(key: tuple) -> tuple[int, ...]:
+    if key[0] in _LEAVES:
+        return ()
+    return key[1:3] if key[0] == "AtMost" else key[1:]
+
+
+def _rows(mask: int, n: int, ones: int) -> list[int]:
+    return [ones if mask >> a & 1 else 0 for a in range(n)]
+
+
+_FORMULA_TAGS = frozenset({"Incl", "Eq", "FAnd", "FOr", "FNot"})
+_VIEW_TAGS = frozenset({"succ", "upd", "inv"})
+
+# The sliced function of a node: its value for every map at once, from the
+# env, the all-maps mask `ones` and the memo of one evaluation.  A concept
+# is one row per element, a role view one row per (element, successor) pair
+# and a formula one mask; every row is a subset of `ones`, bit k for map k.
+Sliced = Callable[[dict, int, dict], object]
+
+
+def _memo(fn: Sliced, nid: int) -> Sliced:
+    def memo_fn(env: dict, ones: int, memo: dict) -> object:
+        value = memo.get(nid)
+        if value is None:
+            value = memo[nid] = fn(env, ones, memo)
+        return value
+
+    return memo_fn
+
+
+def _broadcast(tag: str, fn: Callable[[dict], object]) -> Sliced:
+    """The sliced function of a node that does not depend on the sliced
+    role: its one value, from fn, given to every map."""
+    if tag in _FORMULA_TAGS:
+        return lambda env, ones, memo: ones if fn(env) else 0
+    if tag in _VIEW_TAGS:
+        return lambda env, ones, memo: [_rows(row, env["n"], ones) for row in fn(env)]
+    return lambda env, ones, memo: _rows(fn(env), env["n"], ones)
+
+
+def _slice_node(key: tuple, sfns: Mapping[int, Sliced],
+                fns: list[Callable[[dict], object]], dep: set[int]) -> Sliced:
+    """The sliced function of one kernel node that depends on the sliced
+    role, from the sliced functions of its children.  FAnd and FOr read a
+    child that does not depend on the role first, and skip the other when
+    it decides every map, as an Incl whose left side is empty does."""
+    tag = key[0]
+    if tag == "succ":
+        return lambda env, ones, memo: env["sel"]
+    a = sfns[key[1]]
+    if tag == "upd":
+        src, tgt = fns[key[2]], fns[key[3]]
+
+        def upd(env: dict, ones: int, memo: dict) -> list:
+            view = list(a(env, ones, memo))
+            view[src(env).bit_length() - 1] = _rows(tgt(env), len(view), ones)
+            return view
+
+        return upd
+    if tag == "inv":
+        return lambda env, ones, memo: [list(col) for col in zip(*a(env, ones, memo))]
+    if tag == "Not":
+        return lambda env, ones, memo: [ones ^ x for x in a(env, ones, memo)]
+    if tag == "FNot":
+        return lambda env, ones, memo: ones ^ a(env, ones, memo)
+    b = sfns[key[2]]
+    if tag == "FAnd" or tag == "FOr":
+        if key[1] in dep and key[2] not in dep:
+            a, b = b, a
+        if tag == "FAnd":
+
+            def fand(env: dict, ones: int, memo: dict) -> int:
+                x = a(env, ones, memo)
+                return x and x & b(env, ones, memo)
+
+            return fand
+
+        def for_(env: dict, ones: int, memo: dict) -> int:
+            x = a(env, ones, memo)
+            return x if x == ones else x | b(env, ones, memo)
+
+        return for_
+    rule = _ROW_RULES.get(tag)
+    if rule is not None:
+        bound = key[3] if tag == "AtMost" else 0
+        return lambda env, ones, memo: rule(a(env, ones, memo), b(env, ones, memo), ones, bound)
+    if tag == "Incl":
+
+        def incl(env: dict, ones: int, memo: dict) -> int:
+            left = a(env, ones, memo)
+            if not any(left):
+                return ones
+            return ones ^ _meets(left, [ones ^ y for y in b(env, ones, memo)])
+
+        return incl
+    if tag == "Eq":
+
+        def eq(env: dict, ones: int, memo: dict) -> int:
+            out = 0
+            for x, y in zip(a(env, ones, memo), b(env, ones, memo)):
+                out |= x ^ y
+            return ones ^ out
+
+        return eq
+    raise TypeError(f"unknown kernel node {tag!r}")  # pragma: no cover
+
+
+def _meets(xs: Iterable[int], ys: Iterable[int]) -> int:
+    """OR over i of xs[i] & ys[i]."""
+    out = 0
+    for x, y in zip(xs, ys):
+        if y:
+            out |= x & y
+    return out
+
+
+def _at_most_row(row: Iterable[int], cm: list[int], bound: int, ones: int) -> int:
+    """The maps under which an element has at most `bound` successors in
+    C, from its view row and C's rows: more[j] holds the maps with more
+    than j of them, a saturating bit-sliced counter."""
+    more = [0] * (bound + 1)
+    for x, y in zip(row, cm):
+        x &= y
+        if x:
+            for j in range(bound, 0, -1):
+                more[j] |= more[j - 1] & x
+            more[0] |= x
+    return ones ^ more[bound]
+
+
+# The sliced rules of the binary concept nodes: from the children's values
+# (the view first for Exists, image and AtMost), `ones` and the bound.
+_ROW_RULES: dict[str, Callable[[list, list, int, int], list[int]]] = {
+    "And": lambda x, y, ones, bound: [p & q for p, q in zip(x, y)],
+    "Or": lambda x, y, ones, bound: [p | q for p, q in zip(x, y)],
+    "Exists": lambda view, c, ones, bound: [_meets(row, c) for row in view],
+    "image": lambda view, c, ones, bound: [_meets(col, c) for col in zip(*view)],
+    "AtMost": lambda view, c, ones, bound: [_at_most_row(row, c, bound, ones) for row in view],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +819,9 @@ class SearchStats:
 
 
 # A slot: the (kind, name) symbols it binds, kind as in formula_symbols, and
-# a function that writes each of the slot's values into env in turn and
-# yields once per value.
-Slot = tuple[tuple[tuple[str, str], ...], Callable[[dict], Iterable[None]]]
+# either a function that writes each of the slot's values into env in turn
+# and yields once per value, or the FunctionalMaps of a sliced slot.
+Slot = tuple[tuple[tuple[str, str], ...], "Callable[[dict], Iterable[None]] | FunctionalMaps"]
 
 _ENV_TABLE = {"concepts": "cons", "roles": "rsucc", "nominals": "noms"}
 
@@ -608,18 +838,39 @@ def symbol_slot(kind: str, name: str, values: Callable[[dict], Iterable]) -> Slo
     return ((kind, name),), assign
 
 
+@dataclass(frozen=True)
+class FunctionalMaps:
+    """The values of a sliced slot: the maps of functional role `role`
+    whose bit is set in keep(env), in functional_selectors' order."""
+    role: str
+    keep: Callable[[dict], int]
+
+
+def functional_slot(role: str, keep: Callable[[dict], int]) -> Slot:
+    """The bit-sliced slot binding functional role `role` to each map whose
+    bit is set in keep(env) in turn (see StagedSearch)."""
+    return (("roles", role),), FunctionalMaps(role, keep)
+
+
 class StagedSearch:
     """Depth-first enumeration over a fixed order of slots.
 
     The env holds bitmask interpretations: `n`, `full`, `noms` (name ->
     element), `cons` (name -> mask) and `rsucc` (name -> successor mask per
-    element).  All conjuncts of the formulas are compiled here into one
-    Kernel over the slot index of each symbol (a symbol no slot binds
-    counts as slot 0), and each conjunct is checked right after the slot of
-    its level.  Each value a slot writes clears that slot's kernel store,
-    and `search` clears every store first, so no value outlives the env it
-    was computed from; one engine runs one search at a time.  `search`
-    yields the env once per full assignment that passes every check."""
+    element), and `sel`, functional_selectors(n), when a slot is sliced.
+    All conjuncts of the formulas are compiled here into one Kernel over
+    the slot index of each symbol (a symbol no slot binds counts as slot
+    0), and each conjunct is checked right after the slot of its level.
+    Each value a slot writes clears that slot's kernel store, and `search`
+    clears every store first, so no value outlives the env it was computed
+    from; one engine runs one search at a time.  `search` yields the env
+    once per full assignment that passes every check.
+
+    A sliced slot (`functional_slot`) checks its conjuncts for every map of
+    its role at once (`Kernel.sliced`) and ANDs the pass mask with its keep
+    mask.  It then writes the maps of the set bits, lowest first, and
+    counts the kept maps that failed as it passes them, so a search that
+    stops early counts exactly what the per-value stage would."""
 
     def __init__(self, slots: Iterable[Slot], formulas: Iterable[Formula],
                  stats: SearchStats | None = None) -> None:
@@ -628,12 +879,18 @@ class StagedSearch:
         kernel = Kernel({sym: i for i, (syms, _) in enumerate(slots) for sym in syms})
         roots = [kernel.root(kernel.formula(cj)) for phi in formulas for cj in conjuncts(phi)]
         fns = kernel.compile()
-        checks: list[list[Callable[[dict], bool]]] = [[] for _ in slots]
+        checks: list[list[int]] = [[] for _ in slots]
         for nid in roots:
-            checks[kernel.levels[nid]].append(fns[nid])
+            checks[kernel.levels[nid]].append(nid)
         self.stores = list(kernel.stores.values())
-        self.stages = [(values, tuple(cs), kernel.stores[i].clear if i in kernel.stores else None)
-                       for i, ((_, values), cs) in enumerate(zip(slots, checks))]
+        self.stages = []
+        for i, ((_, values), nids) in enumerate(zip(slots, checks)):
+            if isinstance(values, FunctionalMaps):
+                tests = kernel.sliced(nids, values.role, fns)
+            else:
+                tests = tuple(fns[nid] for nid in nids)
+            clear = kernel.stores[i].clear if i in kernel.stores else None
+            self.stages.append((values, tests, clear))
 
     def search(self, env: dict) -> Iterator[dict]:
         for store in self.stores:
@@ -645,6 +902,9 @@ class StagedSearch:
                 yield env
                 return
             values, checks, clear = stages[i]
+            if type(values) is FunctionalMaps:
+                yield from sliced(i, values, checks, clear)
+                return
             for _ in values(env):
                 if clear is not None:
                     clear()
@@ -654,6 +914,25 @@ class StagedSearch:
                         break
                 else:
                     yield from rec(i + 1)
+
+        def sliced(i: int, maps: FunctionalMaps, passing: Callable[[dict], int],
+                   clear: Callable[[], None] | None) -> Iterator[dict]:
+            keep = maps.keep(env)
+            rest = passing(env) & keep
+            failed = keep ^ rest
+            n, table = env["n"], env["rsucc"]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                skipped = failed & (low - 1)
+                if skipped:
+                    stats.pruned += skipped.bit_count()
+                    failed ^= skipped
+                table[maps.role] = _decode_map(low.bit_length() - 1, n)
+                if clear is not None:
+                    clear()
+                yield from rec(i + 1)
+            stats.pruned += failed.bit_count()
 
         return rec(0)
 
@@ -699,13 +978,6 @@ def _colorings(free: list[int], pinned: list[int], ncolors: int) -> Iterator[dic
         del acc[free[i]]
 
     yield from rec_free(0, 0, {})
-
-
-def _functional_maps(n: int) -> list[tuple[int, ...]]:
-    """Every partial function on [0,n), as a successor mask per element, in
-    lexicographic order with undefined first: (n+1)^n tables."""
-    return [tuple(0 if t < 0 else 1 << t for t in fmap)
-            for fmap in product(range(-1, n), repeat=n)]
 
 
 def _simplify_functional(phi: Formula, functional: frozenset[str]) -> Formula:
@@ -819,14 +1091,17 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     # Conjuncts over nominals and one functional role alone filter that
     # role's maps once per placement instead of once per coloring.
     enumerated = set(froles) | set(proles)
-    local_checks: dict[str, list[Callable[[dict], bool]]] = {r: [] for r in froles}
+    local: dict[str, list[int]] = {r: [] for r in froles}
+    local_kernel = Kernel()
     staged: list[Formula] = []
     for cj, cs in conj_syms:
         enum_syms = [r for r in cs["roles"] if r in enumerated]
         if not cs["concepts"] and len(enum_syms) == 1 and enum_syms[0] in froles:
-            local_checks[enum_syms[0]].append(compile_formula(cj))
+            local[enum_syms[0]].append(local_kernel.formula(cj))
         else:
             staged.append(cj)
+    local_fns = local_kernel.compile()
+    local_masks = {r: local_kernel.sliced(local[r], r, local_fns) for r in froles}
     conn_checks = [_connectivity_check(a) for a in spec.re] if spec is not None else []
     ncolors = 1 << len(concepts)
 
@@ -841,17 +1116,11 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
             yield
 
     def filter_maps(env: dict) -> Iterator[None]:
+        keep = env["keep"] = {}
         for rname in froles:
-            kept = env["all_maps"]
-            if local_checks[rname]:
-                kept = []
-                for fmap in env["all_maps"]:
-                    env["rsucc"][rname] = fmap
-                    if all(check(env) for check in local_checks[rname]):
-                        kept.append(fmap)
-                if not kept:
-                    return
-            env["maps"][rname] = kept
+            keep[rname] = local_masks[rname](env)
+            if not keep[rname]:
+                return
         yield
 
     def colorings(env: dict) -> Iterator[None]:
@@ -873,7 +1142,7 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
          + tuple(("roles", r) for r in role_canon), placements),
         ((), filter_maps),
         (tuple(("concepts", c) for c in concepts), colorings)]
-    slots += [symbol_slot("roles", r, lambda env, r=r: env["maps"][r]) for r in froles]
+    slots += [functional_slot(r, lambda env, r=r: env["keep"][r]) for r in froles]
     slots += [symbol_slot("roles", r, lambda env: product(range(1 << env["n"]), repeat=env["n"]))
               for r in proles]
     slots.append(((), connected))
@@ -883,8 +1152,7 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
         env = {"n": n, "full": (1 << n) - 1, "noms": {},
                "cons": dict.fromkeys(pinned_cons, 0),
                "rsucc": {r: [0] * n for r in pinned_roles},
-               "all_maps": _functional_maps(n) if froles else [],
-               "maps": {}}
+               "sel": functional_selectors(n) if froles else None}
         for _ in engine.search(env):
             m = env_structure(env, vocab.concepts, vocab.roles)
             if extra_pred is None or extra_pred(m):

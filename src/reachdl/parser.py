@@ -5,7 +5,9 @@ Formula grammar (UTF-8 text): `top`, `bot`, `&`, `|`, `!`, `E r.C`,
 (equality), `and`, `or`, `not`, parentheses.  Names match
 [A-Za-z_][A-Za-z0-9_]*; the words top, bot, and, or, not and E are
 reserved.  Update roles use the extension syntax `r[o1 -> o2]` and are
-rejected unless parsing is invoked with allow_updates=True.
+rejected unless parsing is invoked with allow_updates=True.  Program files
+also reserve the name prefix `__tmp` (TEMP_PREFIX) for the temporaries of
+desugaring, so no declared name may start with it.
 
 Files:
   formula/spec files  -- declaration lines (CONCEPT/NOMINAL/ROLE/FROLE),
@@ -461,6 +463,7 @@ def structure_to_text(fs: FiniteStructure, functional: frozenset[str] = frozense
 # Statements, program files and memory files
 
 _STMT_KEYWORDS = {"skip", "dispose", "assume", "if", "then", "else", "fi", "new"}
+TEMP_PREFIX = "__tmp"
 
 
 class _StmtParser:
@@ -496,7 +499,7 @@ class _StmtParser:
         return tok.text
 
     def fresh_temp(self) -> str:
-        name = f"__tmp{self.temps_before + len(self.temps) + 1}"
+        name = f"{TEMP_PREFIX}{self.temps_before + len(self.temps) + 1}"
         self.temps.append(name)
         return name
 
@@ -652,6 +655,17 @@ _NODE_RE = re.compile(r"NODE\s+(\w+)((?:\s+(?:shp|cnt)=\w+)*)\s*$")
 _EDGE_RE = re.compile(r"EDGE\s+(\w+)\s*->\s*(\w+)\s*\{", re.S)
 
 
+def _program_names(rest: str, lineno: int) -> list[str]:
+    """The names of a program file's declaration line, none of which may
+    take the desugaring temporaries' prefix."""
+    names = _decl_names(rest, lineno)
+    for n in names:
+        if n.startswith(TEMP_PREFIX):
+            raise ParseError(f"name {n!r} takes the prefix {TEMP_PREFIX!r} of "
+                             "desugaring temporaries", lineno)
+    return names
+
+
 def parse_program_file(text: str):
     """Program file: heap declarations, named formulas, nodes with
     annotation references, and edges carrying code blocks."""
@@ -696,15 +710,15 @@ def parse_program_file(text: str):
             head = line.split(None, 1)[0]
             rest = line[len(head):].strip()
             if head == "FIELDS":
-                fields += _decl_names(rest, lineno)
+                fields += _program_names(rest, lineno)
             elif head == "VARS":
-                variables += _decl_names(rest, lineno)
+                variables += _program_names(rest, lineno)
             elif head == "CONCEPTS":
-                data_concepts += _decl_names(rest, lineno)
+                data_concepts += _program_names(rest, lineno)
             elif head == "NOMINALS":
-                data_nominals += _decl_names(rest, lineno)
+                data_nominals += _program_names(rest, lineno)
             elif head == "ROLES":
-                data_roles += _decl_names(rest, lineno)
+                data_roles += _program_names(rest, lineno)
             elif head == "INIT":
                 initial = rest.strip()
             elif head == "FORMULA":

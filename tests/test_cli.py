@@ -195,6 +195,17 @@ def test_deep_nesting_exit_2(capsys, tmp_path):
     assert _one_error_line(capsys) == "error: input nested too deeply\n"
 
 
+def test_reserved_temp_name_exit_2(capsys, tmp_path):
+    """A declared name with the desugaring temporaries' prefix would merge
+    with a temporary; the program file is rejected."""
+    f = tmp_path / "tmp.prog"
+    f.write_text("FIELDS f\nVARS x __tmp1\nNODE a\nNODE b\n"
+                 "EDGE a -> b { __tmp1 := null; x.f := x.f }\n")
+    assert main(["vc", str(f), "--bound", "1"]) == 2
+    assert _one_error_line(capsys) == (
+        "error: 2:1: name '__tmp1' takes the prefix '__tmp' of desugaring temporaries\n")
+
+
 ALIST4_MODEL = "UNIVERSE 0..0\nCONCEPT L: 0\nFROLE next: \nNOMINAL head = 0\n"
 
 

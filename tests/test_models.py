@@ -3,13 +3,13 @@ from itertools import product
 
 import pytest
 
-from reachdl.models import (NotConnectedError, PremiseViolationError,
-                            SearchStats, StagedSearch, SwapTuple, apply_swap,
-                            check_model, dfs_labeling, env_structure,
+from reachdl.models import (Kernel, NotConnectedError, PremiseViolationError,
+                            SearchStats, StagedSearch, SwapTuple, _decode_map,
+                            apply_swap, check_model, dfs_labeling, env_structure,
                             exhaustive_graph_value, find_model,
-                            find_semi_useful_model, graph_value,
-                            labeling_is_useful, min_value_base,
-                            naive_find_model, repair, symbol_slot,
+                            find_semi_useful_model, functional_selectors,
+                            functional_slot, graph_value, labeling_is_useful,
+                            min_value_base, naive_find_model, repair, symbol_slot,
                             type_concepts, useful_labeling)
 from reachdl.parser import parse_formula, structure_to_text
 from reachdl.reach import (ReachAssertion, ReachSpec, alist_spec,
@@ -384,6 +384,8 @@ def _golden_cases():
     yield "kappa-alist-list", *_kappa(alist_spec(), list_spec()), 1, 4, (118, 26308, None)
     yield "kappa-alist-list-5", *_kappa(alist_spec(), list_spec()), 1, 5, (1205, 569611, None)
     yield "kappa-clist-list-5", *_kappa(clist_spec(), list_spec()), 1, 5, (1205, 569611, None)
+    yield "kappa-alist-list-6", *_kappa(alist_spec(), list_spec()), 6, 6, (12543, 13164257, None)
+    yield "kappa-clist-list-6", *_kappa(clist_spec(), list_spec()), 6, 6, (12543, 13164257, None)
     yield "kappa-list-alist", *_kappa(list_spec(), alist_spec()), 3, 3, (
         1, 17, "UNIVERSE 0..2\nCONCEPT L: 0\nCONCEPT __imp_X1: \nFROLE next: (0,0)\n"
                "NOMINAL head = 0\n")
@@ -427,13 +429,14 @@ def test_find_model_golden_role_canon():
 
 def test_find_model_role_free_builds_no_map_table(monkeypatch):
     """A target with no functional role to enumerate never builds the
-    (n+1)^n table of functional maps; model and counters are unchanged."""
+    selectors of the (n+1)^n functional maps; model and counters are
+    unchanged."""
     import reachdl.models as models
 
     def no_table(n):
-        raise AssertionError("functional map table built")
+        raise AssertionError("functional map selectors built")
 
-    monkeypatch.setattr(models, "_functional_maps", no_table)
+    monkeypatch.setattr(models, "functional_selectors", no_table)
     v = Vocabulary(concepts={"A", "B"}, roles={"f"}, functional={"f"}, nominals={"o"})
     phi = parse_formula("o <= A and not (top <= A) and not (!A <= B) and not (!A <= !B)", v)
     stats = SearchStats()
@@ -466,13 +469,32 @@ def _with_updates(rng: random.Random, phi):
     return map_sides(phi, lambda side: map_concept(side, update))
 
 
-def _kernel_slots(order):
+def _map_rows(n):
+    """Every partial function on [0,n) as a successor mask per element, map
+    by map in product(range(-1, n), repeat=n) order."""
+    return [[0 if t < 0 else 1 << t for t in fmap] for fmap in product(range(-1, n), repeat=n)]
+
+
+def _kept(env):
+    """The maps a sliced test slot tries: those not sending 0 to 0."""
+    n = env["n"]
+    return ((1 << (n + 1) ** n) - 1) & ~functional_selectors(n)[0][0]
+
+
+def _kernel_slots(order, sliced):
+    """One slot per symbol in order; s is sliced when `sliced`, else a
+    per-value slot over the same maps in the same order."""
     values = {
         "concepts": lambda env: range(1 << env["n"]),
         "roles": lambda env: product(range(1 << env["n"]), repeat=env["n"]),
         "nominals": lambda env: range(env["n"]),
     }
-    return [symbol_slot(kind, name, values[kind]) for kind, name in order]
+
+    def maps(env):
+        return [row for k, row in enumerate(_map_rows(env["n"])) if _kept(env) >> k & 1]
+
+    return [(functional_slot(name, _kept) if sliced else symbol_slot(kind, name, maps))
+            if name == "s" else symbol_slot(kind, name, values[kind]) for kind, name in order]
 
 
 def _snapshot(env):
@@ -480,28 +502,89 @@ def _snapshot(env):
             tuple((r, tuple(row)) for r, row in sorted(env["rsucc"].items())))
 
 
+def _pinned_env(n, pinned):
+    """An env of universe size n with the symbols in `pinned` fixed: A to
+    the even elements, B to the last, r to a chain of shrinking rows, s to
+    the constant map to the last element."""
+    env = {"n": n, "full": (1 << n) - 1, "cons": {}, "noms": {}, "rsucc": {},
+           "sel": functional_selectors(n)}
+    fixed = {"A": sum(1 << u for u in range(0, n, 2)), "B": 1 << n - 1,
+             "r": [env["full"] >> u for u in range(n)], "s": [1 << n - 1] * n}
+    for name in pinned:
+        env["rsucc" if name in "rs" else "cons"][name] = fixed[name]
+    return env
+
+
 def test_kernel_matches_eval_formula_over_slot_orders():
     """StagedSearch yields exactly the enumerated structures that satisfy
     the formulas under structures.eval_formula, in enumeration order, for
-    random formulas (with updated roles) and random slot orders."""
+    random formulas (with updated roles, inverses and at-most bounds 0-2)
+    and random slot orders.  The functional role s is pinned, or bound by
+    a sliced slot at a random position for n = 1, 2, 3 (some other symbols
+    pinned to keep the space small); the sliced search yields what the
+    per-value slot over the same maps yields, with the same prune count."""
     rng = random.Random(404)
     symbols = [("concepts", "A"), ("roles", "r"), ("nominals", "o"), ("nominals", "p"),
-               ("concepts", "B")]
-    for _ in range(4):
+               ("concepts", "B"), ("roles", "s")]
+    # (n, pinned symbols): the first space is s pinned, the rest slice s
+    spaces = [(2, {"s"}), (1, set()), (2, {"r"}), (3, {"r", "A", "B"})]
+    for _ in range(8):
         order = rng.sample(symbols, len(symbols))
-        slots = _kernel_slots(order)
         runs = []
-        for n in (2, 1):
-            # s is bound by no slot: pinned, every element maps to the last
-            env = {"n": n, "full": (1 << n) - 1, "cons": {}, "noms": {},
-                   "rsucc": {"s": [1 << n - 1] * n}}
-            runs.append((env, [(_snapshot(e), env_structure(e, ("A", "B"), ("r", "s")))
-                               for e in StagedSearch(slots, []).search(env)]))
+        for n, pinned in spaces:
+            sub = [sym for sym in order if sym[1] not in pinned]
+            env = _pinned_env(n, pinned)
+            space = [(_snapshot(e), env_structure(e, ("A", "B"), ("r", "s")))
+                     for e in StagedSearch(_kernel_slots(sub, True), []).search(env)]
+            runs.append((sub, env, space))
         for _ in range(10):
             formulas = [_with_updates(rng, random_formula(rng, _KERNEL_VOCAB, depth=1, cdepth=2))
                         for _ in range(rng.randint(1, 3))]
-            engine = StagedSearch(slots, formulas)
-            for env, space in runs:
+            for sub, env, space in runs:
                 want = [key for key, m in space
                         if all(eval_formula(m, phi) for phi in formulas)]
-                assert [_snapshot(e) for e in engine.search(env)] == want, (order, formulas)
+                got = []
+                for sliced in (True, False):
+                    stats = SearchStats()
+                    engine = StagedSearch(_kernel_slots(sub, sliced), formulas, stats)
+                    got.append(([_snapshot(e) for e in engine.search(env)], stats.pruned))
+                assert got[0][0] == want, (sub, formulas)
+                assert got[0] == got[1], (sub, formulas)
+
+
+def test_sliced_mask_matches_eval_formula_per_map():
+    """Kernel.sliced over random formulas (nested formula connectives,
+    updated and inverted roles, at-most bounds 0-2) with every other symbol
+    bound: bit k of the mask is set exactly when structures.eval_formula
+    holds with s bound to map k."""
+    rng = random.Random(405)
+    for n in (1, 2, 3):
+        rows = _map_rows(n)
+        for _ in range(40):
+            env = {"n": n, "full": (1 << n) - 1, "sel": functional_selectors(n),
+                   "cons": {c: rng.randrange(1 << n) for c in "AB"},
+                   "noms": {o: rng.randrange(n) for o in "op"},
+                   "rsucc": {"r": [rng.randrange(1 << n) for _ in range(n)]}}
+            formulas = [_with_updates(rng, random_formula(rng, _KERNEL_VOCAB, depth=2, cdepth=2))
+                        for _ in range(rng.randint(1, 3))]
+            kernel = Kernel()
+            roots = [kernel.formula(phi) for phi in formulas]
+            mask = kernel.sliced(roots, "s", kernel.compile())(env)
+            want = 0
+            for k, row in enumerate(rows):
+                env["rsucc"]["s"] = row
+                m = env_structure(env, ("A", "B"), ("r", "s"))
+                if all(eval_formula(m, phi) for phi in formulas):
+                    want |= 1 << k
+            assert mask == want, formulas
+
+
+def test_functional_selectors_match_map_order():
+    """The arithmetic selectors equal the ones built map by map from
+    product order, and each map decodes back to its rows."""
+    for n in range(1, 6):
+        rows = _map_rows(n)
+        want = [[sum(1 << k for k, row in enumerate(rows) if row[a] == 1 << b)
+                 for b in range(n)] for a in range(n)]
+        assert functional_selectors(n) == want
+        assert [_decode_map(k, n) for k in range(len(rows))] == rows
