@@ -29,10 +29,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 _OPTIONS = {
     "--max-universe": {"type": int, "default": 6},
     "--ord": {"choices": ("exp", "poly"), "default": "poly"},
-    "--jobs": {"type": int, "default": 1},
+    "--jobs": {"type": _positive, "default": 1},
     "--trace": {"action": "store_true"},
 }
 

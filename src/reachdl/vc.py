@@ -2,11 +2,11 @@
 bounded inductiveness, and the reachable-set soundness cross-check.
 
 Bounded checking under-approximates validity: a verdict is always
-"valid up to the bound", never "valid".  Counterexamples are genuine: a
-candidate found by the search is kept only if its label assignment is
-realized by an actual run and its post-state relation copies are
-consistent with that run's pool, and it is re-validated against the
-formula and the memory axioms before being reported."""
+"valid up to the bound", never "valid".  The search keeps update roles in
+place.  Counterexamples are genuine: a candidate is kept only if a run
+realizes its label assignment and its post-state relation copies fit that
+run's pool, and it is re-validated against the update-free VC formula
+and the memory axioms before being reported."""
 
 from __future__ import annotations
 
@@ -46,37 +46,34 @@ def _annotation(prog: Program, node: str, which: str) -> Formula:
 
 
 def _negated_vc_parts(prog: Program, edge: tuple[str, str]) -> tuple[Formula, ...]:
-    """shp(tail), cnt(tail) and Theta(shp(head) /\\ not cnt(head)) with
-    update roles eliminated: the conjuncts the VC negates."""
+    """shp(tail), cnt(tail) and Theta(shp(head) /\\ not cnt(head)), the
+    conjuncts the VC negates, with the transformer's update roles in place."""
     tail, head = edge
     if edge not in prog.code:
         raise ReachDLError(f"not an edge: {edge}")
     post = FAnd(_annotation(prog, head, "shp"), FNot(_annotation(prog, head, "cnt")))
     res = theta_full(prog.code[edge], post, prog.heap)
-    inner = eliminate_updates(res.formula)
-    return (_annotation(prog, tail, "shp"), _annotation(prog, tail, "cnt"), inner)
+    return (_annotation(prog, tail, "shp"), _annotation(prog, tail, "cnt"), res.formula)
 
 
 def vc_formula(prog: Program, edge: tuple[str, str]) -> Formula:
     """not [ shp(tail) /\\ cnt(tail) /\\ Theta(shp(head) /\\ not cnt(head)) ],
     with update roles eliminated from the transformer output."""
-    return FNot(conj(_negated_vc_parts(prog, edge)))
+    return eliminate_updates(FNot(conj(_negated_vc_parts(prog, edge))))
 
 
 def check_vc(prog: Program, edge: tuple[str, str], bound: int,
              min_pool: int = 1) -> VCEntry:
     """Search for a memory structure with at most `bound` address cells
-    (plus extension symbols) satisfying the negation of the VC."""
+    (plus extension symbols) satisfying the negation of the VC, with the
+    update roles in place; re-validating a counterexample against the
+    update-free VC checks the search's update rule against the eliminator."""
     parts = _negated_vc_parts(prog, edge)
-    formula = FNot(conj(parts))
+    formula = eliminate_updates(FNot(conj(parts)))
     if bound < 1:
         return VCEntry(edge, formula, "bound-exhausted", bound)
     heap = prog.heap
-    syms = {"concepts": set(), "roles": set(), "nominals": set()}
-    for p in parts:
-        s = formula_symbols(p)
-        for k in syms:
-            syms[k] |= s[k]
+    syms = formula_symbols(conj(parts))
     ext_concepts = tuple(ext_name(c) for c in heap.data_concepts
                          if ext_name(c) in syms["concepts"])
     labels = tuple(sorted(n for n in syms["nominals"] if n.startswith(LABEL_PREFIX)))
@@ -126,11 +123,13 @@ def _realizable(cand: MemoryStructure, code: Stmt, heap, ext_concepts) -> bool:
 
 def check_all_vcs(prog: Program, bound: int, jobs: int = 1) -> list[VCEntry]:
     edges = sorted(prog.edges)
-    if jobs > 1:
+    # under fork the pool starts all its workers at the first submit
+    workers = min(jobs, len(edges))
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(check_vc, prog, e, bound) for e in edges]
                 return [f.result() for f in futures]
         except (OSError, ImportError) as err:

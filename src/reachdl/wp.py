@@ -1,6 +1,6 @@
 """Backwards propagation: substitution, the boolean-condition translation,
 the raw transformer table (psi), its ext-renamed form (phi), the
-abort-aware composition (theta), and the update-role eliminator.
+abort-aware composition (theta), and the atom-local update-role eliminator.
 
 The transformer rewrites the postcondition over the post-state into a
 formula over the pre-state extended with: one copy R_ext per unconstrained
@@ -23,8 +23,8 @@ from .programs import (AndB, Assign, Assume, BoolExpr, Dispose, EqB, Expr,
 from .syntax import (And, AtMost, Atomic, BOT, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, KindMismatchError, Nominal, Not,
                      Or, ReachDLError, Role, TOP, TRUE, UpdatePoint,
-                     formula_symbols, map_concept, map_sides, role,
-                     subconcepts)
+                     formula_symbols, map_atoms, map_concept, map_sides,
+                     role, subconcepts)
 
 
 class AssumeInPsiError(ReachDLError):
@@ -275,14 +275,18 @@ def theta_structure(m1: "MemoryStructure", m2: "MemoryStructure",
 
 
 def eliminate_updates(phi: Formula) -> Formula:
-    """Rewrite away update roles, outermost point first.  The point's
-    target-membership test is a global condition, so each step splits the
-    whole formula on it; the result is update-free and equivalent on every
-    structure interpreting the point nominals."""
-    target = next((c for c in subconcepts(phi)
+    """phi without update roles, atom by atom; equivalent on every
+    structure that interprets the point nominals."""
+    return map_atoms(phi, _eliminate_atom)
+
+
+def _eliminate_atom(atom: Formula) -> Formula:
+    """Outermost point first: its target test is a sentence, so the split
+    on it stays inside the atom that holds the occurrence."""
+    target = next((c for c in subconcepts(atom)
                    if isinstance(c, (Exists, AtMost)) and c.role.updates), None)
     if target is None:
-        return phi
+        return atom
     r = target.role
     point = r.updates[-1]
     base = Role(r.name, False, r.updates[:-1])
@@ -321,9 +325,8 @@ def eliminate_updates(phi: Formula) -> Formula:
                 repl_true = And(Not(t), AtMost(0, base_inv, rest_c))
 
     def replaced(new: Concept) -> Formula:
-        return map_sides(phi, lambda c: map_concept(
-            c, lambda node: new if node == target else node))
+        return _eliminate_atom(map_sides(atom, lambda c: map_concept(
+            c, lambda node: new if node == target else node)))
 
-    side = eliminate_updates(side)
-    return FOr(FAnd(side, eliminate_updates(replaced(repl_true))),
-               FAnd(FNot(side), eliminate_updates(replaced(repl_false))))
+    side = _eliminate_atom(side)
+    return FOr(FAnd(side, replaced(repl_true)), FAnd(FNot(side), replaced(repl_false)))

@@ -188,6 +188,14 @@ def test_removed_options_exit_2(capsys, files, option):
     assert option in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_vc_jobs_below_one_exit_2(capsys, files, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["vc", files["walker.prog"], "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in _one_error_line(capsys)
+
+
 def test_deep_nesting_exit_2(capsys, tmp_path):
     f = tmp_path / "deep.dl"
     f.write_text("CONCEPT L\n" + "!" * 3000 + "L <= L\n")

@@ -60,12 +60,15 @@ def test_vc_bound_exhausted():
     assert check_vc(prog, ("a", "b"), bound=0).verdict == "bound-exhausted"
 
 
-def test_check_all_vcs_sorted():
-    prog = Program(HEAP, ("a", "b", "c"), (("a", "b"), ("a", "c")), "a",
+def two_skip_edges():
+    return Program(HEAP, ("a", "b", "c"), (("a", "b"), ("a", "c")), "a",
                    {"a": TRUE, "b": TRUE, "c": TRUE},
                    {"a": TRUE, "b": TRUE, "c": TRUE},
                    {("a", "b"): relabel(Skip()), ("a", "c"): relabel(Skip())})
-    entries = check_all_vcs(prog, 1)
+
+
+def test_check_all_vcs_sorted():
+    entries = check_all_vcs(two_skip_edges(), 1)
     assert [e.edge for e in entries] == [("a", "b"), ("a", "c")]
 
 
@@ -87,6 +90,24 @@ def test_check_all_vcs_reports_serial_fallback(monkeypatch):
     with pytest.warns(UserWarning, match="no semaphores"):
         assert check_all_vcs(prog, 1, jobs=2) == serial
     assert [e.verdict for e in serial] == ["valid-up-to-bound", "counterexample"]
+
+
+def test_check_all_vcs_caps_the_pool_at_the_edges(monkeypatch):
+    """A pool never gets more workers than there are edges: under fork it
+    starts them all at the first submit.  The stand-in records the size
+    and runs the calls on threads, which start only as calls arrive."""
+    import concurrent.futures
+
+    prog = two_skip_edges()
+    asked = []
+
+    def recording_pool(max_workers):
+        asked.append(max_workers)
+        return concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    assert check_all_vcs(prog, 1, jobs=10**6) == check_all_vcs(prog, 1)
+    assert asked == [2]
 
 
 def test_inductive_trivial_and_broken():

@@ -1,6 +1,7 @@
 """Golden for bounded VC checking: check_vc's verdict, candidate count and
-counterexample text at bound 2 on seeded one-edge programs, plus the
-benchmark's heaviest random VC (r-wp21 of heap-verify seed 1) at bound 1.
+counterexample text at bound 2 on seeded one-edge programs, plus r-wp21
+of the benchmark's heap-verify seed 1 at bound 1 (splitting its whole VC
+at every update occurrence gave 5,262,419 nodes).
 
 The seeded programs are drawn from gen.py (random_program_stmt with
 random_heap_formula annotations over fields f, variables x y and the data
@@ -15,14 +16,15 @@ import json
 import random
 import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from reachdl.memory import HeapVocabulary
 from reachdl.parser import parse_program_file, structure_to_text
-from reachdl.syntax import to_text
-from reachdl.vc import check_vc
+from reachdl.syntax import formula_size, to_text
+from reachdl.vc import check_vc, vc_formula
 from gen import random_heap_formula, random_program_stmt
 from test_programs_golden import stmt_text
 
@@ -95,7 +97,12 @@ def _cases():
 def test_vc_golden(name):
     want = json.loads(GOLDEN.read_text())[name]
     text = R_WP21 if name == "r-wp21" else seeded_program(int(name.split("-")[1]))
+    start = time.perf_counter()
     assert outcome(text, want["bound"]) == want
+    if name == "r-wp21":
+        # the whole-formula split took about 20 s here
+        assert time.perf_counter() - start < 2.0
+        assert formula_size(vc_formula(parse_program_file(text), EDGE)) < 50_000
 
 
 if __name__ == "__main__" and "--record" in sys.argv:

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from reachdl.fol import fo_eval, to_first_order
 from reachdl.memory import (HeapVocabulary, MemoryStructure, PoolExhaustedError,
                             ghost, make_memory)
 from reachdl.parser import parse_formula
@@ -11,9 +12,10 @@ from reachdl.programs import (ABORT, Assign, Assume, Dispose, EqB, FieldE, If,
                               WriteField, commands, labels_of, relabel,
                               run_loopless, seq)
 from reachdl.structures import eval_concept, eval_formula, structure
-from reachdl.syntax import (And, AtMost, Atomic, Eq, Exists, FAnd, FNot,
+from reachdl.syntax import (And, AtMost, Atomic, Eq, Exists, FAnd, FNot, FOr,
                             Formula, Incl, KindMismatchError, Nominal, Not, Or,
-                            Role, TRUE, UpdatePoint, to_text)
+                            Role, TRUE, UpdatePoint, conj, formula_size,
+                            to_text)
 from reachdl.wp import (AssumeInPsiError, eliminate_updates, eps_bool,
                         label_nominal, phi_ext, psi, substitute, tau_rem_map,
                         theta_full, theta_structure)
@@ -225,12 +227,23 @@ def _random_update_formula(rng, vocab, depth=2):
             return Exists(upd_role(), concept(d - 1))
         return AtMost(rng.randint(0, 2), upd_role(), concept(d - 1))
 
-    return Incl(concept(depth), concept(depth))
+    def atom():
+        return Incl(concept(depth), concept(depth))
+
+    # a boolean combination of 1-3 inclusions, so that a split stays
+    # inside the atom holding the occurrence
+    phi = atom()
+    for _ in range(rng.randint(0, 2)):
+        phi = rng.choice((FAnd, FOr))(phi, atom())
+        if rng.random() < 0.3:
+            phi = FNot(phi)
+    return phi
 
 
 def test_eliminate_updates_preserves_truth():
-    """Equivalence on every structure: randomized, plus exhaustive checks on
-    all 2-element interpretations of one fixed formula."""
+    """Equivalence on every structure: randomized, against the native
+    update rule and the first-order oracle, plus exhaustive checks on all
+    3-element interpretations of one fixed formula."""
     from gen import random_structure
 
     rng = random.Random(89)
@@ -239,9 +252,11 @@ def test_eliminate_updates_preserves_truth():
         phi = _random_update_formula(rng, vocab, depth=2)
         out = eliminate_updates(phi)
         assert "[" not in to_text(out)
+        fo = to_first_order(out)
         for _ in range(4):
             m = random_structure(rng, vocab, 4)
-            assert eval_formula(m, phi) == eval_formula(m, out), to_text(phi)
+            want = eval_formula(m, phi)
+            assert eval_formula(m, out) == want == fo_eval(m, fo), to_text(phi)
     # exhaustive on a small fixed formula over 3-element structures
     u = Role("r", updates=(UpdatePoint("o1", "o2"),))
     phi = Incl(Exists(u.inverse(), Atomic("A")), AtMost(1, u, Atomic("A")))
@@ -257,6 +272,17 @@ def test_eliminate_updates_preserves_truth():
         m = structure(universe, {"A": [i for i in universe if abits >> i & 1]},
                       {"r": pairs}, {"o1": o1, "o2": o2})
         assert eval_formula(m, phi) == eval_formula(m, out)
+
+
+def test_eliminate_updates_splits_only_the_atom():
+    """k inclusions over one update point: each is split on its own, so
+    the output grows linearly in k (splitting the whole formula at every
+    occurrence gave 2^k copies)."""
+    r = Role("r", updates=(UpdatePoint("o1", "o2"),))
+    k = 12
+    phi = conj([Incl(Exists(r, Atomic(f"A{i}")), Atomic("B")) for i in range(k)])
+    size = formula_size(eliminate_updates(phi))
+    assert size <= 40 * k
 
 
 # ---------------------------------------------------------------------------
