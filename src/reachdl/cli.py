@@ -16,7 +16,7 @@ from .memory import MemoryStructure
 from .parser import (parse_formula_file, parse_memory_file,
                      parse_program_file, parse_spec_file, parse_structure_file,
                      structure_to_text)
-from .programs import commands, run_path
+from .programs import ABORT_FLAG, commands, run_path
 from .structures import eval_formula
 from .syntax import Eq, FAnd, Nominal, ReachDLError, to_text
 from .vc import check_all_vcs, check_reach_soundness
@@ -36,7 +36,7 @@ def _positive(text: str) -> int:
 
 
 _OPTIONS = {
-    "--max-universe": {"type": int, "default": 6},
+    "--max-universe": {"type": _positive, "default": 6},
     "--ord": {"choices": ("exp", "poly"), "default": "poly"},
     "--jobs": {"type": _positive, "default": 1},
     "--trace": {"action": "store_true"},
@@ -194,8 +194,7 @@ def _dispatch(args) -> int:
         for h in range(1, len(spec.re) + 1):
             lab = models.useful_labeling(fs, spec, h)
             if lab is None:
-                print(f"error: no useful labeling exists for assertion {h}", file=sys.stderr)
-                return 2
+                raise ReachDLError(f"no useful labeling exists for assertion {h}")
             labelings[h] = lab
         fixed = models.repair(fs, spec, labelings, trace)
         lines = []
@@ -234,9 +233,7 @@ def _dispatch(args) -> int:
     if args.command == "wp":
         prog = parse_program_file(Path(args.program).read_text())
         if len(prog.edges) != 1:
-            print("error: wp expects a program file with exactly one edge block",
-                  file=sys.stderr)
-            return 2
+            raise ReachDLError("wp expects a program file with exactly one edge block")
         stmt = prog.code[prog.edges[0]]
         _, phi = parse_formula_file(Path(args.formula).read_text(),
                                     base=prog.vocabulary())
@@ -245,7 +242,7 @@ def _dispatch(args) -> int:
         if args.trace:
             for step_line in _wp_trace(res, phi, prog.heap):
                 lines.append(step_line)
-        lines += [to_text(res.formula), "# fresh symbols:", "#   nominal abo"]
+        lines += [to_text(res.formula), "# fresh symbols:", f"#   nominal {ABORT_FLAG}"]
         lines += [f"#   nominal {name}" for name in res.label_nominals]
         lines += [f"#   {'role' if k in prog.heap.data_roles else 'concept'} {v}"
                   for k, v in sorted(res.ext_map.items())]
@@ -290,7 +287,7 @@ def _wp_trace(res, phi, heap) -> list[str]:
     """One line per top-level command of the instrumented block: the
     intermediate transformer results, last command first."""
     cmds = list(commands(res.instrumented, branches=False))
-    current = wp.phi_ext(cmds[-1], FAnd(phi, Eq(Nominal("abo"), Nominal("F"))), heap)
+    current = wp.phi_ext(cmds[-1], FAnd(phi, Eq(Nominal(ABORT_FLAG), Nominal("F"))), heap)
     lines = [f"# step {len(cmds)}: {to_text(current)}"]
     for i in range(len(cmds) - 2, -1, -1):
         current = wp.psi(cmds[i], current, heap)

@@ -5,30 +5,50 @@ Formula grammar (UTF-8 text): `top`, `bot`, `&`, `|`, `!`, `E r.C`,
 (equality), `and`, `or`, `not`, parentheses.  Names match
 [A-Za-z_][A-Za-z0-9_]*; the words top, bot, and, or, not and E are
 reserved.  Update roles use the extension syntax `r[o1 -> o2]` and are
-rejected unless parsing is invoked with allow_updates=True.  Program files
-also reserve the name prefix `__tmp` (TEMP_PREFIX) for the temporaries of
-desugaring, so no declared name may start with it.
+rejected unless parsing is invoked with allow_updates=True.
+
+One line reader, _lines, serves every file format: `#` starts a comment
+on every line, EDGE blocks included, and blank lines are skipped.  Each
+file is read once, and tokens count positions from where their fragment
+starts in the file, so every error names its line and column there.
 
 Files:
-  formula/spec files  -- declaration lines (CONCEPT/NOMINAL/ROLE/FROLE),
-                         formula lines (conjoined), and for specs the
-                         assertion lines `REACH <B> {s1,s2} <A>` and
-                         `DISJ(A1,A2)`.  `#` starts a comment.
-  structure files     -- `UNIVERSE 0..n-1`, `CONCEPT name: id id ...`,
-                         `ROLE name: (id,id) ...`, `NOMINAL name = id`.
+  formula/spec files  -- declarations (CONCEPT/NOMINAL/ROLE/FROLE) and
+                         formula lines (conjoined); specs add the assertion
+                         lines `REACH <B> {s1,s2} <A>` and `DISJ(A1,A2)`.
+  structure files     -- `UNIVERSE 0..n-1`, `CONCEPT name: id ...`,
+                         `ROLE|FROLE name: (id,id) ...`, `NOMINAL name = id`.
+  memory files        -- structure files with a MEMORY header and optional
+                         heap declarations (FIELDS/VARS/CONCEPTS/NOMINALS/
+                         ROLES), validated once: against the declared heap,
+                         or else the inferred one.
+  program files       -- heap declarations, FORMULA, NODE, INIT and
+                         `EDGE a -> b { block }` lines; a block may span lines.
+
+Program files reserve the names that desugaring and the transformer add:
+the prefix `__tmp` (TEMP_PREFIX) of temporaries, the abort flag `abo`, the
+prefix `__lab_` of label nominals and the suffix `_ext` of post-state
+copies.  Every variable and field a code block names must be declared.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
+from .memory import HeapVocabulary, MemoryStructure, infer_memory
+from .programs import (ABORT_FLAG, AndB, Assign, Assume, Dispose, EqB, FalseB,
+                       FalseE, FieldE, If, New, NotB, NullE, OrB, Program,
+                       ReadField, Seq, Skip, Stmt, TrueB, TrueE, VarE,
+                       WriteField, labels_of, relabel, touched_symbols)
+from .reach import DisjAssertion, ReachAssertion, ReachSpec
 from .structures import FiniteStructure
 from .syntax import (AtMost, Atomic, BOT, Concept, Eq, Exists, FAnd, FNot,
                      FOr, Formula, Incl, Nominal, Not, ReachDLError, Role, TOP,
-                     Top, UpdatePoint, Vocabulary, And, Or, atleast, check_symbols,
-                     conj, exactly)
+                     TRUE, UpdatePoint, Vocabulary, And, Or, atleast, conj,
+                     exactly)
+from .wp import EXT_SUFFIX, LABEL_PREFIX
 
 
 class ParseError(ReachDLError):
@@ -40,31 +60,14 @@ class ParseError(ReachDLError):
         self.col = col
 
 
-def _parse_whole(parser, rule: Callable[[], Any]) -> Any:
-    """Apply one grammar rule to the whole token stream.  The parsers
-    recurse once per nesting level, so input nested past the interpreter's
-    recursion limit is reported as a ParseError."""
-    try:
-        out = rule()
-    except RecursionError:
-        raise ParseError("input nested too deeply", None) from None
-    parser.expect("eof")
-    return out
-
-
 RESERVED = {"top", "bot", "and", "or", "not", "E"}
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<equant>E(?=(<=|>=|=)\s*\d))(?P<eop><=|>=|=)
+  | (?P<equant>E(?:<=|>=|=)(?=\s*\d))
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>\d+)
-  | (?P<assign>:=)
-  | (?P<arrow>->)
-  | (?P<caretminus>\^-)
-  | (?P<leq><=)
-  | (?P<eqeq>==)
-  | (?P<sym>[&|!().\[\]{},=<>;~])
+  | (?P<sym>:=|->|\^-|<=|==|[&|!().\[\]{},=<>;~])
 """, re.VERBOSE)
 
 
@@ -76,59 +79,37 @@ class Token:
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of `text`, ending in an eof token; positions count from
+    (line, col), the place of text's first character in its file."""
     tokens: list[Token] = []
-    line, col = 1, 1
+    base = -col  # a token at offset pos sits in column pos - base
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        kind = m.lastgroup or "sym"
-        if m.group("ws"):
-            pass
-        elif m.group("equant"):
-            tokens.append(Token("equant", "E" + m.group("eop"), line, col))
-        elif m.group("name"):
-            word = m.group("name")
-            if word == "E":
-                tokens.append(Token("E", word, line, col))
-            elif word in ("and", "or", "not", "top", "bot"):
-                tokens.append(Token(word, word, line, col))
-            else:
-                tokens.append(Token("name", word, line, col))
-        elif m.group("int"):
-            tokens.append(Token("int", chunk, line, col))
-        elif m.group("assign"):
-            tokens.append(Token(":=", chunk, line, col))
-        elif m.group("arrow"):
-            tokens.append(Token("->", chunk, line, col))
-        elif m.group("caretminus"):
-            tokens.append(Token("^-", chunk, line, col))
-        elif m.group("leq"):
-            tokens.append(Token("<=", chunk, line, col))
-        elif m.group("eqeq"):
-            tokens.append(Token("==", chunk, line, col))
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - base)
+        kind, chunk = m.lastgroup, m.group()
+        if kind == "ws":
+            if "\n" in chunk:
+                line += chunk.count("\n")
+                base = pos + chunk.rindex("\n")
         else:
-            tokens.append(Token(chunk, chunk, line, col))
-        for ch in chunk:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
+            if kind == "sym" or (kind == "name" and chunk in RESERVED):
+                kind = chunk
+            tokens.append(Token(kind, chunk, line, pos - base))
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, pos - base))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], vocab: Vocabulary, allow_updates: bool):
+class _Cursor:
+    """A cursor over a token list, shared by the formula and statement
+    grammars."""
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.vocab = vocab
-        self.allow_updates = allow_updates
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -138,15 +119,33 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok.kind != kind or (text is not None and tok.text != text):
+            raise self.error(f"expected {text or kind!r}, found {tok.text!r}", tok)
         return tok
 
-    def error(self, msg: str) -> ParseError:
-        tok = self.peek()
+    def error(self, msg: str, tok: Token | None = None) -> ParseError:
+        tok = tok or self.peek()
         return ParseError(msg, tok.line, tok.col)
+
+    def whole(self, rule: Callable[[], Any]) -> Any:
+        """Apply one grammar rule to the whole token stream.  The parsers
+        recurse once per nesting level, so input nested past the
+        interpreter's recursion limit is reported as a ParseError."""
+        try:
+            out = rule()
+        except RecursionError:
+            raise ParseError("input nested too deeply", None) from None
+        self.expect("eof")
+        return out
+
+
+class _Parser(_Cursor):
+    def __init__(self, tokens: list[Token], vocab: Vocabulary, allow_updates: bool):
+        super().__init__(tokens)
+        self.vocab = vocab
+        self.allow_updates = allow_updates
 
     # -- formulas: or < and < not < atom
 
@@ -188,7 +187,7 @@ class _Parser:
             return Incl(left, self.concept())
         if op.kind == "==":
             return Eq(left, self.concept())
-        raise ParseError(f"expected '<=' or '==', found {op.text!r}", op.line, op.col)
+        raise self.error(f"expected '<=' or '==', found {op.text!r}", op)
 
     # -- concepts: | < & < ! < atom
 
@@ -251,14 +250,14 @@ class _Parser:
                 return Atomic(name)
             if name in self.vocab.nominals:
                 return Nominal(name)
-            raise ParseError(f"unknown concept or nominal {name!r}", tok.line, tok.col)
+            raise self.error(f"unknown concept or nominal {name!r}", tok)
         raise self.error(f"expected a concept, found {tok.text!r}")
 
     def role(self) -> Role:
         tok = self.expect("name")
         name = tok.text
         if name not in self.vocab.roles:
-            raise ParseError(f"unknown role {name!r}", tok.line, tok.col)
+            raise self.error(f"unknown role {name!r}", tok)
         updates: list[UpdatePoint] = []
         while self.peek().kind == "[":
             if not self.allow_updates:
@@ -279,29 +278,39 @@ class _Parser:
         return Role(name, inverted, tuple(updates))
 
 
+def _formula(text: str, vocab: Vocabulary, allow_updates: bool = False,
+             line: int = 1, col: int = 1) -> Formula:
+    parser = _Parser(tokenize(text, line, col), vocab, allow_updates)
+    return parser.whole(parser.formula)
+
+
 def parse_formula(text: str, vocab: Vocabulary, allow_updates: bool = False) -> Formula:
     """Parse one formula; derived forms (E>=, E=) expand at parse time."""
-    parser = _Parser(tokenize(text), vocab, allow_updates)
-    return _parse_whole(parser, parser.formula)
+    return _formula(text, vocab, allow_updates)
 
 
 def parse_concept(text: str, vocab: Vocabulary, allow_updates: bool = False) -> Concept:
     parser = _Parser(tokenize(text), vocab, allow_updates)
-    return _parse_whole(parser, parser.concept)
+    return parser.whole(parser.concept)
 
 
 # ---------------------------------------------------------------------------
-# Formula / spec files
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_REACH_RE = re.compile(r"REACH\s*<\s*(\w+)\s*>\s*\{([^}]*)\}\s*<\s*(\w+)\s*>\s*$")
-_DISJ_RE = re.compile(r"DISJ\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*$")
+# The line reader
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+def _lines(text: str) -> Iterator[tuple[int, str, str, str]]:
+    """(line number, line, head word, rest) for each line of a file that is
+    not blank once its `#` comment is cut.  The line keeps its leading
+    blanks, so columns count from the start of the file's line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        words = line.split(None, 1)
+        if words:
+            yield lineno, line, words[0], words[1].strip() if len(words) > 1 else ""
+
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + "$")
 
 
 def _decl_names(rest: str, lineno: int) -> list[str]:
@@ -312,17 +321,24 @@ def _decl_names(rest: str, lineno: int) -> list[str]:
     return names
 
 
-def parse_formula_file(text: str, base: Vocabulary | None = None,
-                       allow_updates: bool = False) -> tuple[Vocabulary, Formula]:
-    """Declarations plus formula lines; the formulas are conjoined."""
+# ---------------------------------------------------------------------------
+# Formula / spec files
+
+_ASSERTION_RE = re.compile(r"(REACH|DISJ)\b")
+_REACH_RE = re.compile(r"REACH\s*<\s*(\w+)\s*>\s*\{([^}]*)\}\s*<\s*(\w+)\s*>\s*$")
+_DISJ_RE = re.compile(r"DISJ\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*$")
+
+
+def _read_formulas(text: str, base: Vocabulary | None, allow_updates: bool,
+                   spec: bool):
+    """The formula and spec file reader: declarations, formula lines and,
+    in a spec, the REACH/DISJ assertion lines.  Returns the vocabulary and
+    the conjoined formula, or for a spec the validated ReachSpec."""
     vocab = base or Vocabulary()
     formula_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        head = line.split(None, 1)[0]
-        rest = line[len(head):].strip()
+    reaches: list[tuple[int, str, frozenset[str], str]] = []
+    disjs: list[DisjAssertion] = []
+    for lineno, line, head, rest in _lines(text):
         if head == "CONCEPT":
             vocab = vocab.with_concepts(_decl_names(rest, lineno))
         elif head == "NOMINAL":
@@ -331,48 +347,25 @@ def parse_formula_file(text: str, base: Vocabulary | None = None,
             vocab = vocab.with_roles(_decl_names(rest, lineno))
         elif head == "FROLE":
             vocab = vocab.with_roles(_decl_names(rest, lineno), functional=True)
-        elif head in ("REACH", "DISJ"):
-            raise ParseError("assertion line in a plain formula file", lineno)
+        elif assertion := _ASSERTION_RE.match(head):
+            if not spec:
+                raise ParseError("assertion line in a plain formula file", lineno)
+            kind = assertion[1]
+            m = (_REACH_RE if kind == "REACH" else _DISJ_RE).match(line.strip())
+            if not m:
+                raise ParseError(f"bad {kind} line", lineno)
+            if kind == "DISJ":
+                disjs.append(DisjAssertion(m.group(1), m.group(2)))
+            else:
+                roles = frozenset(s.strip() for s in m.group(2).split(",") if s.strip())
+                reaches.append((lineno, m.group(1), roles, m.group(3)))
         else:
             formula_lines.append((lineno, line))
-    parts = []
-    for lineno, line in formula_lines:
-        try:
-            parts.append(parse_formula(line, vocab, allow_updates))
-        except ParseError as exc:
-            if exc.line is None:
-                raise
-            raise ParseError(f"line {lineno}: {exc}", lineno) from None
-    return vocab, conj(parts)
-
-
-def parse_spec_file(text: str, base: Vocabulary | None = None):
-    """Spec file: a formula file plus REACH/DISJ lines.  Returns a ReachSpec
-    together with its vocabulary."""
-    from .reach import DisjAssertion, ReachAssertion, ReachSpec
-
-    vocab = base or Vocabulary()
-    plain_lines: list[str] = []
-    reaches: list[ReachAssertion] = []
-    disjs: list[DisjAssertion] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        if line.startswith("REACH"):
-            m = _REACH_RE.match(line)
-            if not m:
-                raise ParseError("bad REACH line", lineno)
-            roles = tuple(s.strip() for s in m.group(2).split(",") if s.strip())
-            reaches.append((lineno, m.group(1), frozenset(roles), m.group(3)))
-        elif line.startswith("DISJ"):
-            m = _DISJ_RE.match(line)
-            if not m:
-                raise ParseError("bad DISJ line", lineno)
-            disjs.append(DisjAssertion(m.group(1), m.group(2)))
-        else:
-            plain_lines.append(raw)
-    vocab, base_formula = parse_formula_file("\n".join(plain_lines), vocab)
+    # declarations may follow the formulas that use them
+    formula = conj([_formula(line, vocab, allow_updates, lineno)
+                    for lineno, line in formula_lines])
+    if not spec:
+        return vocab, formula
     resolved = []
     for lineno, src_name, roles, target in reaches:
         if src_name in vocab.nominals:
@@ -382,61 +375,98 @@ def parse_spec_file(text: str, base: Vocabulary | None = None):
         else:
             raise ParseError(f"unknown reach source {src_name!r}", lineno)
         resolved.append(ReachAssertion(source, roles, target))
-    spec = ReachSpec(base_formula, tuple(resolved), frozenset(disjs))
-    spec.validate(vocab)
-    return vocab, spec
+    out = ReachSpec(formula, tuple(resolved), frozenset(disjs))
+    out.validate(vocab)
+    return vocab, out
+
+
+def parse_formula_file(text: str, base: Vocabulary | None = None,
+                       allow_updates: bool = False) -> tuple[Vocabulary, Formula]:
+    """Declarations plus formula lines; the formulas are conjoined."""
+    return _read_formulas(text, base, allow_updates, spec=False)
+
+
+def parse_spec_file(text: str, base: Vocabulary | None = None):
+    """Spec file: a formula file plus REACH/DISJ lines.  Returns a ReachSpec
+    together with its vocabulary."""
+    return _read_formulas(text, base, False, spec=True)
 
 
 # ---------------------------------------------------------------------------
-# Structure files
+# Structure and memory files
+
+_IDS = r"(?:-?\d+(?:\s+-?\d+)*)?"
+# the shape of each structure line after its head word
+_SHAPES = {
+    "UNIVERSE": re.compile(rf"(?:(-?\d+)\s*\.\.\s*(-?\d+)|{_IDS})$", re.ASCII),
+    "CONCEPT": re.compile(rf"({_NAME})\s*:\s*({_IDS})$", re.ASCII),
+    "ROLE": re.compile(rf"({_NAME})\s*:((?:\s*\(\s*-?\d+\s*,\s*-?\d+\s*\))*)$", re.ASCII),
+    "NOMINAL": re.compile(rf"({_NAME})\s*=\s*(-?\d+)$", re.ASCII),
+}
+# heap declaration heads and the HeapVocabulary fields they fill
+_HEAP_DECLS = {"FIELDS": "fields", "VARS": "variables", "CONCEPTS": "data_concepts",
+               "NOMINALS": "data_nominals", "ROLES": "data_roles"}
 
 
-def parse_structure_file(text: str) -> tuple[Vocabulary, FiniteStructure]:
+def _ints(text: str) -> list[int]:
+    return [int(t) for t in re.findall(r"-?\d+", text)]
+
+
+def _read_structure(text: str, memory: bool):
+    """The structure and memory file reader; heap declarations are read in
+    memory files only.  Returns the vocabulary, the structure, and for a
+    memory file or one with a MEMORY header the memory structure, validated
+    once: against the declared heap, or else the inferred one."""
     universe: tuple[int, ...] | None = None
     concepts: dict[str, frozenset[int]] = {}
     roles: dict[str, frozenset[tuple[int, int]]] = {}
     functional: set[str] = set()
     nominals: dict[str, int] = {}
+    decls: dict[str, list[str]] = {}
     saw_memory = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
+    for lineno, _, head, rest in _lines(text):
+        if memory and head in _HEAP_DECLS:
+            decls.setdefault(_HEAP_DECLS[head], []).extend(_decl_names(rest, lineno))
             continue
-        head = line.split(None, 1)[0]
-        rest = line[len(head):].strip()
         if head == "MEMORY":
             saw_memory = True
-        elif head == "UNIVERSE":
-            if ".." in rest:
-                lo, hi = rest.split("..")
-                universe = tuple(range(int(lo), int(hi) + 1))
-            else:
-                universe = tuple(int(t) for t in rest.split())
-        elif head == "CONCEPT":
-            name, _, ids = rest.partition(":")
-            concepts[name.strip()] = frozenset(int(t) for t in ids.split())
-        elif head in ("ROLE", "FROLE"):
-            name, _, body = rest.partition(":")
-            pairs = frozenset(
-                (int(a), int(b))
-                for a, b in re.findall(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", body))
-            roles[name.strip()] = pairs
-            if head == "FROLE":
-                functional.add(name.strip())
-        elif head == "NOMINAL":
-            name, _, val = rest.partition("=")
-            nominals[name.strip()] = int(val)
-        else:
+            continue
+        shape = _SHAPES.get("ROLE" if head == "FROLE" else head)
+        if shape is None:
             raise ParseError(f"unknown section {head!r}", lineno)
+        m = shape.match(rest)
+        if m is None:
+            raise ParseError(f"bad {head} line", lineno)
+        if head == "UNIVERSE":
+            universe = tuple(range(int(m[1]), int(m[2]) + 1) if m[1] else _ints(rest))
+        elif head == "CONCEPT":
+            concepts[m[1]] = frozenset(_ints(m[2]))
+        elif head == "NOMINAL":
+            nominals[m[1]] = int(m[2])
+        else:
+            ids = _ints(m[2])
+            roles[m[1]] = frozenset(zip(ids[::2], ids[1::2]))
+            if head == "FROLE":
+                functional.add(m[1])
     if universe is None:
         raise ParseError("missing UNIVERSE line")
     vocab = Vocabulary(frozenset(concepts), frozenset(roles), frozenset(functional),
                        frozenset(nominals))
     fs = FiniteStructure(universe, concepts, roles, nominals)
-    if saw_memory:
-        from .memory import infer_memory
-        infer_memory(fs)  # validates the axioms on load
-    return vocab, fs
+    if decls:
+        heap = HeapVocabulary(**{key: tuple(names) for key, names in decls.items()})
+        return vocab, fs, MemoryStructure(heap, fs).check(min_pool=0)
+    return vocab, fs, infer_memory(fs) if memory or saw_memory else None
+
+
+def parse_structure_file(text: str) -> tuple[Vocabulary, FiniteStructure]:
+    return _read_structure(text, memory=False)[:2]
+
+
+def parse_memory_file(text: str) -> MemoryStructure:
+    """A structure file with a MEMORY header and optional heap declaration
+    lines; without declarations the heap vocabulary is inferred."""
+    return _read_structure(text, memory=True)[2]
 
 
 def structure_to_text(fs: FiniteStructure, functional: frozenset[str] = frozenset(),
@@ -460,42 +490,30 @@ def structure_to_text(fs: FiniteStructure, functional: frozenset[str] = frozense
 
 
 # ---------------------------------------------------------------------------
-# Statements, program files and memory files
+# Statements and program files
 
 _STMT_KEYWORDS = {"skip", "dispose", "assume", "if", "then", "else", "fi", "new"}
+_CONSTANTS = {"null": NullE, "T": TrueE, "F": FalseE}
 TEMP_PREFIX = "__tmp"
 
 
-class _StmtParser:
+class _StmtParser(_Cursor):
     """The concrete statement syntax.  Field-to-field assignments
     and if-then without else are desugared (fresh temporaries collected in
     self.temps, numbered on from `temps_before`)."""
 
     def __init__(self, tokens: list[Token], temps_before: int = 0):
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens)
         self.temps: list[str] = []
         self.temps_before = temps_before
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError(f"expected {text or kind!r}, found {tok.text!r}",
-                             tok.line, tok.col)
-        return tok
 
     def name(self) -> str:
         tok = self.next()
         if tok.kind != "name" or tok.text in _STMT_KEYWORDS:
-            raise ParseError(f"expected a name, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected a name, found {tok.text!r}", tok)
+        if tok.text.startswith(TEMP_PREFIX):
+            raise self.error(f"name {tok.text!r} takes the prefix {TEMP_PREFIX!r} of "
+                             "desugaring temporaries", tok)
         return tok.text
 
     def fresh_temp(self) -> str:
@@ -505,18 +523,10 @@ class _StmtParser:
 
     # expressions: null | T | F | var | var.f
     def sexpr(self):
-        from .programs import FalseE, FieldE, NullE, TrueE, VarE
-
         tok = self.peek()
-        if tok.kind == "name" and tok.text == "null":
+        if tok.kind == "name" and tok.text in _CONSTANTS:
             self.next()
-            return NullE()
-        if tok.kind == "name" and tok.text == "T":
-            self.next()
-            return TrueE()
-        if tok.kind == "name" and tok.text == "F":
-            self.next()
-            return FalseE()
+            return _CONSTANTS[tok.text]()
         var = self.name()
         if self.peek().kind == ".":
             self.next()
@@ -525,8 +535,6 @@ class _StmtParser:
 
     # booleans: ~ > and > or; atoms T | F | (b) | e1 = e2
     def boolexpr(self):
-        from .programs import OrB
-
         left = self.bool_and()
         while self.peek().kind == "or":
             self.next()
@@ -534,8 +542,6 @@ class _StmtParser:
         return left
 
     def bool_and(self):
-        from .programs import AndB
-
         left = self.bool_not()
         while self.peek().kind == "and":
             self.next()
@@ -543,16 +549,12 @@ class _StmtParser:
         return left
 
     def bool_not(self):
-        from .programs import NotB
-
         if self.peek().kind == "~":
             self.next()
             return NotB(self.bool_not())
         return self.bool_atom()
 
     def bool_atom(self):
-        from .programs import EqB, FalseB, TrueB
-
         tok = self.peek()
         # T and F are literals unless an equality follows (T = x)
         if (tok.kind == "name" and tok.text in ("T", "F")
@@ -573,8 +575,6 @@ class _StmtParser:
         return EqB(left, self.sexpr())
 
     def block(self):
-        from .programs import Seq
-
         out = self.stmt()
         while self.peek().kind == ";":
             self.next()
@@ -585,9 +585,6 @@ class _StmtParser:
         return out
 
     def stmt(self):
-        from .programs import (Assign, Assume, Dispose, FieldE, If, New,
-                               ReadField, Seq, Skip, WriteField)
-
         tok = self.peek()
         if tok.kind == "name" and tok.text == "skip":
             self.next()
@@ -624,7 +621,7 @@ class _StmtParser:
             if isinstance(rhs, FieldE):
                 tmp = self.fresh_temp()
                 return Seq(ReadField(tmp, rhs.var, rhs.fieldname),
-                           WriteField(var, fieldname, _var_expr(tmp)))
+                           WriteField(var, fieldname, VarE(tmp)))
             return WriteField(var, fieldname, rhs)
         self.expect(":=")
         if self.peek().kind == "name" and self.peek().text == "new":
@@ -636,132 +633,118 @@ class _StmtParser:
         return Assign(var, rhs)
 
 
-def _var_expr(name: str):
-    from .programs import VarE
-
-    return VarE(name)
-
-
-def parse_block(text: str) -> tuple["Stmt", list[str]]:
+def parse_block(text: str) -> tuple[Stmt, list[str]]:
     """Parse a loopless code block; returns the (relabeled) statement and
     the fresh temporaries introduced by desugaring."""
-    from .programs import relabel
-
     parser = _StmtParser(tokenize(text))
-    return relabel(_parse_whole(parser, parser.block)), parser.temps
+    return relabel(parser.whole(parser.block)), parser.temps
 
 
+_FORMULA_RE = re.compile(r"\s*FORMULA\s+(\w+)\s*:")
 _NODE_RE = re.compile(r"NODE\s+(\w+)((?:\s+(?:shp|cnt)=\w+)*)\s*$")
-_EDGE_RE = re.compile(r"EDGE\s+(\w+)\s*->\s*(\w+)\s*\{", re.S)
+_EDGE_RE = re.compile(r"\s*EDGE\s+(\w+)\s*->\s*(\w+)\s*\{")
 
 
 def _program_names(rest: str, lineno: int) -> list[str]:
     """The names of a program file's declaration line, none of which may
-    take the desugaring temporaries' prefix."""
+    take a name that desugaring or the transformer adds."""
     names = _decl_names(rest, lineno)
     for n in names:
-        if n.startswith(TEMP_PREFIX):
-            raise ParseError(f"name {n!r} takes the prefix {TEMP_PREFIX!r} of "
-                             "desugaring temporaries", lineno)
+        taken = (n.startswith(TEMP_PREFIX)
+                 and f"the prefix {TEMP_PREFIX!r} of desugaring temporaries"
+                 or n.startswith(LABEL_PREFIX) and f"the prefix {LABEL_PREFIX!r} of label nominals"
+                 or n.endswith(EXT_SUFFIX) and f"the suffix {EXT_SUFFIX!r} of post-state copies"
+                 or n == ABORT_FLAG and "the abort flag's name")
+        if taken:
+            raise ParseError(f"name {n!r} takes {taken}", lineno)
     return names
 
 
-def parse_program_file(text: str):
+def _edge_tokens(line: str, start: int, lineno: int,
+                 lines: Iterator[tuple[int, str, str, str]]) -> list[Token]:
+    """The tokens of the EDGE block that opens just before offset `start`
+    of `line`, read on from `lines` up to the closing brace."""
+    tokens: list[Token] = []
+    text, at, col = line[start:], lineno, start + 1
+    while (end := text.find("}")) < 0:
+        tokens += tokenize(text, at, col)[:-1]
+        try:
+            at, text, _, _ = next(lines)
+        except StopIteration:
+            raise ParseError("unterminated EDGE block", lineno) from None
+        col = 1
+    if text[end + 1:].strip():
+        raise ParseError("text after the EDGE block", at)
+    return tokens + tokenize(text[:end], at, col)
+
+
+def parse_program_file(text: str) -> Program:
     """Program file: heap declarations, named formulas, nodes with
     annotation references, and edges carrying code blocks."""
-    from .memory import HeapVocabulary
-    from .programs import Program, labels_of, relabel
-
-    fields: list[str] = []
-    variables: list[str] = []
-    data_concepts: list[str] = []
-    data_nominals: list[str] = []
-    data_roles: list[str] = []
-    formulas_raw: dict[str, str] = {}
+    decls: dict[str, list[str]] = {}
+    formula_at: dict[str, tuple[int, int, str]] = {}
     nodes: list[str] = []
-    shp_ref: dict[str, str] = {}
-    cnt_ref: dict[str, str] = {}
-    edges: list[tuple[str, str]] = []
-    blocks_raw: dict[tuple[str, str], str] = {}
+    refs: dict[str, dict[str, tuple[str, int]]] = {"shp": {}, "cnt": {}}
+    edge_line: dict[tuple[str, str], int] = {}
+    code: dict[tuple[str, str], Stmt] = {}
+    temps: list[str] = []
     initial: str | None = None
 
-    pos = 0
-    lineno = 1
-    while pos < len(text):
-        eol = text.find("\n", pos)
-        if eol < 0:
-            eol = len(text)
-        raw = text[pos:eol]
-        line = _strip(raw)
-        consumed = eol + 1
-        if line.startswith("EDGE"):
-            m = _EDGE_RE.match(text[pos:].lstrip())
+    lines = _lines(text)
+    for lineno, line, head, rest in lines:
+        if head in _HEAP_DECLS:
+            decls.setdefault(_HEAP_DECLS[head], []).extend(_program_names(rest, lineno))
+        elif head == "INIT":
+            initial = rest
+        elif head == "FORMULA":
+            m = _FORMULA_RE.match(line)
+            if not m:
+                raise ParseError("bad FORMULA line", lineno)
+            formula_at[m[1]] = (lineno, m.end() + 1, line[m.end():])
+        elif head == "NODE":
+            m = _NODE_RE.match(line.strip())
+            if not m:
+                raise ParseError("bad NODE line", lineno)
+            nodes.append(m[1])
+            for attr in m[2].split():
+                key, _, ref = attr.partition("=")
+                refs[key][m[1]] = (ref, lineno)
+        elif head == "EDGE":
+            m = _EDGE_RE.match(line)
             if not m:
                 raise ParseError("bad EDGE line", lineno)
-            start = pos + text[pos:].index("{") + 1
-            end = text.find("}", start)
-            if end < 0:
-                raise ParseError("unterminated EDGE block", lineno)
-            edge = (m.group(1), m.group(2))
-            edges.append(edge)
-            blocks_raw[edge] = text[start:end]
-            consumed = end + 1
-        elif line:
-            head = line.split(None, 1)[0]
-            rest = line[len(head):].strip()
-            if head == "FIELDS":
-                fields += _program_names(rest, lineno)
-            elif head == "VARS":
-                variables += _program_names(rest, lineno)
-            elif head == "CONCEPTS":
-                data_concepts += _program_names(rest, lineno)
-            elif head == "NOMINALS":
-                data_nominals += _program_names(rest, lineno)
-            elif head == "ROLES":
-                data_roles += _program_names(rest, lineno)
-            elif head == "INIT":
-                initial = rest.strip()
-            elif head == "FORMULA":
-                name, _, body = rest.partition(":")
-                formulas_raw[name.strip()] = body.strip()
-            elif head == "NODE":
-                m = _NODE_RE.match(line)
-                if not m:
-                    raise ParseError("bad NODE line", lineno)
-                nodes.append(m.group(1))
-                for attr in m.group(2).split():
-                    key, _, val = attr.partition("=")
-                    (shp_ref if key == "shp" else cnt_ref)[m.group(1)] = val
-            else:
-                raise ParseError(f"unknown program section {head!r}", lineno)
-        lineno += text[pos:consumed].count("\n")
-        pos = consumed
+            edge = (m[1], m[2])
+            if edge in code:
+                raise ParseError("multiple edges are not allowed", lineno)
+            parser = _StmtParser(_edge_tokens(line, m.end(), lineno, lines), len(temps))
+            edge_line[edge] = lineno
+            code[edge] = parser.whole(parser.block)
+            temps += parser.temps
+        else:
+            raise ParseError(f"unknown program section {head!r}", lineno)
 
-    temps: list[str] = []
-    code: dict[tuple[str, str], "Stmt"] = {}
-    for edge, body in blocks_raw.items():
-        parser = _StmtParser(tokenize(body), len(temps))
-        code[edge] = _parse_whole(parser, parser.block)
-        temps += parser.temps
+    decls.setdefault("variables", []).extend(temps)
+    declared = (set(decls["variables"]), set(decls.get("fields", ())))
+    for edge, stmt in code.items():
+        for kind, used, have in zip(("variable", "field"), touched_symbols(stmt), declared):
+            if used - have:
+                raise ParseError(f"undeclared {kind} {min(used - have)!r}", edge_line[edge])
 
-    heap = HeapVocabulary(fields=tuple(fields), variables=tuple(variables) + tuple(temps),
-                          data_concepts=tuple(data_concepts),
-                          data_nominals=tuple(data_nominals),
-                          data_roles=tuple(data_roles))
+    heap = HeapVocabulary(**{key: tuple(names) for key, names in decls.items()})
     vocab = heap.vocabulary()
-    formulas = {name: parse_formula(body, vocab) for name, body in formulas_raw.items()}
+    formulas = {name: _formula(body, vocab, False, lineno, col)
+                for name, (lineno, col, body) in formula_at.items()}
 
-    def resolve(table: dict[str, str]) -> dict[str, Formula]:
+    def annotations(key: str) -> dict[str, Formula]:
         # unannotated nodes carry the trivial annotation
-        from .syntax import TRUE
-
         out = {node: TRUE for node in nodes}
-        for node, ref in table.items():
+        for node, (ref, lineno) in refs[key].items():
             if ref not in formulas:
-                raise ParseError(f"node {node} references unknown formula {ref!r}")
+                raise ParseError(f"node {node} references unknown formula {ref!r}", lineno)
             out[node] = formulas[ref]
         return out
 
+    edges = tuple(edge_line)
     if initial is None:
         with_in = {b for _, b in edges}
         candidates = [v for v in nodes if v not in with_in]
@@ -775,32 +758,5 @@ def parse_program_file(text: str):
     for edge in sorted(code):
         relabeled[edge] = relabel(code[edge], start=taken + 1)
         taken = max([taken] + labels_of(relabeled[edge]))
-    return Program(heap, tuple(nodes), tuple(edges), initial,
-                   resolve(shp_ref), resolve(cnt_ref), relabeled)
-
-
-def parse_memory_file(text: str):
-    """A structure file with a MEMORY header and optional heap declaration
-    lines; without declarations the heap vocabulary is inferred."""
-    from .memory import HeapVocabulary, MemoryStructure
-
-    decls: dict[str, list[str]] = {}
-    body_lines: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        head = line.split(None, 1)[0] if line else ""
-        if head in ("FIELDS", "VARS", "CONCEPTS", "NOMINALS", "ROLES"):
-            decls.setdefault(head, []).extend(_decl_names(line[len(head):].strip(), lineno))
-        else:
-            body_lines.append(raw)
-    _, fs = parse_structure_file("\n".join(body_lines))
-    if decls:
-        heap = HeapVocabulary(fields=tuple(decls.get("FIELDS", ())),
-                              variables=tuple(decls.get("VARS", ())),
-                              data_concepts=tuple(decls.get("CONCEPTS", ())),
-                              data_nominals=tuple(decls.get("NOMINALS", ())),
-                              data_roles=tuple(decls.get("ROLES", ())))
-        return MemoryStructure(heap, fs).check(min_pool=0)
-    from .memory import infer_memory
-
-    return infer_memory(fs)
+    return Program(heap, tuple(nodes), edges, initial,
+                   annotations("shp"), annotations("cnt"), relabeled)

@@ -502,6 +502,9 @@ def run_labeled(ms: MemoryStructure, s: Stmt, d: Mapping[int, int]):
 # Abort instrumentation
 
 
+ABORT_FLAG = "abo"
+
+
 def instrument_abort(s: Stmt, mode: str = "semantic") -> Stmt:
     """S-bar: prepend abo := F and guard every aborting command so the
     program instead raises the abo flag and continues.  In semantic mode
@@ -516,7 +519,7 @@ def instrument_abort(s: Stmt, mode: str = "semantic") -> Stmt:
         return UnallocB(v) if mode == "semantic" else EqB(VarE(v), NullE())
 
     def raise_abo() -> Stmt:
-        return Assign("abo", TrueE())
+        return Assign(ABORT_FLAG, TrueE())
 
     def wrap(c: Stmt, _: int) -> Stmt:
         if isinstance(c, (ReadField, WriteField, Dispose)):
@@ -530,7 +533,7 @@ def instrument_abort(s: Stmt, mode: str = "semantic") -> Stmt:
         return c
 
     keep = frozenset(id(c) for c in commands(s) if not isinstance(c, If))
-    return relabel(Seq(Assign("abo", FalseE()), map_stmt(s, wrap)),
+    return relabel(Seq(Assign(ABORT_FLAG, FalseE()), map_stmt(s, wrap)),
                    start=max(labels_of(s), default=0) + 1, keep=keep)
 
 

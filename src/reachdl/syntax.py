@@ -482,16 +482,6 @@ def formula_size(phi: Formula) -> int:
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
 
 
-def check_symbols(phi: Formula, vocab: Vocabulary) -> None:
-    """Reject names absent from the vocabulary."""
-    syms = formula_symbols(phi)
-    for kind, have in (("concepts", vocab.concepts), ("roles", vocab.roles),
-                       ("nominals", vocab.nominals)):
-        missing = syms[kind] - have
-        if missing:
-            raise UnknownSymbolError(f"unknown {kind}: {sorted(missing)}")
-
-
 # ---------------------------------------------------------------------------
 # Surface printer (the parser in parser.py accepts exactly this output)
 
@@ -527,10 +517,6 @@ def _print_concept(c: Concept, prec: int) -> str:
     if isinstance(c, AtMost):
         return f"E<={c.bound} {_print_role(c.role)}.{_print_concept(c.inner, _CPREC['atom'])}"
     raise TypeError(f"not a concept: {c!r}")  # pragma: no cover
-
-
-def concept_to_text(c: Concept) -> str:
-    return _print_concept(c, 0)
 
 
 _FPREC = {"or": 1, "and": 2, "not": 3}

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .memory import HeapVocabulary
-from .programs import (AndB, Assign, Assume, BoolExpr, Dispose, EqB, Expr,
-                       FalseB, FalseE, FieldE, If, New, NotB, NullE, OrB,
+from .programs import (ABORT_FLAG, AndB, Assign, Assume, BoolExpr, Dispose, EqB,
+                       Expr, FalseB, FalseE, FieldE, If, New, NotB, NullE, OrB,
                        ReadField, Skip, Stmt, TrueB, TrueE, UnallocB,
                        VarE, WriteField, commands, instrument_abort, labels_of)
 from .syntax import (And, AtMost, Atomic, BOT, Concept, Eq, Exists, FAnd,
@@ -51,6 +51,7 @@ def check_postcondition(phi: Formula) -> None:
 
 
 LABEL_PREFIX = "__lab_"
+EXT_SUFFIX = "_ext"
 
 
 def label_nominal(label: int) -> str:
@@ -58,7 +59,7 @@ def label_nominal(label: int) -> str:
 
 
 def ext_name(name: str) -> str:
-    return name + "_ext"
+    return name + EXT_SUFFIX
 
 
 def tau_rem_map(heap: HeapVocabulary) -> dict[str, str]:
@@ -243,7 +244,7 @@ def theta_full(s: Stmt, post: Formula, heap: HeapVocabulary) -> ThetaResult:
     conjunction of phi and (o_abo == o_F), with the fresh-symbol inventory."""
     check_postcondition(post)
     sbar = instrument_abort(s)
-    target = FAnd(post, Eq(Nominal("abo"), Nominal("F")))
+    target = FAnd(post, Eq(Nominal(ABORT_FLAG), Nominal("F")))
     out = phi_ext(sbar, target, heap)
     labels = tuple(label_nominal(lab) for lab in sorted(labels_of(sbar)))
     return ThetaResult(out, sbar, labels, tau_rem_map(heap))
@@ -266,7 +267,7 @@ def theta_structure(m1: "MemoryStructure", m2: "MemoryStructure",
         roles[ext_name(name)] = m2.fs.role_ext(name)
     for lab, elem in d.items():
         nominals[label_nominal(lab)] = elem
-    nominals["abo"] = d_abo
+    nominals[ABORT_FLAG] = d_abo
     return FiniteStructure(m1.fs.universe, concepts, roles, nominals)
 
 

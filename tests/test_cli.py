@@ -260,3 +260,99 @@ def test_eval_missing_nominal_exit_2(capsys, tmp_path):
         f.write_text("CONCEPT L\nNOMINAL head\n" + text)
         assert main(["eval", str(st), str(f)]) == 2
         assert _one_error_line(capsys) == "error: nominal head is not interpreted\n"
+
+
+ONE_EDGE = "FIELDS f\nVARS x\nNODE a\nNODE b\nEDGE a -> b {{ {} }}\n"
+
+# (files, argv, the one stderr line); every position is the file's own
+BAD_INPUTS = {
+    "spec-formula-after-assertions": (
+        {"a.spec": "CONCEPT L\nNOMINAL head\nFROLE next\nREACH <head> {next} <L>\n"
+                   "DISJ(L,L)\ntop <= top\ntop <= E nxt.L\n"},
+        ["check-sat", "a.spec"], "7:10: unknown role 'nxt'"),
+    "memory-section": (
+        {"w.prog": WALKER, "m.mem": "MEMORY\nFIELDS next\nVARS e hd\nUNIVERSE 0..2\n"
+                                    "CONCEPT Aux: 0 1 2\n# a comment\nBOGUS 1\n"},
+        ["run", "w.prog", "m.mem", "--path", "lb,ll"], "7:1: unknown section 'BOGUS'"),
+    "program-formula-body": (
+        {"p.prog": "FIELDS f\nVARS x\nFORMULA pa: x <= E g.null\nNODE a cnt=pa\nNODE b\n"
+                   "EDGE a -> b { skip }\n"},
+        ["vc", "p.prog"], "3:20: unknown role 'g'"),
+    "program-block-line": (
+        {"p.prog": "FIELDS f\nVARS x\nNODE a\nNODE b\nEDGE a -> b {\n  x := null;\n"
+                   "  skip;\n; skip\n}\n"},
+        ["vc", "p.prog"], "8:1: expected a name, found ';'"),
+    "program-node-reference": (
+        {"p.prog": "FIELDS f\nVARS x\nNODE a cnt=zz\nNODE b\nEDGE a -> b { skip }\n"},
+        ["vc", "p.prog"], "3:1: node a references unknown formula 'zz'"),
+    "universe-range": ({"s": "UNIVERSE 0..x\n"}, ["eval", "s", "f"], "1:1: bad UNIVERSE line"),
+    "concept-id": ({"s": "UNIVERSE 0..1\nCONCEPT A: 0 1 q\n"}, ["eval", "s", "f"],
+                   "2:1: bad CONCEPT line"),
+    "nominal-equals": ({"s": "UNIVERSE 0..1\nNOMINAL o 1\n"}, ["eval", "s", "f"],
+                       "2:1: bad NOMINAL line"),
+    "role-pair": ({"s": "UNIVERSE 0..1\nROLE r: (0,1) (1,\n"}, ["eval", "s", "f"],
+                  "2:1: bad ROLE line"),
+    "concept-colon": ({"s": "UNIVERSE 0..1\nCONCEPT L 0 1\n"}, ["eval", "s", "f"],
+                      "2:1: bad CONCEPT line"),
+    # names the transformer adds would merge with the program's own
+    "abort-flag": (
+        {"p.prog": "FIELDS f\nVARS x abo\nFORMULA p: abo == F\nNODE a\nNODE b cnt=p\n"
+                   "EDGE a -> b { abo := T }\n"},
+        ["vc", "p.prog", "--bound", "1"], "2:1: name 'abo' takes the abort flag's name"),
+    "label-prefix": (
+        {"p.prog": ONE_EDGE.replace("VARS x", "VARS x __lab_1").format("skip")},
+        ["vc", "p.prog"], "2:1: name '__lab_1' takes the prefix '__lab_' of label nominals"),
+    "ext-suffix": (
+        {"p.prog": ONE_EDGE.replace("VARS x", "VARS x\nCONCEPTS P_ext").format("skip")},
+        ["vc", "p.prog"], "3:1: name 'P_ext' takes the suffix '_ext' of post-state copies"),
+    # every name a block reads or writes is declared
+    "undeclared-variable": ({"p.prog": ONE_EDGE.format("x := zz")}, ["vc", "p.prog"],
+                            "5:1: undeclared variable 'zz'"),
+    "undeclared-field": ({"p.prog": ONE_EDGE.format("x := x.g")}, ["vc", "p.prog"],
+                         "5:1: undeclared field 'g'"),
+    "null-assigned": ({"p.prog": ONE_EDGE.format("null := x")},
+                      ["run", "p.prog", "m", "--path", "a,b"], "5:1: undeclared variable 'null'"),
+    "ghost-assigned": ({"p.prog": ONE_EDGE.format("x_gho := null")}, ["vc", "p.prog"],
+                       "5:1: undeclared variable 'x_gho'"),
+    "temporary-named": ({"p.prog": ONE_EDGE.format("__tmp1 := null")}, ["vc", "p.prog"],
+                        "5:15: name '__tmp1' takes the prefix '__tmp' of desugaring "
+                        "temporaries"),
+    "wp-edge-count": ({"w.prog": WALKER, "f": "top <= top\n"}, ["wp", "w.prog", "f"],
+                      "wp expects a program file with exactly one edge block"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_2_one_line(capsys, tmp_path, case):
+    files, argv, message = BAD_INPUTS[case]
+    files = {"f": "CONCEPT L\nL <= L\n", "m": WALKER_MEMORY, **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+def test_memory_file_declares_data_roles(capsys, tmp_path):
+    """A declared heap is applied before the file is validated, so a data
+    role need not be total like a field."""
+    prog = tmp_path / "p.prog"
+    prog.write_text("FIELDS f\nVARS x\nROLES r\nNODE a\nNODE b\nEDGE a -> b { skip }\n")
+    mem = tmp_path / "m.mem"
+    mem.write_text("MEMORY\nFIELDS f\nVARS x\nROLES r\nUNIVERSE 0..4\n"
+                   "CONCEPT Addresses: 3 4\nCONCEPT Alloc: 3 4\nCONCEPT Aux: 0 1 2\n"
+                   "CONCEPT MemPool:\nCONCEPT PossibleTargets:\n"
+                   "FROLE f: (3,0) (4,0)\nFROLE f_gho: (3,0) (4,0)\n"
+                   "ROLE r: (3,3)\nROLE r_gho: (3,3)\n"
+                   "NOMINAL null = 0\nNOMINAL T = 1\nNOMINAL F = 2\n"
+                   "NOMINAL x = 3\nNOMINAL x_gho = 3\n")
+    rc, out = run(capsys, "run", str(prog), str(mem), "--path", "a,b")
+    assert rc == 0 and "ROLE r: (3,3)" in out
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_max_universe_below_one_exit_2(capsys, files, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-implies", files["list.spec"], files["list.spec"], "--max-universe", bound])
+    assert exc.value.code == 2
+    assert "--max-universe" in _one_error_line(capsys)

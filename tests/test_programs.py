@@ -26,6 +26,16 @@ def mem(**kw):
 # Expressions
 
 
+def test_program_file_comments_and_spread_blocks():
+    """`#` starts a comment inside EDGE blocks too, and a block may span
+    lines; the program is the one of the one-line file."""
+    one_line = "FIELDS f\nVARS x y\nNODE a\nNODE b\nEDGE a -> b { x := y; x.f := y.f }\n"
+    spread = ("FIELDS f  # the one field\nVARS x y\n\nNODE a\nNODE b\n"
+              "EDGE a -> b {  # copy y\n  x := y;  # a } in a comment\n"
+              "  x.f := y.f\n}\n")
+    assert parse_program_file(spread) == parse_program_file(one_line)
+
+
 def test_eval_expr_rows():
     m = mem(alloc=1, pool=2, variables={"x": 3, "y": 0}, fields={"f": {3: 0}})
     assert eval_expr(m, VarE("x")) == 3          # bare reads are total
