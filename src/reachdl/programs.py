@@ -486,10 +486,11 @@ def run_loopless(ms: MemoryStructure, s: Stmt, trace: dict[int, int] | None = No
     return _run(ms, s, _LEAST, trace)[0]
 
 
-def run_all(ms: MemoryStructure, s: Stmt) -> frozenset:
-    """All outcomes under nondeterministic allocation: memory structures
-    plus ABORT if some run aborts."""
-    return frozenset(_run(ms, s, _EVERY))
+def run_all(ms: MemoryStructure, s: Stmt) -> tuple:
+    """All outcomes under nondeterministic allocation, each once, in the
+    order of the runs (lesser pool cells first): memory structures, then
+    ABORT if some run aborts."""
+    return tuple(dict.fromkeys(_run(ms, s, _EVERY)))
 
 
 def run_labeled(ms: MemoryStructure, s: Stmt, d: Mapping[int, int]):

@@ -334,7 +334,7 @@ def test_flat_block_is_not_nested(capsys, tmp_path):
     m = mem(alloc=1, pool=2, variables={"x": 3})
     out = run_loopless(m, s)
     assert out.var("x") == out.null()
-    assert run_all(m, s) == frozenset({out})
+    assert run_all(m, s) == (out,)
     assert theta_full(s, TRUE, HEAP).formula is not None
     prog = tmp_path / "flat.prog"
     prog.write_text("FIELDS f\nVARS x y\nNODE a\nNODE b\nEDGE a -> b { " + body + " }\n")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from reachdl.memory import HeapVocabulary, MemoryStructure, make_memory
@@ -199,3 +204,31 @@ def test_write_then_dispose_vc_agrees_with_inductive(code, cnt_a, cnt_b, want):
     all_valid = all(e.verdict == "valid-up-to-bound" for e in check_all_vcs(prog, 2))
     inductive, _ = check_inductive(prog, [], 2)
     assert all_valid == inductive == want
+
+
+WITNESS_SCRIPT = """
+from reachdl.parser import parse_program_file, structure_to_text
+from reachdl.vc import check_inductive
+prog = parse_program_file(
+    "FIELDS f\\nVARS x y\\nCONCEPTS P1\\nFORMULA pa: top <= top\\n"
+    "FORMULA pb: x <= null\\nNODE a cnt=pa\\nNODE b cnt=pb\\n"
+    "EDGE a -> b { x := new }\\n")
+ok, witness = check_inductive(prog, [], 2, min_pool=2)
+print(ok, witness.edge)
+print(structure_to_text(witness.after), end="")
+"""
+
+
+def test_inductive_witness_independent_of_hash_seed():
+    """The pre-state has two pool cells, so `x := new` has two failing
+    outcomes; the witness is the run allocating the lesser cell, whatever
+    the hash seed (a set of outcomes was iterated in hash order)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", WITNESS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("False ('a', 'b')\n") and "NOMINAL x = 3\n" in outs[0]
