@@ -292,7 +292,9 @@ class MemorySearch:
     formulas or the caller need and pinning everything else.
 
     extra_nominals range over the whole universe (label constants), and
-    extra_concepts over arbitrary subsets (the R^ext copies)."""
+    extra_concepts over arbitrary subsets (the R^ext copies).  Partitions
+    with fewer than `min_pool` MemPool cells are skipped before any other
+    symbol is assigned."""
 
     heap: HeapVocabulary
     n_addresses: int
@@ -301,6 +303,7 @@ class MemorySearch:
     extra_concepts: tuple[str, ...] = ()
     need_roles: tuple[str, ...] = ()      # code-touched fields to enumerate anyway
     need_nominals: tuple[str, ...] = ()   # code-touched variables
+    min_pool: int = 0
 
     def __iter__(self) -> Iterator[MemoryStructure]:
         heap = self.heap
@@ -326,6 +329,8 @@ class MemorySearch:
                 masks = [0, 0, 0]
                 for a, c in enumerate(colors, start=3):
                     masks[c] |= 1 << a
+                if masks[2].bit_count() < self.min_pool:
+                    continue
                 cons["Alloc"], cons["PossibleTargets"], cons["MemPool"] = masks
                 yield
 

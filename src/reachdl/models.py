@@ -39,7 +39,8 @@ store, and each `search(env)` clears them all first.  Two callers rebind
 symbols without a slot write, so a cell would go stale there; they use the
 kernel uncached: `find_model`'s sliced filter of single-role conjuncts,
 which is evaluated once per nominal placement, and the connectivity check
-(`compile_concept`).
+(`compile_concept`).  `formula_plan` compiles one formula for evaluation
+over the mask views of many structures, clearing its store per structure.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .reach import (ReachAssertion, ReachSpec, check_semi_connected, check_spec,
                     graph_sources, reach_graph)
 from .reduction import semi_formula
 from .structures import (FiniteStructure, at_most, env_structure, eval_formula, exists,
-                         image, invert, types_of_all, update)
+                         image, invert, mask_view, types_of_all, update)
 from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,
                      FOr, Formula, Incl, Nominal, Not, Or, ReachDLError, Role,
                      TOP, Top, Vocabulary, closure_concepts, conjuncts,
@@ -634,6 +635,29 @@ def compile_concept(c: Concept) -> Callable[[dict], int]:
     kernel = Kernel()
     nid = kernel.concept(c)
     return kernel.compile()[nid]
+
+
+def formula_plan(phi: Formula) -> Callable[[FiniteStructure], bool]:
+    """phi compiled once, for evaluation over many structures: the truth of
+    phi in a structure, as `eval_formula` gives it, from the structure's
+    mask view.  The kernel's one store is cleared per structure, so a
+    shared subterm is computed once per structure.  A structure that does
+    not interpret every nominal of phi goes to `eval_formula`, which
+    raises where its evaluation reaches the missing one."""
+    kernel = Kernel({})
+    nid = kernel.root(kernel.formula(phi))
+    fn = kernel.compile()[nid]
+    stores = kernel.stores.values()
+    nominals = formula_symbols(phi)["nominals"]
+
+    def holds(m: FiniteStructure) -> bool:
+        if not nominals <= m.nominals.keys():
+            return eval_formula(m, phi)
+        for store in stores:
+            store.clear()
+        return fn(mask_view(m))
+
+    return holds
 
 
 def functional_selectors(n: int) -> list[list[int]]:

@@ -392,11 +392,9 @@ def _set_var(ms: MemoryStructure, var: str, val: int) -> MemoryStructure:
 
 
 def _allocate(ms: MemoryStructure, var: str, cell: int) -> MemoryStructure:
-    fs = ms.fs
-    fs = fs.with_concept("MemPool", ms.pool() - {cell})
-    fs = fs.with_concept("Alloc", ms.alloc() | {cell})
-    fs = fs.with_nominal(var, cell)
-    return ms.with_fs(fs)
+    return ms.with_fs(ms.fs.with_symbols(
+        concepts={"MemPool": ms.pool() - {cell}, "Alloc": ms.alloc() | {cell}},
+        nominals={var: cell}))
 
 
 # Allocation and read policies: the least pool cell, every pool cell (one

@@ -4,7 +4,11 @@ A FiniteStructure interprets concept names as element sets, role names as
 pair sets and nominal names as single elements.  Concept and role names
 without an entry are interpreted as empty; a nominal used in a formula must
 be interpreted.  Structures are immutable and hashable so they can be used
-in fixpoint detection and deduplication.
+in fixpoint detection and deduplication.  The constructor validates every
+entry; `with_symbols` (under `with_nominal`, `with_concept`, `with_role`
+and `with_function_value`) validates only the entries it adds or
+replaces, and `env_structure` trusts its env: both build the result
+without a whole-structure check.
 
 Evaluation runs on bitmasks.  `mask_view(m)` is m in the layout of the
 staged search's env (models.StagedSearch): bit i stands for m.universe[i],
@@ -17,7 +21,10 @@ models.Kernel shares.  Inclusions and equalities evaluate both sides, and
 FAnd / FOr short-circuit, so a missing nominal raises MissingNominalError
 exactly where evaluation reaches it.  `eval_concept`, `eval_formula`,
 `type_of` and `types_of_all` build one evaluator per call; a caller that
-evaluates several formulas over one structure holds one Evaluator.
+evaluates several formulas over one structure holds one Evaluator, and
+one that evaluates one formula over many structures compiles it once
+into a kernel plan (`models.formula_plan`) and runs that on each
+structure's mask view.
 """
 
 from __future__ import annotations
@@ -97,20 +104,23 @@ class FiniteStructure:
 
     # -- functional-update helpers (used by the operational semantics)
 
+    def with_symbols(self, **entries: Mapping) -> "FiniteStructure":
+        """The structure with the entries of `concepts`, `roles` and
+        `nominals` added or replaced; only they are validated."""
+        if not any(entries.values()):
+            return self
+        new = FiniteStructure(self.universe, **entries)
+        return _trusted(self.universe, {**self.concepts, **new.concepts},
+                        {**self.roles, **new.roles}, {**self.nominals, **new.nominals})
+
     def with_nominal(self, name: str, elem: int) -> "FiniteStructure":
-        noms = dict(self.nominals)
-        noms[name] = elem
-        return FiniteStructure(self.universe, self.concepts, self.roles, noms)
+        return self.with_symbols(nominals={name: elem})
 
     def with_concept(self, name: str, ext: Iterable[int]) -> "FiniteStructure":
-        cons = dict(self.concepts)
-        cons[name] = frozenset(ext)
-        return FiniteStructure(self.universe, cons, self.roles, self.nominals)
+        return self.with_symbols(concepts={name: ext})
 
     def with_role(self, name: str, pairs: Iterable[tuple[int, int]]) -> "FiniteStructure":
-        rols = dict(self.roles)
-        rols[name] = frozenset(pairs)
-        return FiniteStructure(self.universe, self.concepts, rols, self.nominals)
+        return self.with_symbols(roles={name: pairs})
 
     def with_function_value(self, role_name: str, src: int, tgt: int) -> "FiniteStructure":
         """Override the unique out-edge of src in a functional role."""
@@ -135,6 +145,16 @@ class FiniteStructure:
         for n in sorted(vocab.nominals):
             if n not in self.nominals:
                 raise MissingNominalError(f"nominal {n} is not interpreted")
+
+
+def _trusted(universe: tuple[int, ...], concepts: dict[str, frozenset[int]],
+             roles: dict[str, frozenset[tuple[int, int]]],
+             nominals: dict[str, int]) -> FiniteStructure:
+    """A structure from fields already in their stored form, not validated:
+    for fields taken from valid structures or read off a search env."""
+    m = object.__new__(FiniteStructure)
+    m.__dict__.update(universe=universe, concepts=concepts, roles=roles, nominals=nominals)
+    return m
 
 
 def structure(universe: Iterable[int], concepts: Mapping[str, Iterable[int]] | None = None,
@@ -163,6 +183,9 @@ class _OnFirstRead(dict):
     def __missing__(self, key: str) -> object:
         value = self[key] = self.build(key)
         return value
+
+    def get(self, key: str, default: object = None) -> object:
+        return self[key]
 
 
 def mask_view(m: FiniteStructure) -> dict:
@@ -206,7 +229,7 @@ def env_structure(env: dict, concepts: Iterable[str], roles: Iterable[str]) -> F
     rels = {name: frozenset((u, v) for u, row in enumerate(env["rsucc"][name])
                             for v in _mask_bits(row))
             for name in roles}
-    return FiniteStructure(tuple(range(env["n"])), cons, rels, dict(env["noms"]))
+    return _trusted(tuple(range(env["n"])), cons, rels, dict(env["noms"]))
 
 
 # ---------------------------------------------------------------------------

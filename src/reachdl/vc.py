@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .memory import MemorySearch, MemoryStructure
+from .models import formula_plan
 from .programs import (ABORT, Program, Stmt, labels_of, reach_sets,
                        run_all, run_labeled, touched_symbols)
 from .structures import FiniteStructure, eval_formula
@@ -165,12 +166,8 @@ def _rem_variants(m2: MemoryStructure, rem_concepts: list[str],
                   for _ in rem_roles]
     for cvals in product(*cons_pools) if rem_concepts else [()]:
         for rvals in product(*role_pools) if rem_roles else [()]:
-            fs = m2.fs
-            for name, v in zip(rem_concepts, cvals):
-                fs = fs.with_concept(name, v)
-            for name, v in zip(rem_roles, rvals):
-                fs = fs.with_role(name, v)
-            yield m2.with_fs(fs)
+            yield m2.with_fs(m2.fs.with_symbols(concepts=dict(zip(rem_concepts, cvals)),
+                                                roles=dict(zip(rem_roles, rvals))))
 
 
 def _subsets(items):
@@ -185,7 +182,9 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
     the initial annotations, and for every edge, every annotated structure
     with at most `bound` address cells steps only into structures
     satisfying the head annotations (over all allocation choices and all
-    post-values of the unconstrained relations)."""
+    post-values of the unconstrained relations).  The search skips
+    pre-states with fewer than `min_pool` pool cells, and each edge's head
+    annotation is compiled once (`models.formula_plan`)."""
     initial = FAnd(*_annotations(prog, prog.initial))
     for m in init:
         if not eval_formula(m.fs, initial):
@@ -196,6 +195,7 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
         t_shp, t_cnt = _annotations(prog, tail)
         h_shp, h_cnt = _annotations(prog, head)
         head_ann = FAnd(h_shp, h_cnt)
+        holds = formula_plan(head_ann)
         head_syms = formula_symbols(head_ann)
         rem_concepts = [c for c in heap.data_concepts if c in head_syms["concepts"]]
         rem_roles = [r for r in heap.data_roles if r in head_syms["roles"]]
@@ -204,7 +204,8 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
         for n_addr in range(1, bound + 1):
             search = MemorySearch(heap, n_addr, (t_shp, t_cnt),
                                   need_roles=tuple(sorted(fields)),
-                                  need_nominals=tuple(sorted(variables)))
+                                  need_nominals=tuple(sorted(variables)),
+                                  min_pool=min_pool)
             for m1 in search:
                 if len(m1.pool()) < min_pool:
                     continue
@@ -212,7 +213,7 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
                     if m2 is ABORT:
                         continue
                     for m2v in _rem_variants(m2, rem_concepts, rem_roles):
-                        if not eval_formula(m2v.fs, head_ann):
+                        if not holds(m2v.fs):
                             return False, InductiveWitness(edge, m1.fs, m2v.fs)
     return True, None
 
@@ -221,11 +222,11 @@ def check_reach_soundness(prog: Program, init: Iterable[MemoryStructure],
                           depth: int, cap: int = 20000) -> bool:
     """The executable shadow of the soundness theorem: every structure
     reached within `depth` steps satisfies the content annotation of its
-    node."""
+    node.  Each node's annotation is compiled once."""
     reached = reach_sets(prog, init, depth, cap=cap, nondet=True)
     for node in sorted(prog.nodes):
-        cnt = prog.cnt.get(node, TRUE)
+        holds = formula_plan(prog.cnt.get(node, TRUE))
         for m in reached[node]:
-            if not eval_formula(m.fs, cnt):
+            if not holds(m.fs):
                 return False
     return True

@@ -12,7 +12,7 @@ from reachdl.syntax import (And, AtMost, Atomic, Bot, Eq, Exists, FAnd, FNot,
                             FOr, Incl, Nominal, Not, Or, Role, TOP, Top,
                             UpdatePoint, Vocabulary, closure_concepts,
                             concepts_of, exactly, inv, map_concept, map_sides,
-                            role, to_text)
+                            ReachDLError, role, to_text)
 from reachdl.wp import eliminate_updates
 from gen import random_formula, random_structure
 
@@ -272,6 +272,23 @@ def test_evaluator_computes_each_subterm_once():
     assert ev.computed == 8  # only the new inclusion: its left side decides
     assert ev.formula(Incl(Or(c, Atomic("A")), TOP)) is True
     assert ev.computed == 11  # Or, Top, Incl
+
+
+def test_with_symbols_validates_the_new_entries():
+    """A with_* update checks the entry it adds or replaces (the rest came
+    from a valid structure); the constructor checks every entry."""
+    m = structure(range(3), {"A": {0}}, {"r": {(0, 1)}}, {"o": 2})
+    updates = [lambda: m.with_nominal("o", 3), lambda: m.with_concept("B", {0, 5}),
+               lambda: m.with_role("r", {(0, 1), (1, 4)}),
+               lambda: m.with_function_value("r", 0, 7),
+               lambda: FiniteStructure((0, 1), {"A": frozenset({0})}, {"r": {(1, 2)}})]
+    for bad in updates:
+        with pytest.raises(ReachDLError, match="outside the universe"):
+            bad()
+    assert m.with_symbols(concepts={"A": {1}}, nominals={"p": 0}) == structure(
+        range(3), {"A": {1}}, {"r": {(0, 1)}}, {"o": 2, "p": 0})
+    assert m.with_role("r", ()).with_concept("B", ()) == structure(range(3), {"A": {0}},
+                                                                   {}, {"o": 2})
 
 
 def test_mask_view_inverts_to_the_structure():

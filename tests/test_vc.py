@@ -1,17 +1,25 @@
 import os
+from copy import deepcopy
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from reachdl.memory import HeapVocabulary, MemoryStructure, make_memory
+from reachdl.memory import (HeapVocabulary, MemorySearch, MemoryStructure,
+                            PoolExhaustedError, make_memory)
+from reachdl.models import formula_plan
 from reachdl.parser import parse_formula, parse_program_file
-from reachdl.programs import Program, relabel, Assign, NullE, Skip, New
-from reachdl.structures import eval_formula
-from reachdl.syntax import TRUE, to_text
-from reachdl.vc import (MissingAnnotationError, check_all_vcs, check_inductive,
-                        check_reach_soundness, check_vc, vc_formula)
+from reachdl.programs import ABORT, Program, relabel, Assign, NullE, Skip, New, run_all
+from reachdl.structures import MissingNominalError, eval_formula
+from reachdl.syntax import (FAnd, FNot, FOr, Incl, Eq, Not, TRUE, Vocabulary,
+                            to_text)
+from reachdl.vc import (MissingAnnotationError, _rem_variants, check_all_vcs,
+                        check_inductive, check_reach_soundness, check_vc,
+                        vc_formula)
+from gen import (DEFAULT_HEAP, random_concept, random_formula, random_heap_formula,
+                 random_memory, random_program_stmt)
 
 HEAP = HeapVocabulary(fields=("f",), variables=("x", "y"), data_concepts=("P1",))
 V = HEAP.vocabulary()
@@ -232,3 +240,58 @@ def test_inductive_witness_independent_of_hash_seed():
         outs.append(run.stdout)
     assert outs[0] == outs[1]
     assert outs[0].startswith("False ('a', 'b')\n") and "NOMINAL x = 3\n" in outs[0]
+
+
+def _plan_formulas(rng, heap, count):
+    """Random annotations, formulas that also name a concept and a nominal
+    no structure interprets, and formulas sharing subterms (one object
+    read twice, and a structurally equal copy)."""
+    vocab = heap.annotation_vocabulary()
+    wider = Vocabulary(vocab.concepts | {"Q"}, vocab.roles, vocab.functional,
+                       vocab.nominals | {"w"})
+    out = []
+    for _ in range(count):
+        out.append(random_heap_formula(rng, heap))
+        out.append(random_formula(rng, wider, depth=1, cdepth=2))
+        c, d = random_concept(rng, vocab, 2), random_concept(rng, vocab, 2)
+        out.append(FAnd(FOr(Incl(c, d), Eq(d, Not(c))), FNot(Incl(deepcopy(c), Not(d)))))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MissingNominalError:
+        return "missing"
+
+
+def _assert_plans_agree(plans, structures):
+    for phi, plan in plans:
+        for m in structures:
+            assert _outcome(plan, m.fs) == _outcome(eval_formula, m.fs, phi), \
+                (to_text(phi), m.fs)
+
+
+def test_formula_plan_matches_eval_formula():
+    """One plan per formula, evaluated over many structures, agrees with a
+    fresh evaluator on each: the structures MemorySearch yields, the
+    outcomes of random statements, and their _rem_variants."""
+    rng = random.Random("formula-plan")
+    heap = HEAP
+    plans = [(phi, formula_plan(phi)) for phi in _plan_formulas(rng, heap, 6)]
+    for n_addr in (1, 2):
+        for _ in range(2):
+            search = MemorySearch(heap, n_addr, (random_heap_formula(rng, heap),))
+            _assert_plans_agree(plans, list(search))
+    heap = DEFAULT_HEAP
+    plans = [(phi, formula_plan(phi)) for phi in _plan_formulas(rng, heap, 6)]
+    for _ in range(30):
+        m = random_memory(rng, heap, max_cells=4)
+        try:
+            outs = [m2 for m2 in run_all(m, random_program_stmt(rng, heap, 3))
+                    if m2 is not ABORT]
+        except PoolExhaustedError:
+            continue
+        _assert_plans_agree(plans, outs)
+        for m2 in outs[:2]:
+            _assert_plans_agree(plans, list(_rem_variants(m2, ["P1"], [])))
