@@ -296,7 +296,7 @@ def _wp_trace(res, phi, heap) -> list[str]:
 
 
 def _load_memory(path: str, prog) -> MemoryStructure:
-    ms = parse_memory_file(Path(path).read_text())
+    ms = parse_memory_file(Path(path).read_text(), prog.heap)
     return MemoryStructure(prog.heap, ms.fs).check(min_pool=0)
 
 

@@ -412,11 +412,12 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in re.findall(r"-?\d+", text)]
 
 
-def _read_structure(text: str, memory: bool):
+def _read_structure(text: str, memory: bool, heap: HeapVocabulary | None = None):
     """The structure and memory file reader; heap declarations are read in
     memory files only.  Returns the vocabulary, the structure, and for a
     memory file or one with a MEMORY header the memory structure, validated
-    once: against the declared heap, or else the inferred one."""
+    once: against the declared heap, or else `heap`, or else the inferred
+    one."""
     universe: tuple[int, ...] | None = None
     concepts: dict[str, frozenset[int]] = {}
     roles: dict[str, frozenset[tuple[int, int]]] = {}
@@ -455,6 +456,7 @@ def _read_structure(text: str, memory: bool):
     fs = FiniteStructure(universe, concepts, roles, nominals)
     if decls:
         heap = HeapVocabulary(**{key: tuple(names) for key, names in decls.items()})
+    if heap is not None:
         return vocab, fs, MemoryStructure(heap, fs).check(min_pool=0)
     return vocab, fs, infer_memory(fs) if memory or saw_memory else None
 
@@ -463,10 +465,11 @@ def parse_structure_file(text: str) -> tuple[Vocabulary, FiniteStructure]:
     return _read_structure(text, memory=False)[:2]
 
 
-def parse_memory_file(text: str) -> MemoryStructure:
+def parse_memory_file(text: str, heap: HeapVocabulary | None = None) -> MemoryStructure:
     """A structure file with a MEMORY header and optional heap declaration
-    lines; without declarations the heap vocabulary is inferred."""
-    return _read_structure(text, memory=True)[2]
+    lines; without declarations it is read against `heap`, if given, and
+    otherwise the heap vocabulary is inferred."""
+    return _read_structure(text, memory=True, heap=heap)[2]
 
 
 def structure_to_text(fs: FiniteStructure, functional: frozenset[str] = frozenset(),

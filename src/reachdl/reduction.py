@@ -578,15 +578,10 @@ def bc_lift(phi: Formula, m: FiniteStructure) -> tuple[FiniteStructure, Formula,
     info = BCInfo()
     assign: dict[str, object] = {}
     psi = _bc(expand_eq(phi), info, ev, assign)
-    concepts = dict(m.concepts)
-    roles = dict(m.roles)
-    nominals = dict(m.nominals)
     fallback = min(m.universe) if m.universe else 0
-    for name in info.nominals:
-        nominals[name] = assign.get(name, fallback)  # type: ignore[assignment]
-    for name in info.roles:
-        roles[name] = assign.get(name, frozenset())  # type: ignore[assignment]
-    return FiniteStructure(m.universe, concepts, roles, nominals), psi, info
+    lifted = m.with_symbols(roles={name: assign.get(name, frozenset()) for name in info.roles},
+                            nominals={name: assign.get(name, fallback) for name in info.nominals})
+    return lifted, psi, info
 
 
 # ---------------------------------------------------------------------------

@@ -333,21 +333,41 @@ def test_bad_input_exit_2_one_line(capsys, tmp_path, case):
     assert _one_error_line(capsys) == f"error: {message}\n"
 
 
-def test_memory_file_declares_data_roles(capsys, tmp_path):
-    """A declared heap is applied before the file is validated, so a data
-    role need not be total like a field."""
+ROLES_MEMORY = ("UNIVERSE 0..4\n"
+                "CONCEPT Addresses: 3 4\nCONCEPT Alloc: 3 4\nCONCEPT Aux: 0 1 2\n"
+                "CONCEPT MemPool:\nCONCEPT PossibleTargets:\n"
+                "FROLE f: (3,0) (4,0)\nFROLE f_gho: (3,0) (4,0)\n"
+                "ROLE r: (3,3)\nROLE r_gho: (3,3)\n"
+                "NOMINAL null = 0\nNOMINAL T = 1\nNOMINAL F = 2\n"
+                "NOMINAL x = 3\nNOMINAL x_gho = 3\n")
+
+
+def _roles_files(tmp_path, declarations):
     prog = tmp_path / "p.prog"
     prog.write_text("FIELDS f\nVARS x\nROLES r\nNODE a\nNODE b\nEDGE a -> b { skip }\n")
     mem = tmp_path / "m.mem"
-    mem.write_text("MEMORY\nFIELDS f\nVARS x\nROLES r\nUNIVERSE 0..4\n"
-                   "CONCEPT Addresses: 3 4\nCONCEPT Alloc: 3 4\nCONCEPT Aux: 0 1 2\n"
-                   "CONCEPT MemPool:\nCONCEPT PossibleTargets:\n"
-                   "FROLE f: (3,0) (4,0)\nFROLE f_gho: (3,0) (4,0)\n"
-                   "ROLE r: (3,3)\nROLE r_gho: (3,3)\n"
-                   "NOMINAL null = 0\nNOMINAL T = 1\nNOMINAL F = 2\n"
-                   "NOMINAL x = 3\nNOMINAL x_gho = 3\n")
-    rc, out = run(capsys, "run", str(prog), str(mem), "--path", "a,b")
+    mem.write_text("MEMORY\n" + declarations + ROLES_MEMORY)
+    return str(prog), str(mem)
+
+
+def test_memory_file_declares_data_roles(capsys, tmp_path):
+    """A declared heap is applied before the file is validated, so a data
+    role need not be total like a field."""
+    prog, mem = _roles_files(tmp_path, "FIELDS f\nVARS x\nROLES r\n")
+    rc, out = run(capsys, "run", prog, mem, "--path", "a,b")
     assert rc == 0 and "ROLE r: (3,3)" in out
+
+
+@pytest.mark.parametrize("verb, args, want", [
+    ("run", ["--path", "a,b"], "ROLE r: (3,3)"),
+    ("reach", ["--depth", "1"], "REACH_OK"),
+])
+def test_undeclared_memory_file_read_against_program_heap(capsys, tmp_path, verb, args, want):
+    """Without declarations a memory file is validated against the
+    program's heap, so its data role is not taken for a field."""
+    prog, mem = _roles_files(tmp_path, "")
+    rc, out = run(capsys, verb, prog, mem, *args)
+    assert rc == 0 and want in out
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
