@@ -174,7 +174,8 @@ def structure(universe: Iterable[int], concepts: Mapping[str, Iterable[int]] | N
 
 
 class _OnFirstRead(dict):
-    """A dict that builds a missing entry with `build(key)` when it is read."""
+    """A dict that builds a missing entry with `build(key)` when it is read,
+    by `[]` or by `get` (the kernel's atom leaf reads with `get`)."""
 
     def __init__(self, build: Callable[[str], object]) -> None:
         super().__init__()
