@@ -2,6 +2,15 @@
 ghost copies, the axiom checker, builders, and an enumerator over small
 memory structures used by the verification-condition search.
 
+A `MemoryStructure` is the heap layer's state, and it holds masks: the
+stored form is the staged search's env layout (element masks, successor
+rows, nominal bits over one universe), hashed by a tuple of ints.  The
+search yields states that wrap a snapshot of its env, the step relation
+(programs) and `vc` build new states by replacing masks, and annotation
+plans (`models.formula_plan`) read them directly.  The FiniteStructure of
+a state (`fs`) is built only when it is read: for a witness, a printed
+state, I/O, or the axiom checker.
+
 `MemorySearch` is a list of slots over `models.StagedSearch`, in this
 order: the Alloc/PossibleTargets/MemPool partition of the addresses, then
 one slot each for the variables, fields, data concepts, data roles,
@@ -16,11 +25,13 @@ checker takes the required reserve as a parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import cached_property
+from itertools import product, repeat
 from typing import Iterable, Iterator, Mapping
 
 from .models import StagedSearch, symbol_slot
-from .structures import FiniteStructure, env_structure
+from .structures import (FiniteStructure, MissingNominalError, element_mask, from_masks,
+                         mask_bits, successor_rows)
 from .syntax import Formula, ReachDLError, Vocabulary, conj, formula_symbols
 
 GHOST_SUFFIX = "_gho"
@@ -98,6 +109,13 @@ class HeapVocabulary:
             functional=frozenset(self.all_fieldlike()),
             nominals=frozenset(self.all_nominals()))
 
+    @cached_property
+    def state_names(self) -> tuple[dict[str, None], dict[str, None], dict[str, None]]:
+        """The concept, role and nominal names of the heap, in the order a
+        state's key lists their values (dicts, for set tests on names)."""
+        return (dict.fromkeys(self.all_concepts()), dict.fromkeys(self.all_roles()),
+                dict.fromkeys(self.all_nominals()))
+
     def annotation_vocabulary(self) -> Vocabulary:
         """The vocabulary annotations and postconditions may use: the pool
         bookkeeping symbols are excluded (the step relation moves cells
@@ -107,45 +125,111 @@ class HeapVocabulary:
                           vocab.roles, vocab.functional, vocab.nominals)
 
 
-@dataclass(frozen=True)
 class MemoryStructure:
-    heap: HeapVocabulary
-    fs: FiniteStructure
+    """A heap state, stored as masks in the layout of the search's env
+    (models.StagedSearch): `elements` is the universe, bit i standing for
+    elements[i], and `index` maps an element to its bit; `cons` maps a
+    concept to its element mask, `rsucc` a role to a tuple of successor
+    masks, one per element, and `noms` a nominal to its bit.  A name has an
+    entry iff the state interprets it (an empty concept may have one, as in
+    a file).  States are immutable: the step builds a new state that shares
+    every dict it leaves unchanged.
+
+    Equality and hashing read `key`, one tuple of ints built on first use
+    (see `_state_key`), so two states of one heap are equal iff their
+    structures are.  `fs`, the FiniteStructure, is built on first read and
+    cached; `MemoryStructure(heap, fs)` keeps the fs it is given."""
+
+    __slots__ = ("heap", "elements", "index", "cons", "rsucc", "noms", "_key", "_hash", "_fs")
+
+    def __init__(self, heap: HeapVocabulary, fs: FiniteStructure) -> None:
+        index = {u: i for i, u in enumerate(fs.universe)}
+        _fill(self, heap, fs.universe, index,
+              {name: element_mask(index, ext) for name, ext in fs.concepts.items()},
+              {name: tuple(successor_rows(index, pairs)) for name, pairs in fs.roles.items()},
+              {name: index[e] for name, e in fs.nominals.items()})
+        self._fs = fs
+
+    def _with(self, cons: dict | None = None, rsucc: dict | None = None,
+              noms: dict | None = None) -> "MemoryStructure":
+        """The state with the given tables replaced (trusted, not checked)."""
+        return _fill(object.__new__(MemoryStructure), self.heap, self.elements, self.index,
+                     self.cons if cons is None else cons,
+                     self.rsucc if rsucc is None else rsucc,
+                     self.noms if noms is None else noms)
+
+    @property
+    def fs(self) -> FiniteStructure:
+        fs = self._fs
+        if fs is None:
+            fs = self._fs = from_masks(self.elements, self.cons, self.rsucc, self.noms)
+        return fs
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        key = self._key
+        if key is None:
+            key = self._key = _state_key(self)
+        return key
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (type(other) is MemoryStructure and self.key == other.key
+                                 and (self.heap is other.heap or self.heap == other.heap))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.key)
+        return h
+
+    def __repr__(self) -> str:
+        return f"MemoryStructure({self.heap!r}, {self.fs!r})"
 
     # -- accessors
 
     def universe(self) -> tuple[int, ...]:
-        return self.fs.universe
+        return self.elements
+
+    def bit(self, name: str) -> int:
+        """The bit of nominal `name`."""
+        try:
+            return self.noms[name]
+        except KeyError:
+            raise MissingNominalError(f"nominal {name} is not interpreted") from None
+
+    def _cells(self, concept: str) -> frozenset[int]:
+        elements = self.elements
+        return frozenset(elements[i] for i in mask_bits(self.cons.get(concept, 0)))
 
     def null(self) -> int:
-        return self.fs.nominal_elem("null")
+        return self.var("null")
 
     def true_elem(self) -> int:
-        return self.fs.nominal_elem("T")
+        return self.var("T")
 
     def false_elem(self) -> int:
-        return self.fs.nominal_elem("F")
+        return self.var("F")
 
     def alloc(self) -> frozenset[int]:
-        return self.fs.concept_ext("Alloc")
+        return self._cells("Alloc")
 
     def pool(self) -> frozenset[int]:
-        return self.fs.concept_ext("MemPool")
+        return self._cells("MemPool")
 
     def targets(self) -> frozenset[int]:
-        return self.fs.concept_ext("PossibleTargets")
+        return self._cells("PossibleTargets")
 
     def addresses(self) -> frozenset[int]:
-        return self.fs.concept_ext("Addresses")
+        return self._cells("Addresses")
 
     def var(self, name: str) -> int:
-        return self.fs.nominal_elem(name)
+        return self.elements[self.bit(name)]
 
     def field_value(self, field: str, src: int) -> int | None:
-        return self.fs.function_value(field, src)
-
-    def with_fs(self, fs: FiniteStructure) -> "MemoryStructure":
-        return MemoryStructure(self.heap, fs)
+        rows, bit = self.rsucc.get(field), self.index.get(src)
+        if rows is None or bit is None or not rows[bit]:
+            return None
+        return self.elements[rows[bit].bit_length() - 1]
 
     # -- axioms
 
@@ -205,6 +289,52 @@ class MemoryStructure:
         if bad:
             raise MemoryAxiomError("; ".join(bad))
         return self
+
+
+def _fill(ms: MemoryStructure, heap: HeapVocabulary, elements: tuple[int, ...],
+          index: dict[int, int], cons: dict[str, int], rsucc: dict[str, tuple[int, ...]],
+          noms: dict[str, int]) -> MemoryStructure:
+    ms.heap, ms.elements, ms.index = heap, elements, index
+    ms.cons, ms.rsucc, ms.noms = cons, rsucc, noms
+    ms._key = ms._hash = ms._fs = None
+    return ms
+
+
+def _name_int(name: str) -> int:
+    """An int that only `name` maps to."""
+    return int.from_bytes(b"\x01" + name.encode("utf-8", "surrogatepass"), "big")
+
+
+def _state_key(ms: MemoryStructure) -> tuple[int, ...]:
+    """The ints a state's structure is read off: the universe size and
+    elements, then the mask of every concept, the successor rows of every
+    role and the bit of every nominal (-1 when missing) in the heap's
+    `state_names` order, a missing concept or role counting as empty.
+    Names outside the heap follow, sorted, each as a marker, the name as an
+    int, and its value: a concept with a non-empty mask (-1), a role with a
+    non-empty row (-2), every nominal (-3).  No string is hashed, so a
+    state's hash is the same under every hash seed."""
+    concepts, roles, nominals = ms.heap.state_names
+    cons, rsucc, noms, elements = ms.cons, ms.rsucc, ms.noms, ms.elements
+    n = len(elements)
+    key = [n, *elements]
+    key += map(cons.get, concepts, repeat(0))
+    zero = (0,) * n
+    for name in roles:
+        key += rsucc.get(name, zero)
+    key += map(noms.get, nominals, repeat(-1))
+    if not cons.keys() <= concepts.keys():
+        for name in sorted(cons.keys() - concepts.keys()):
+            if cons[name]:
+                key += (-1, _name_int(name), cons[name])
+    if not rsucc.keys() <= roles.keys():
+        for name in sorted(rsucc.keys() - roles.keys()):
+            if any(rsucc[name]):
+                key += (-2, _name_int(name), *rsucc[name])
+    if not noms.keys() <= nominals.keys():
+        for name in sorted(noms.keys() - nominals.keys()):
+            key += (-3, _name_int(name), noms[name])
+    return tuple(key)
 
 
 def make_memory(heap: HeapVocabulary, alloc: int = 1, targets: int = 0, pool: int = 8,
@@ -372,10 +502,10 @@ class MemorySearch:
                      "cons": {"Aux": 0b111, "Addresses": full & ~0b111}, "rsucc": {}}
         for f in heap.all_fieldlike():
             if f not in fields_on:
-                env["rsucc"][f] = [1 if 3 <= u < n else 0 for u in range(n)]
+                env["rsucc"][f] = tuple(1 if 3 <= u < n else 0 for u in range(n))
         for r in heap.all_roles():
             if r not in fieldlike and r not in droles_on:
-                env["rsucc"][r] = [0] * n
+                env["rsucc"][r] = (0,) * n
         for v in heap.all_nominals():
             if v not in RESERVED_NOMINALS and v not in vars_on:
                 env["noms"][v] = 0
@@ -383,7 +513,10 @@ class MemorySearch:
             if c not in REQUIRED_CONCEPTS and c not in cons_on:
                 env["cons"][c] = 0
 
-        concepts = heap.all_concepts() + self.extra_concepts
-        roles = heap.all_roles()
+        # each state wraps a snapshot of the env; the search rebinds its
+        # symbols in place, but never mutates a row
+        universe = tuple(range(n))
+        index = {u: u for u in universe}
         for _ in StagedSearch(slots, self.formulas).search(env):
-            yield MemoryStructure(heap, env_structure(env, concepts, roles))
+            yield _fill(object.__new__(MemoryStructure), heap, universe, index,
+                        dict(env["cons"]), dict(env["rsucc"]), dict(env["noms"]))

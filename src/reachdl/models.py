@@ -55,7 +55,7 @@ from .reach import (ReachAssertion, ReachSpec, check_semi_connected, check_spec,
                     graph_sources, reach_graph)
 from .reduction import semi_formula
 from .structures import (FiniteStructure, at_most, env_structure, eval_formula, exists,
-                         image, invert, mask_view, types_of_all, update)
+                         image, invert, types_of_all, update)
 from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,
                      FOr, Formula, Incl, Nominal, Not, Or, ReachDLError, Role,
                      TOP, Top, Vocabulary, closure_concepts, conjuncts,
@@ -637,25 +637,32 @@ def compile_concept(c: Concept) -> Callable[[dict], int]:
     return kernel.compile()[nid]
 
 
-def formula_plan(phi: Formula) -> Callable[[FiniteStructure], bool]:
-    """phi compiled once, for evaluation over many structures: the truth of
-    phi in a structure, as `eval_formula` gives it, from the structure's
-    mask view.  The kernel's one store is cleared per structure, so a
-    shared subterm is computed once per structure.  A structure that does
-    not interpret every nominal of phi goes to `eval_formula`, which
-    raises where its evaluation reaches the missing one."""
+def formula_plan(phi: Formula) -> Callable[[object], bool]:
+    """phi compiled once, for evaluation over many heap states
+    (memory.MemoryStructure): the truth of phi in a state, as
+    `eval_formula` gives it on the state's structure, read off the state's
+    masks.  The kernel's one store is cleared per state, so a shared
+    subterm is computed once per state; a role the state has no entry for
+    reads as empty.  A state that does not interpret every nominal of phi
+    goes to `eval_formula` on its structure, which raises where its
+    evaluation reaches the missing one."""
     kernel = Kernel({})
     nid = kernel.root(kernel.formula(phi))
     fn = kernel.compile()[nid]
     stores = kernel.stores.values()
-    nominals = formula_symbols(phi)["nominals"]
+    syms = formula_symbols(phi)
+    nominals, roles = syms["nominals"], syms["roles"]
 
-    def holds(m: FiniteStructure) -> bool:
-        if not nominals <= m.nominals.keys():
-            return eval_formula(m, phi)
+    def holds(m) -> bool:
+        if not nominals <= m.noms.keys():
+            return eval_formula(m.fs, phi)
+        rsucc = m.rsucc
+        if not roles <= rsucc.keys():
+            rsucc = {**dict.fromkeys(roles, (0,) * len(m.elements)), **rsucc}
         for store in stores:
             store.clear()
-        return fn(mask_view(m))
+        return fn({"full": (1 << len(m.elements)) - 1, "noms": m.noms, "cons": m.cons,
+                   "rsucc": rsucc})
 
     return holds
 

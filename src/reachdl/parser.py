@@ -395,6 +395,8 @@ def parse_spec_file(text: str, base: Vocabulary | None = None):
 # ---------------------------------------------------------------------------
 # Structure and memory files
 
+# the most elements a UNIVERSE line may give
+MAX_UNIVERSE = 10**6
 _IDS = r"(?:-?\d+(?:\s+-?\d+)*)?"
 # the shape of each structure line after its head word
 _SHAPES = {
@@ -410,6 +412,26 @@ _HEAP_DECLS = {"FIELDS": "fields", "VARS": "variables", "CONCEPTS": "data_concep
 
 def _ints(text: str) -> list[int]:
     return [int(t) for t in re.findall(r"-?\d+", text)]
+
+
+def _universe(m: re.Match, rest: str, lineno: int) -> tuple[int, ...]:
+    """The elements of a UNIVERSE line: at most MAX_UNIVERSE, a range
+    checked before it is built, and none listed twice."""
+    if m[1]:
+        lo, hi = int(m[1]), int(m[2])
+        size, elements = hi - lo + 1, range(lo, hi + 1)
+    else:
+        elements = _ints(rest)
+        size = len(elements)
+    if size > MAX_UNIVERSE:
+        raise ParseError(f"the universe has {size} elements, more than the limit "
+                         f"of {MAX_UNIVERSE}", lineno)
+    universe = tuple(elements)
+    try:
+        FiniteStructure(universe)
+    except ReachDLError as err:
+        raise ParseError(str(err), lineno) from None
+    return universe
 
 
 def _read_structure(text: str, memory: bool, heap: HeapVocabulary | None = None):
@@ -439,7 +461,7 @@ def _read_structure(text: str, memory: bool, heap: HeapVocabulary | None = None)
         if m is None:
             raise ParseError(f"bad {head} line", lineno)
         if head == "UNIVERSE":
-            universe = tuple(range(int(m[1]), int(m[2]) + 1) if m[1] else _ints(rest))
+            universe = _universe(m, rest, lineno)
         elif head == "CONCEPT":
             concepts[m[1]] = frozenset(_ints(m[2]))
         elif head == "NOMINAL":

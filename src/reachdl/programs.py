@@ -20,7 +20,14 @@ record the values it pinned), every pool cell (run_all), and a label
 assignment d that pins every labeled read and allocation (run_labeled).
 Disposing of a cell moves it from Alloc to PossibleTargets and sets its
 fields to null.  The memory axioms allow any field value on a possible
-target; null is the value the dispose row of wp.psi assumes."""
+target; null is the value the dispose row of wp.psi assumes.
+
+The step works on the masks of memory.MemoryStructure: a variable is a
+nominal bit, a field a tuple of successor rows, and allocation and
+disposal move a bit between the MemPool, Alloc and PossibleTargets masks.
+Each command builds a new state that shares the tables it leaves alone;
+no FiniteStructure is built, and `run_all` and `reach_sets` deduplicate
+states by their int keys."""
 
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .memory import MemoryStructure, PoolExhaustedError, HeapVocabulary
+from .structures import mask_bits
 from .syntax import Formula, ReachDLError, Vocabulary
 
 
@@ -144,49 +152,62 @@ class UnallocB:
 BoolExpr = EqB | NotB | AndB | OrB | TrueB | FalseB | UnallocB
 
 
-def eval_expr(ms: MemoryStructure, e: Expr):
-    """Element or ERR.  Bare variable reads are total; a dereference
-    errs when the base is unallocated."""
-    if isinstance(e, VarE):
-        return ms.var(e.name)
-    if isinstance(e, NullE):
-        return ms.null()
-    if isinstance(e, TrueE):
-        return ms.true_elem()
-    if isinstance(e, FalseE):
-        return ms.false_elem()
-    if isinstance(e, FieldE):
-        base = ms.var(e.var)
-        if base not in ms.alloc():
-            return ERR
-        val = ms.field_value(e.fieldname, base)
-        if val is None:
-            raise ReachDLError(f"field {e.fieldname} undefined on {base}")
-        return val
+def _field_bit(ms: MemoryStructure, var: str, fieldname: str):
+    """The bit of var.f in ms, or ERR when var's target is unallocated."""
+    base = ms.bit(var)
+    if not ms.cons.get("Alloc", 0) >> base & 1:
+        return ERR
+    rows = ms.rsucc.get(fieldname)
+    if rows is None or not rows[base]:
+        raise ReachDLError(f"field {fieldname} undefined on {ms.elements[base]}")
+    return rows[base].bit_length() - 1
+
+
+_CONSTANT_NOMINALS = {NullE: "null", TrueE: "T", FalseE: "F"}
+
+
+def _bit(ms: MemoryStructure, e: Expr):
+    """The bit of e's value in ms, or ERR."""
+    t = type(e)
+    if t is VarE:
+        return ms.bit(e.name)
+    if t is FieldE:
+        return _field_bit(ms, e.var, e.fieldname)
+    if t in _CONSTANT_NOMINALS:
+        return ms.bit(_CONSTANT_NOMINALS[t])
     raise TypeError(f"not an expression: {e!r}")  # pragma: no cover
 
 
+def eval_expr(ms: MemoryStructure, e: Expr):
+    """Element or ERR.  Bare variable reads are total; a dereference
+    errs when the base is unallocated."""
+    bit = _bit(ms, e)
+    return bit if bit is ERR else ms.elements[bit]
+
+
 def eval_bool(ms: MemoryStructure, b: BoolExpr):
-    """True, False or ERR; errors propagate strictly."""
-    if isinstance(b, TrueB):
+    """True, False or ERR; errors propagate strictly.  Values are compared
+    as bits, which are distinct for distinct elements."""
+    t = type(b)
+    if t is TrueB:
         return True
-    if isinstance(b, FalseB):
+    if t is FalseB:
         return False
-    if isinstance(b, UnallocB):
-        return ms.var(b.var) not in ms.alloc()
-    if isinstance(b, EqB):
-        l, r = eval_expr(ms, b.left), eval_expr(ms, b.right)
+    if t is UnallocB:
+        return not ms.cons.get("Alloc", 0) >> ms.bit(b.var) & 1
+    if t is EqB:
+        l, r = _bit(ms, b.left), _bit(ms, b.right)
         if l is ERR or r is ERR:
             return ERR
         return l == r
-    if isinstance(b, NotB):
+    if t is NotB:
         v = eval_bool(ms, b.inner)
         return ERR if v is ERR else not v
-    if isinstance(b, (AndB, OrB)):
+    if t is AndB or t is OrB:
         l, r = eval_bool(ms, b.left), eval_bool(ms, b.right)
         if l is ERR or r is ERR:
             return ERR
-        return (l and r) if isinstance(b, AndB) else (l or r)
+        return (l and r) if t is AndB else (l or r)
     raise TypeError(f"not a boolean expression: {b!r}")  # pragma: no cover
 
 
@@ -387,70 +408,85 @@ def touched_symbols(s: Stmt) -> tuple[set[str], set[str]]:
 # The step relation
 
 
-def _set_var(ms: MemoryStructure, var: str, val: int) -> MemoryStructure:
-    return ms.with_fs(ms.fs.with_nominal(var, val))
+def _set_var(ms: MemoryStructure, var: str, bit: int) -> MemoryStructure:
+    return ms._with(noms={**ms.noms, var: bit})
 
 
 def _allocate(ms: MemoryStructure, var: str, cell: int) -> MemoryStructure:
-    return ms.with_fs(ms.fs.with_symbols(
-        concepts={"MemPool": ms.pool() - {cell}, "Alloc": ms.alloc() | {cell}},
-        nominals={var: cell}))
+    b, cons = 1 << cell, ms.cons
+    return ms._with(cons={**cons, "MemPool": cons.get("MemPool", 0) & ~b,
+                          "Alloc": cons.get("Alloc", 0) | b},
+                    noms={**ms.noms, var: cell})
+
+
+def _set_row(ms: MemoryStructure, field: str, cell: int, row: int) -> tuple[int, ...]:
+    """The rows of `field` with the row of bit `cell` replaced."""
+    rows = ms.rsucc.get(field) or (0,) * len(ms.elements)
+    return rows[:cell] + (row,) + rows[cell + 1:]
 
 
 # Allocation and read policies: the least pool cell, every pool cell (one
 # outcome each), or a label assignment d, which pins the value of every
-# labeled field read and the cell of every allocation.
+# labeled field read and the cell of every allocation.  The step works on
+# bits; the policy and the trace speak of elements.
 _LEAST = "least"
 _EVERY = "every"
 
 
 def _pool_cells(ms: MemoryStructure, c: New, policy) -> list[int]:
+    """The bits of the cells `c` may allocate, lesser elements first."""
+    pool = ms.cons.get("MemPool", 0)
     if isinstance(policy, Mapping):
-        cell = policy.get(c.label)
-        return [cell] if cell in ms.pool() else []
-    pool = sorted(ms.pool())
+        cell = ms.index.get(policy.get(c.label))
+        return [cell] if cell is not None and pool >> cell & 1 else []
     if not pool:
         raise PoolExhaustedError("memory pool exhausted (finite stand-in)")
-    return pool if policy == _EVERY else pool[:1]
+    cells = sorted(mask_bits(pool), key=ms.elements.__getitem__)
+    return cells if policy == _EVERY else cells[:1]
 
 
 def _exec(ms: MemoryStructure, c: Stmt, policy, trace: dict[int, int] | None):
-    """One command other than if and new: the structure after it, or ABORT."""
-    if isinstance(c, Skip):
+    """One command other than if and new: the state after it, or ABORT."""
+    t = type(c)
+    if t is Skip:
         return ms
-    if isinstance(c, Assume):
+    if t is Assume:
         return ms if eval_bool(ms, c.cond) is True else ABORT
-    if isinstance(c, (Assign, ReadField)):
-        val = eval_expr(ms, c.expr if isinstance(c, Assign) else FieldE(c.src, c.fieldname))
+    if t is Assign or t is ReadField:
+        val = _bit(ms, c.expr) if t is Assign else _field_bit(ms, c.src, c.fieldname)
         if val is ERR:
             return ABORT
-        if isinstance(c, ReadField):
-            if isinstance(policy, Mapping) and val != policy.get(c.label):
+        if t is ReadField:
+            elem = ms.elements[val]
+            if isinstance(policy, Mapping) and elem != policy.get(c.label):
                 return ABORT
             if trace is not None:
-                trace[c.label] = val
+                trace[c.label] = elem
         return _set_var(ms, c.var, val)
-    cell = ms.var(c.var)
-    if cell not in ms.alloc():
+    cell = ms.bit(c.var)
+    alloc = ms.cons.get("Alloc", 0)
+    if not alloc >> cell & 1:
         return ABORT
-    if isinstance(c, WriteField):
-        val = eval_expr(ms, c.expr)
+    if t is WriteField:
+        val = _bit(ms, c.expr)
         if val is ERR:
             return ABORT
-        return ms.with_fs(ms.fs.with_function_value(c.fieldname, cell, val))
-    if isinstance(c, Dispose):
-        fs = ms.fs.with_concept("Alloc", ms.alloc() - {cell})
-        fs = fs.with_concept("PossibleTargets", ms.targets() | {cell})
+        return ms._with(rsucc={**ms.rsucc, c.fieldname: _set_row(ms, c.fieldname, cell, 1 << val)})
+    if t is Dispose:
+        b, null = 1 << cell, 1 << ms.bit("null")
+        cons = {**ms.cons, "Alloc": alloc & ~b,
+                "PossibleTargets": ms.cons.get("PossibleTargets", 0) | b}
+        rsucc = dict(ms.rsucc)
         for f in ms.heap.fields:
-            fs = fs.with_function_value(f, cell, ms.null())
-        return ms.with_fs(fs)
+            rsucc[f] = _set_row(ms, f, cell, null)
+        return ms._with(cons=cons, rsucc=rsucc)
     raise TypeError(f"not a statement: {c!r}")  # pragma: no cover
 
 
 def _run(ms: MemoryStructure, s: Stmt, policy, trace: dict[int, int] | None = None) -> list:
     """The step relation, written once: the outcomes of running s from ms
     under the policy, folded over s's sequence part by part.  ABORT is
-    listed at most once, after the structures."""
+    listed at most once, after the states."""
     states, aborted = [ms], False
     for c in commands(s, branches=False):
         nxt = []
@@ -462,7 +498,7 @@ def _run(ms: MemoryStructure, s: Stmt, policy, trace: dict[int, int] | None = No
             elif isinstance(c, New):
                 cells = _pool_cells(m, c, policy)
                 if trace is not None and cells:
-                    trace[c.label] = cells[0]
+                    trace[c.label] = m.elements[cells[0]]
                 outs = [_allocate(m, c.var, cell) for cell in cells] or [ABORT]
             else:
                 outs = [_exec(m, c, policy, trace)]
@@ -488,7 +524,10 @@ def run_all(ms: MemoryStructure, s: Stmt) -> tuple:
     """All outcomes under nondeterministic allocation, each once, in the
     order of the runs (lesser pool cells first): memory structures, then
     ABORT if some run aborts."""
-    return tuple(dict.fromkeys(_run(ms, s, _EVERY)))
+    outs = _run(ms, s, _EVERY)
+    if sum(r is not ABORT for r in outs) > 1:  # only two states can repeat
+        outs = dict.fromkeys(outs)
+    return tuple(outs)
 
 
 def run_labeled(ms: MemoryStructure, s: Stmt, d: Mapping[int, int]):

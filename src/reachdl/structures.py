@@ -5,26 +5,29 @@ pair sets and nominal names as single elements.  Concept and role names
 without an entry are interpreted as empty; a nominal used in a formula must
 be interpreted.  Structures are immutable and hashable so they can be used
 in fixpoint detection and deduplication.  The constructor validates every
-entry; `with_symbols` (under `with_nominal`, `with_concept`, `with_role`
-and `with_function_value`) validates only the entries it adds or
-replaces, and `env_structure` trusts its env: both build the result
-without a whole-structure check.
+entry and rejects a universe that lists an element twice; `with_symbols`
+(under `with_nominal`, `with_concept` and `with_role`) validates only the
+entries it adds or replaces, and `from_masks` trusts its masks: both
+build the result without a whole-structure check.
 
 Evaluation runs on bitmasks.  `mask_view(m)` is m in the layout of the
 staged search's env (models.StagedSearch): bit i stands for m.universe[i],
 which need not be i (ord_lift offsets its fresh elements, and a structure
-may list any distinct ints), and `env_structure` is its inverse over
-range(n).  An `Evaluator` holds the view of one structure and computes
-each distinct subterm once, when first reached, with the node rules below
-(role updates, inversion, E r.C, the image E r^-.C, at-most) that
-models.Kernel shares.  Inclusions and equalities evaluate both sides, and
-FAnd / FOr short-circuit, so a missing nominal raises MissingNominalError
-exactly where evaluation reaches it.  `eval_concept`, `eval_formula`,
-`type_of` and `types_of_all` build one evaluator per call; a caller that
-evaluates several formulas over one structure holds one Evaluator, and
-one that evaluates one formula over many structures compiles it once
-into a kernel plan (`models.formula_plan`) and runs that on each
-structure's mask view.
+may list any distinct ints).  `from_masks` is its inverse over any
+universe, and `env_structure` over range(n).  The heap layer does not go
+through the view: a memory.MemoryStructure stores its masks in the same
+layout and builds its FiniteStructure only when one is read (a witness, a
+printed state, I/O).  An `Evaluator` holds the view of one structure and
+computes each distinct subterm once, when first reached, with the node
+rules below (role updates, inversion, E r.C, the image E r^-.C, at-most)
+that models.Kernel shares.  Inclusions and equalities evaluate both sides,
+and FAnd / FOr short-circuit, so a missing nominal raises
+MissingNominalError exactly where evaluation reaches it.  `eval_concept`,
+`eval_formula`, `type_of` and `types_of_all` build one evaluator per call;
+a caller that evaluates several formulas over one structure holds one
+Evaluator, and one that evaluates one formula over many heap states
+compiles it once into a kernel plan (`models.formula_plan`) and runs that
+on each state's masks.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ class FiniteStructure:
     def __post_init__(self) -> None:
         universe = tuple(self.universe)
         uset = set(universe)
+        if len(uset) != len(universe):
+            ordered = sorted(universe)
+            twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise ReachDLError(f"the universe lists element {twice} twice")
         concepts = {k: frozenset(v) for k, v in dict(self.concepts).items()}
         roles = {k: frozenset((a, b) for a, b in v) for k, v in dict(self.roles).items()}
         nominals = dict(self.nominals)
@@ -122,18 +129,6 @@ class FiniteStructure:
     def with_role(self, name: str, pairs: Iterable[tuple[int, int]]) -> "FiniteStructure":
         return self.with_symbols(roles={name: pairs})
 
-    def with_function_value(self, role_name: str, src: int, tgt: int) -> "FiniteStructure":
-        """Override the unique out-edge of src in a functional role."""
-        pairs = {p for p in self.role_ext(role_name) if p[0] != src}
-        pairs.add((src, tgt))
-        return self.with_role(role_name, pairs)
-
-    def function_value(self, role_name: str, src: int) -> int | None:
-        for a, b in self.role_ext(role_name):
-            if a == src:
-                return b
-        return None
-
     def validate(self, vocab: Vocabulary) -> None:
         """Check functionality of functional roles and totality of nominals."""
         for f in sorted(vocab.functional):
@@ -151,7 +146,7 @@ def _trusted(universe: tuple[int, ...], concepts: dict[str, frozenset[int]],
              roles: dict[str, frozenset[tuple[int, int]]],
              nominals: dict[str, int]) -> FiniteStructure:
     """A structure from fields already in their stored form, not validated:
-    for fields taken from valid structures or read off a search env."""
+    for fields taken from valid structures or read off masks."""
     m = object.__new__(FiniteStructure)
     m.__dict__.update(universe=universe, concepts=concepts, roles=roles, nominals=nominals)
     return m
@@ -174,8 +169,8 @@ def structure(universe: Iterable[int], concepts: Mapping[str, Iterable[int]] | N
 
 
 class _OnFirstRead(dict):
-    """A dict that builds a missing entry with `build(key)` when it is read,
-    by `[]` or by `get` (the kernel's atom leaf reads with `get`)."""
+    """A dict that builds a missing entry with `build(key)` when it is read
+    by `[]`."""
 
     def __init__(self, build: Callable[[str], object]) -> None:
         super().__init__()
@@ -185,8 +180,21 @@ class _OnFirstRead(dict):
         value = self[key] = self.build(key)
         return value
 
-    def get(self, key: str, default: object = None) -> object:
-        return self[key]
+
+def element_mask(index: Mapping[int, int], elems: Iterable[int]) -> int:
+    """The mask of a set of elements, `index` mapping an element to its bit."""
+    out = 0
+    for u in elems:
+        out |= 1 << index[u]
+    return out
+
+
+def successor_rows(index: Mapping[int, int], pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """One successor mask per element (by bit) of a set of pairs."""
+    rows = [0] * len(index)
+    for a, b in pairs:
+        rows[index[a]] |= 1 << index[b]
+    return rows
 
 
 def mask_view(m: FiniteStructure) -> dict:
@@ -197,25 +205,13 @@ def mask_view(m: FiniteStructure) -> dict:
     entry when it is first read."""
     index = {u: i for i, u in enumerate(m.universe)}
     n = len(index)
-
-    def concept_mask(name: str) -> int:
-        out = 0
-        for u in m.concept_ext(name):
-            out |= 1 << index[u]
-        return out
-
-    def successors(name: str) -> list[int]:
-        rows = [0] * n
-        for a, b in m.role_ext(name):
-            rows[index[a]] |= 1 << index[b]
-        return rows
-
     return {"n": n, "full": (1 << n) - 1, "index": index,
             "noms": {name: index[e] for name, e in m.nominals.items()},
-            "cons": _OnFirstRead(concept_mask), "rsucc": _OnFirstRead(successors)}
+            "cons": _OnFirstRead(lambda name: element_mask(index, m.concept_ext(name))),
+            "rsucc": _OnFirstRead(lambda name: successor_rows(index, m.role_ext(name)))}
 
 
-def _mask_bits(mask: int) -> Iterator[int]:
+def mask_bits(mask: int) -> Iterator[int]:
     """The bit indices set in mask, ascending."""
     while mask:
         b = mask & -mask
@@ -223,14 +219,27 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def from_masks(universe: tuple[int, ...], cons: Mapping[str, int],
+               rsucc: Mapping[str, Iterable[int]], noms: Mapping[str, int]) -> FiniteStructure:
+    """The structure over `universe` that masks in the env layout describe
+    (bit i standing for universe[i]), with an entry for every name given;
+    the masks are trusted, not validated."""
+
+    def elements(mask: int) -> frozenset[int]:
+        return frozenset(universe[i] for i in mask_bits(mask))
+
+    rels = {name: frozenset((universe[u], universe[v]) for u, row in enumerate(rows)
+                            for v in mask_bits(row))
+            for name, rows in rsucc.items()}
+    return _trusted(universe, {name: elements(mask) for name, mask in cons.items()},
+                    rels, {name: universe[bit] for name, bit in noms.items()})
+
+
 def env_structure(env: dict, concepts: Iterable[str], roles: Iterable[str]) -> FiniteStructure:
     """The structure over range(env["n"]) that an env (or a mask view)
     describes, over the given concept and role names and every nominal."""
-    cons = {name: frozenset(_mask_bits(env["cons"][name])) for name in concepts}
-    rels = {name: frozenset((u, v) for u, row in enumerate(env["rsucc"][name])
-                            for v in _mask_bits(row))
-            for name in roles}
-    return _trusted(tuple(range(env["n"])), cons, rels, dict(env["noms"]))
+    return from_masks(tuple(range(env["n"])), {name: env["cons"][name] for name in concepts},
+                      {name: env["rsucc"][name] for name in roles}, env["noms"])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +341,7 @@ class Evaluator:
     def elements(self, mask: int) -> frozenset[int]:
         """The elements whose bits are set in mask."""
         universe = self.structure.universe
-        return frozenset(universe[i] for i in _mask_bits(mask))
+        return frozenset(universe[i] for i in mask_bits(mask))
 
     def role_pairs(self, r: Role) -> frozenset[tuple[int, int]]:
         """The pairs of a role expression."""
@@ -341,7 +350,7 @@ class Evaluator:
             nid = self._inverse(nid)
         universe = self.structure.universe
         return frozenset((universe[i], universe[j])
-                         for i, row in enumerate(self._values[nid]) for j in _mask_bits(row))
+                         for i, row in enumerate(self._values[nid]) for j in mask_bits(row))
 
     def _add(self, key: tuple, value) -> int:
         nid = self._nodes[key] = len(self._values)

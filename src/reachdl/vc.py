@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 from .memory import MemorySearch, MemoryStructure
@@ -85,7 +86,7 @@ def check_vc(prog: Program, edge: tuple[str, str], bound: int,
                               extra_nominals=labels, extra_concepts=ext_concepts)
         for cand in search:
             candidates += 1
-            if len(cand.pool()) < min_pool:
+            if cand.cons["MemPool"].bit_count() < min_pool:
                 continue
             if not _realizable(cand, code, heap, ext_concepts):
                 continue
@@ -110,16 +111,14 @@ def _realizable(cand: MemoryStructure, code: Stmt, heap, ext_concepts) -> bool:
     relations must respect axiom 9 against that run's remaining pool."""
     d = {}
     for lab in labels_of(code):
-        name = label_nominal(lab)
-        if name in cand.fs.nominals:
-            d[lab] = cand.fs.nominals[name]
+        bit = cand.noms.get(label_nominal(lab))
+        if bit is not None:
+            d[lab] = cand.elements[bit]
     m2 = run_labeled(cand, code, d)
     if m2 is ABORT:
         return False
-    for name in ext_concepts:
-        if cand.fs.concept_ext(name) & m2.pool():
-            return False
-    return True
+    pool = m2.cons["MemPool"]
+    return not any(cand.cons.get(name, 0) & pool for name in ext_concepts)
 
 
 def check_all_vcs(prog: Program, bound: int, jobs: int = 1) -> list[VCEntry]:
@@ -157,23 +156,31 @@ def _annotations(prog: Program, node: str) -> tuple[Formula, Formula]:
 def _rem_variants(m2: MemoryStructure, rem_concepts: list[str],
                   rem_roles: list[str]):
     """All axiom-compliant reinterpretations of the unconstrained relations
-    (the step relation allows any post-state values outside the pool)."""
-    from itertools import product
-
-    nonpool = sorted(set(m2.universe()) - m2.pool())
-    cons_pools = [[frozenset(c) for c in _subsets(nonpool)] for _ in rem_concepts]
-    role_pools = [[frozenset(p) for p in _subsets([(a, b) for a in nonpool for b in nonpool])]
-                  for _ in rem_roles]
-    for cvals in product(*cons_pools) if rem_concepts else [()]:
-        for rvals in product(*role_pools) if rem_roles else [()]:
-            yield m2.with_fs(m2.fs.with_symbols(concepts=dict(zip(rem_concepts, cvals)),
-                                                roles=dict(zip(rem_roles, rvals))))
-
-
-def _subsets(items):
-    n = len(items)
-    for bits in range(1 << n):
-        yield [items[i] for i in range(n) if bits >> i & 1]
+    (the step relation allows any post-state values outside the pool):
+    each concept ranges over the subsets of the cells outside the pool and
+    each role over the sets of pairs of them, both in counting order over
+    the cells (pairs) in element order.  With nothing to vary, m2 itself."""
+    if not rem_concepts and not rem_roles:
+        yield m2
+        return
+    pool, elements = m2.cons.get("MemPool", 0), m2.elements
+    cells = sorted((i for i in range(len(elements)) if not pool >> i & 1),
+                   key=elements.__getitem__)
+    masks = [sum(1 << cells[i] for i in range(len(cells)) if k >> i & 1)
+             for k in (range(1 << len(cells)) if rem_concepts else ())]
+    pairs = [(a, b) for a in cells for b in cells]
+    rows = []
+    for k in range(1 << len(pairs)) if rem_roles else ():
+        row = [0] * len(elements)
+        for i, (a, b) in enumerate(pairs):
+            if k >> i & 1:
+                row[a] |= 1 << b
+        rows.append(tuple(row))
+    for cvals in product(masks, repeat=len(rem_concepts)):
+        cons = {**m2.cons, **dict(zip(rem_concepts, cvals))} if rem_concepts else None
+        for rvals in product(rows, repeat=len(rem_roles)):
+            rsucc = {**m2.rsucc, **dict(zip(rem_roles, rvals))} if rem_roles else None
+            yield m2._with(cons=cons, rsucc=rsucc)
 
 
 def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
@@ -207,13 +214,13 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
                                   need_nominals=tuple(sorted(variables)),
                                   min_pool=min_pool)
             for m1 in search:
-                if len(m1.pool()) < min_pool:
+                if m1.cons["MemPool"].bit_count() < min_pool:
                     continue
                 for m2 in run_all(m1, code):
                     if m2 is ABORT:
                         continue
                     for m2v in _rem_variants(m2, rem_concepts, rem_roles):
-                        if not holds(m2v.fs):
+                        if not holds(m2v):
                             return False, InductiveWitness(edge, m1.fs, m2v.fs)
     return True, None
 
@@ -227,6 +234,6 @@ def check_reach_soundness(prog: Program, init: Iterable[MemoryStructure],
     for node in sorted(prog.nodes):
         holds = formula_plan(prog.cnt.get(node, TRUE))
         for m in reached[node]:
-            if not holds(m.fs):
+            if not holds(m):
                 return False
     return True

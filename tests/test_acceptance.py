@@ -281,7 +281,7 @@ def test_criterion_5_backwards_round_trip():
             for combo in product(universe, repeat=len(labs)):
                 d = dict(zip(labs, combo))
                 for ev in ext_variants:
-                    fake = m1.with_fs(_override_concepts(m1.fs, ev))
+                    fake = MemoryStructure(m1.heap, _override_concepts(m1.fs, ev))
                     for d_abo in (1, 2):
                         ext = theta_structure(m1, fake, d, d_abo)
                         assert not eval_formula(ext, res.formula)

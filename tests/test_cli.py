@@ -286,6 +286,11 @@ BAD_INPUTS = {
         {"p.prog": "FIELDS f\nVARS x\nNODE a cnt=zz\nNODE b\nEDGE a -> b { skip }\n"},
         ["vc", "p.prog"], "3:1: node a references unknown formula 'zz'"),
     "universe-range": ({"s": "UNIVERSE 0..x\n"}, ["eval", "s", "f"], "1:1: bad UNIVERSE line"),
+    "universe-repeats": ({"s": "CONCEPT L: 4\nUNIVERSE 3 3 4\n"}, ["eval", "s", "f"],
+                         "2:1: the universe lists element 3 twice"),
+    "universe-too-large": ({"s": "UNIVERSE 0..999999999999\n"}, ["eval", "s", "f"],
+                           "1:1: the universe has 1000000000000 elements, more than the "
+                           "limit of 1000000"),
     "concept-id": ({"s": "UNIVERSE 0..1\nCONCEPT A: 0 1 q\n"}, ["eval", "s", "f"],
                    "2:1: bad CONCEPT line"),
     "nominal-equals": ({"s": "UNIVERSE 0..1\nNOMINAL o 1\n"}, ["eval", "s", "f"],

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from reachdl.fol import fo_eval, to_first_order
-from reachdl.parser import parse_formula
+from reachdl import parser
+from reachdl.parser import ParseError, parse_formula, parse_structure_file
 from reachdl.structures import (Evaluator, FiniteStructure, MissingNominalError,
                                 env_structure, eval_concept, eval_formula,
                                 mask_view, structure, type_of, types_of_all)
@@ -280,7 +281,6 @@ def test_with_symbols_validates_the_new_entries():
     m = structure(range(3), {"A": {0}}, {"r": {(0, 1)}}, {"o": 2})
     updates = [lambda: m.with_nominal("o", 3), lambda: m.with_concept("B", {0, 5}),
                lambda: m.with_role("r", {(0, 1), (1, 4)}),
-               lambda: m.with_function_value("r", 0, 7),
                lambda: FiniteStructure((0, 1), {"A": frozenset({0})}, {"r": {(1, 2)}})]
     for bad in updates:
         with pytest.raises(ReachDLError, match="outside the universe"):
@@ -302,3 +302,38 @@ def test_mask_view_inverts_to_the_structure():
         assert view["cons"]["A"] == sum(1 << bit(u) for u in gapped.concept_ext("A"))
         assert view["rsucc"]["s"] == [sum(1 << bit(b) for a, b in gapped.role_ext("s") if a == u)
                                       for u in gapped.universe]
+
+
+def test_universe_listing_an_element_twice_is_rejected():
+    """`UNIVERSE 3 3 4` with `CONCEPT A: 4` used to evaluate `A <= top` to
+    False: the mask index kept one bit for the two 3s, so 4 fell outside
+    `top`.  The constructor rejects the universe, and the parser names its
+    line."""
+    with pytest.raises(ReachDLError, match="lists element 3 twice"):
+        FiniteStructure((3, 3, 4), {"A": frozenset({4})})
+    with pytest.raises(ReachDLError, match="lists element 0 twice"):
+        structure([0, 1, 0])
+    with pytest.raises(ParseError, match="lists element 3 twice") as exc:
+        parse_structure_file("CONCEPT A: 4\nUNIVERSE 3 3 4\n")
+    assert exc.value.line == 2
+
+
+def test_universe_range_is_checked_before_it_is_built(monkeypatch):
+    """A `UNIVERSE lo..hi` line longer than parser.MAX_UNIVERSE is an error
+    on its line, raised before the range is built: a range of 10^18
+    elements is rejected with a peak of well under a megabyte."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="more than the limit") as exc:
+            parse_structure_file("UNIVERSE 0..2\nUNIVERSE 0..999999999999999999\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == 2 and peak < 10**6
+    monkeypatch.setattr(parser, "MAX_UNIVERSE", 4)
+    assert parse_structure_file("UNIVERSE 0..3\n")[1].universe == (0, 1, 2, 3)
+    for line in ("UNIVERSE 0..4", "UNIVERSE 0 1 2 3 4"):
+        with pytest.raises(ParseError, match="5 elements, more than the limit of 4"):
+            parse_structure_file(line + "\n")

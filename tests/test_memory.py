@@ -4,8 +4,10 @@ from itertools import islice
 import pytest
 
 from reachdl.memory import (HeapVocabulary, MemoryAxiomError, MemorySearch,
-                            MemoryStructure, ghost, infer_memory, make_memory)
-from reachdl.parser import parse_formula, parse_memory_file, structure_to_text
+                            MemoryStructure, PoolExhaustedError, ghost, infer_memory,
+                            make_memory)
+from reachdl.parser import (parse_formula, parse_memory_file, parse_structure_file,
+                            structure_to_text)
 from reachdl.structures import eval_formula, structure
 from reachdl.syntax import Atomic, Incl, Nominal, ReachDLError
 
@@ -42,16 +44,17 @@ def test_tau_rem_is_data_relations():
 def test_axiom_violations_reported():
     m = make_memory(HEAP, alloc=1, targets=0, pool=2)
     # point a constant into the pool
-    bad = m.with_fs(m.fs.with_nominal("x", sorted(m.pool())[0]))
+    bad = MemoryStructure(HEAP, m.fs.with_nominal("x", sorted(m.pool())[0]))
     assert any("MemPool" in v for v in bad.violations())
     # a field leaking into the pool
-    bad2 = m.with_fs(m.fs.with_function_value("f", 3, sorted(m.pool())[0]))
+    leak = {p for p in m.fs.role_ext("f") if p[0] != 3} | {(3, sorted(m.pool())[0])}
+    bad2 = MemoryStructure(HEAP, m.fs.with_role("f", leak))
     assert any("maps 3 into MemPool" in v for v in bad2.violations())
     # data concept touching the pool
-    bad3 = m.with_fs(m.fs.with_concept("P1", m.pool()))
+    bad3 = MemoryStructure(HEAP, m.fs.with_concept("P1", m.pool()))
     assert any("P1" in v for v in bad3.violations())
     # broken partition
-    bad4 = m.with_fs(m.fs.with_concept("Alloc", m.alloc() | m.pool()))
+    bad4 = MemoryStructure(HEAP, m.fs.with_concept("Alloc", m.alloc() | m.pool()))
     assert any("partition" in v for v in bad4.violations())
     with pytest.raises(MemoryAxiomError):
         bad.check()
@@ -147,3 +150,98 @@ def test_memory_search_golden(heap, text, options, n_addresses, limit, count, di
     texts = [structure_to_text(m.fs) for m in islice(search, limit)]
     assert len(texts) == count
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# State identity: a state's int key against its structure
+
+
+def _renamed(m, shift, order):
+    """m's text with every element id shifted and the universe listed in
+    `order` (a permutation of positions), read back against m's heap."""
+    fs = m.fs
+    universe = [fs.universe[i] + shift for i in order]
+    text = structure_to_text(m.fs, memory=True)
+    lines = ["MEMORY", "UNIVERSE " + " ".join(map(str, universe))]
+    for line in text.splitlines()[2:]:
+        head, _, body = line.partition(": ") if ":" in line else line.partition(" = ")
+        ids = [str(int(t) + shift) for t in body.replace("(", " ").replace(")", " ")
+               .replace(",", " ").split()]
+        if line.startswith(("ROLE", "FROLE")):
+            body = " ".join(f"({a},{b})" for a, b in zip(ids[::2], ids[1::2]))
+            lines.append(f"{head}: {body}")
+        elif line.startswith("CONCEPT"):
+            lines.append(f"{head}: {' '.join(ids)}")
+        else:
+            lines.append(f"{head} = {ids[0]}")
+    return parse_memory_file("\n".join(lines) + "\n", m.heap)
+
+
+def _identity_states():
+    """States from MemorySearch, from the step, and from parsed text: each
+    search state read back from its text, the same text without its empty
+    entries, and copies over universes that are not range(n) (shifted, and
+    listed in reverse), states with names outside the heap, and step
+    outcomes on some of them."""
+    import random
+
+    from reachdl.programs import ABORT, relabel, run_all
+    from gen import random_stmt
+
+    rng = random.Random(97)
+    phi = parse_formula("P1 <= Alloc and x <= Alloc | null", HEAP.vocabulary())
+    search = list(islice(MemorySearch(HEAP, 2, (phi,), need_roles=("f",),
+                                      need_nominals=("y",)), 0, 1200, 40))
+    states = list(search)
+    for m in search[::3]:
+        text = structure_to_text(m.fs, memory=True)
+        states.append(parse_memory_file(text, HEAP))
+        bare = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.rstrip().endswith(":"))
+        if bare != text:
+            states.append(parse_memory_file(bare, HEAP))
+        n = len(m.universe())
+        for shift, order in ((0, range(n)), (10, range(n)), (10, range(n - 1, -1, -1))):
+            states.append(_renamed(m, shift, list(order)))
+    # names outside the heap: a label nominal and a post-state copy
+    phi = parse_formula("lab1 <= P1_ext and x <= Alloc",
+                        HEAP.vocabulary().with_nominals(("lab1",)).with_concepts(("P1_ext",)))
+    for m in MemorySearch(HEAP, 1, (phi,), extra_nominals=("lab1",),
+                          extra_concepts=("P1_ext",)):
+        states += [m, MemoryStructure(HEAP, parse_structure_file(structure_to_text(m.fs))[1])]
+    for m in list(states[::4]):
+        s = relabel(random_stmt(rng, HEAP, rng.randint(1, 3)))
+        try:
+            states += [r for r in run_all(m, s) if r is not ABORT]
+        except PoolExhaustedError:
+            pass
+    return states
+
+
+def test_state_equality_is_structure_equality():
+    """Two states are equal exactly when their structures are, and equal
+    states hash alike, whatever made them: the search, the step or
+    MemoryStructure(heap, fs) on parsed text, with a missing entry against
+    an empty one and universes that are not range(n)."""
+    states = _identity_states()
+    texts = {structure_to_text(m.fs) for m in states}
+    assert any("CONCEPT PossibleTargets: \n" in t for t in texts)
+    assert any(t.startswith("UNIVERSE 10 11") for t in texts)
+    assert any(t.startswith("UNIVERSE 14 13") for t in texts)
+    equal = 0
+    for i, a in enumerate(states):
+        for b in states[i:]:
+            same = a.fs == b.fs
+            assert (a == b) == same, (a, b)
+            if same:
+                assert hash(a) == hash(b) and hash(a.fs) == hash(b.fs)
+                equal += a is not b
+    # equal pairs from different origins and with different entries
+    assert equal >= 40
+    # the same structure over another heap is another state
+    other = HeapVocabulary(fields=("f",), variables=("x",), data_nominals=("y",),
+                           data_concepts=("P1",))
+    assert all(MemoryStructure(other, m.fs) != m for m in states[:20])
+    empty = [m for m in states if "CONCEPT P1: \n" in structure_to_text(m.fs)]
+    assert any(m == n and structure_to_text(m.fs) != structure_to_text(n.fs)
+               for m in empty for n in states)

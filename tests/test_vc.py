@@ -11,7 +11,7 @@ import pytest
 from reachdl.memory import (HeapVocabulary, MemorySearch, MemoryStructure,
                             PoolExhaustedError, make_memory)
 from reachdl.models import formula_plan
-from reachdl.parser import parse_formula, parse_program_file
+from reachdl.parser import parse_formula, parse_memory_file, parse_program_file
 from reachdl.programs import ABORT, Program, relabel, Assign, NullE, Skip, New, run_all
 from reachdl.structures import MissingNominalError, eval_formula
 from reachdl.syntax import (FAnd, FNot, FOr, Incl, Eq, Not, TRUE, Vocabulary,
@@ -243,6 +243,45 @@ def test_inductive_witness_independent_of_hash_seed():
     assert outs[0].startswith("False ('a', 'b')\n") and "NOMINAL x = 3\n" in outs[0]
 
 
+WALKER_SEED_SCRIPT = """
+import hashlib
+from reachdl.memory import make_memory
+from reachdl.parser import parse_program_file, structure_to_text
+from reachdl.programs import reach_sets
+from reachdl.vc import check_inductive
+prog = parse_program_file(
+    "FIELDS next\\nVARS e hd\\nFORMULA pre: hd <= Alloc | null\\n"
+    "FORMULA inv: e <= Alloc | null\\nNODE lb cnt=pre\\nNODE ll cnt=inv\\n"
+    "NODE le cnt=inv\\nEDGE lb -> ll { e := hd }\\n"
+    "EDGE ll -> ll { assume(~(e = null)); e := e.next }\\n"
+    "EDGE ll -> le { assume(e = null) }\\n")
+m = make_memory(prog.heap, alloc=2, pool=2, fields={"next": {3: 4, 4: 0}},
+                variables={"hd": 3, "e": 0})
+ok, witness = check_inductive(prog, [m], 2)
+print(ok, witness.edge)
+print(structure_to_text(witness.before), structure_to_text(witness.after), end="")
+for node, states in sorted(reach_sets(prog, [m], 6).items()):
+    texts = "".join(sorted(structure_to_text(s.fs) for s in states))
+    print(node, len(states), hashlib.sha256(texts.encode()).hexdigest())
+"""
+
+
+def test_walker_witness_and_reach_sets_independent_of_hash_seed():
+    """States hash by a tuple of ints: the walker's inductiveness witness
+    and its reachable sets come out the same under hash seeds 0 and 1."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", WALKER_SEED_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("False ('ll', 'll')\n")
+    assert [line.split()[:2] for line in outs[0].splitlines()[-3:]] == \
+        [["lb", "1"], ["le", "1"], ["ll", "3"]]
+
+
 def _plan_formulas(rng, heap, count):
     """Random annotations, formulas that also name a concept and a nominal
     no structure interprets, and formulas sharing subterms (one object
@@ -269,7 +308,7 @@ def _outcome(fn, *args):
 def _assert_plans_agree(plans, structures):
     for phi, plan in plans:
         for m in structures:
-            assert _outcome(plan, m.fs) == _outcome(eval_formula, m.fs, phi), \
+            assert _outcome(plan, m) == _outcome(eval_formula, m.fs, phi), \
                 (to_text(phi), m.fs)
 
 
@@ -297,3 +336,21 @@ def test_formula_plan_matches_eval_formula():
         _assert_plans_agree(plans, outs)
         for m2 in outs[:2]:
             _assert_plans_agree(plans, list(_rem_variants(m2, ["P1"], [])))
+
+
+def test_formula_plan_reads_a_missing_role_as_empty():
+    """A state read from a file need not have an entry for every role; the
+    plan reads such a role as empty, as `eval_formula` does."""
+    heap = HeapVocabulary(fields=("f",), variables=("x",), data_roles=("r",))
+    text = ("MEMORY\nFIELDS f\nVARS x\nROLES r\nUNIVERSE 0..4\nCONCEPT Addresses: 3 4\n"
+            "CONCEPT Alloc: 3\nCONCEPT Aux: 0 1 2\nCONCEPT MemPool: 4\n"
+            "FROLE f: (3,0) (4,0)\nFROLE f_gho: (3,0) (4,0)\n"
+            "NOMINAL null = 0\nNOMINAL T = 1\nNOMINAL F = 2\nNOMINAL x = 3\n"
+            "NOMINAL x_gho = 3\n")
+    m = parse_memory_file(text, heap)
+    assert "r" not in m.fs.roles
+    vocab = heap.vocabulary()
+    for phi in ("x <= E r.top", "E r^-.top <= bot", "x <= E<=0 r.top",
+                "x <= E f.null and E r_gho.top == bot"):
+        phi = parse_formula(phi, vocab)
+        assert formula_plan(phi)(m) == eval_formula(m.fs, phi)
