@@ -32,11 +32,17 @@ from typing import Iterable, Iterator, Mapping
 from .models import StagedSearch, symbol_slot
 from .structures import (FiniteStructure, MissingNominalError, element_mask, from_masks,
                          mask_bits, successor_rows)
-from .syntax import Formula, ReachDLError, Vocabulary, conj, formula_symbols
+from .syntax import (Atomic, Formula, Nominal, ReachDLError, Vocabulary, conj,
+                     fold_constants, formula_symbols)
 
 GHOST_SUFFIX = "_gho"
 REQUIRED_CONCEPTS = ("Addresses", "Alloc", "PossibleTargets", "MemPool", "Aux")
 RESERVED_NOMINALS = ("null", "T", "F")
+# what every MemorySearch structure interprets alike, as masks over four
+# disjoint cells covering the universe: null, T, F (elements 0, 1, 2) and
+# the addresses, which are never empty (see syntax.fold_constants)
+SEARCH_PINS = {Nominal("null"): 1, Nominal("T"): 2, Nominal("F"): 4, Atomic("Aux"): 7,
+               Atomic("Addresses"): 8}
 
 
 class MemoryAxiomError(ReachDLError):
@@ -417,14 +423,21 @@ def infer_memory(fs: FiniteStructure) -> MemoryStructure:
 
 @dataclass
 class MemorySearch:
-    """Enumerate memory structures with `n_addresses` address cells that
-    satisfy a conjunction of formulas, assigning only the symbols the
-    formulas or the caller need and pinning everything else.
+    """Enumerate memory structures with `n_addresses` (at least 1) address
+    cells that satisfy a conjunction of formulas, assigning only the
+    symbols the formulas or the caller need and pinning everything else.
 
     extra_nominals range over the whole universe (label constants), and
     extra_concepts over arbitrary subsets (the R^ext copies).  Partitions
     with fewer than `min_pool` MemPool cells are skipped before any other
-    symbol is assigned."""
+    symbol is assigned.
+
+    The slots are chosen from the symbols of the formulas as given; the
+    search checks them with the constants that `SEARCH_PINS` decides
+    folded out (`syntax.fold_constants`), so a conjunct hidden under a
+    negation or next to a constant is checked as soon as its own symbols
+    are bound.  Folding changes when a candidate is rejected, not which
+    structures are yielded or in what order."""
 
     heap: HeapVocabulary
     n_addresses: int
@@ -436,6 +449,8 @@ class MemorySearch:
     min_pool: int = 0
 
     def __iter__(self) -> Iterator[MemoryStructure]:
+        if self.n_addresses < 1:  # SEARCH_PINS has a non-empty address cell
+            raise ReachDLError("MemorySearch needs at least one address cell")
         heap = self.heap
         n = 3 + self.n_addresses
         full = (1 << n) - 1
@@ -517,6 +532,7 @@ class MemorySearch:
         # symbols in place, but never mutates a row
         universe = tuple(range(n))
         index = {u: u for u in universe}
-        for _ in StagedSearch(slots, self.formulas).search(env):
+        formulas = [fold_constants(phi, SEARCH_PINS) for phi in self.formulas]
+        for _ in StagedSearch(slots, formulas).search(env):
             yield _fill(object.__new__(MemoryStructure), heap, universe, index,
                         dict(env["cons"]), dict(env["rsucc"]), dict(env["noms"]))

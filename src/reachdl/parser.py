@@ -446,6 +446,7 @@ def _read_structure(text: str, memory: bool, heap: HeapVocabulary | None = None)
     functional: set[str] = set()
     nominals: dict[str, int] = {}
     decls: dict[str, list[str]] = {}
+    first_line: dict[str, int] = {}  # "UNIVERSE" or "<kind> <name>" -> its line
     saw_memory = False
     for lineno, _, head, rest in _lines(text):
         if memory and head in _HEAP_DECLS:
@@ -454,14 +455,22 @@ def _read_structure(text: str, memory: bool, heap: HeapVocabulary | None = None)
         if head == "MEMORY":
             saw_memory = True
             continue
-        shape = _SHAPES.get("ROLE" if head == "FROLE" else head)
+        kind = "ROLE" if head == "FROLE" else head
+        shape = _SHAPES.get(kind)
         if shape is None:
             raise ParseError(f"unknown section {head!r}", lineno)
         m = shape.match(rest)
         if m is None:
             raise ParseError(f"bad {head} line", lineno)
+        if head == "UNIVERSE":  # the line is checked on its own first
+            elements = _universe(m, rest, lineno)
+        entry = head if head == "UNIVERSE" else f"{kind.lower()} {m[1]}"
+        if entry in first_line:
+            raise ParseError(f"{entry} given twice (first on line {first_line[entry]})",
+                             lineno)
+        first_line[entry] = lineno
         if head == "UNIVERSE":
-            universe = _universe(m, rest, lineno)
+            universe = elements
         elif head == "CONCEPT":
             concepts[m[1]] = frozenset(_ints(m[2]))
         elif head == "NOMINAL":

@@ -21,14 +21,15 @@ counts the benchmark reports), the printers below, the OWL export,
 models.Kernel and structures.Evaluator (the two front-ends of the bitmask
 node rules; the evaluator's walk keeps its own stack), fol's translation
 (the independent oracle), nnf's polarity walk and the boolean-closure
-recursion _bc.  Statements have their own walk pair, programs.map_stmt
-and programs.commands.
+recursion _bc, and fold_constants (it pushes negations down to the
+atoms, which map_atoms does not).  Statements have their own walk pair,
+programs.map_stmt and programs.commands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class ReachDLError(Exception):
@@ -480,6 +481,89 @@ def formula_size(phi: Formula) -> int:
     if isinstance(phi, FNot):
         return 1 + formula_size(phi.inner)
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------------
+# Constant folding (used by the VC search)
+
+
+def fold_constants(phi: Formula, pinned: Mapping[Concept, int]) -> Formula:
+    """phi with the atoms that the pinned symbols decide folded to TRUE or
+    FALSE, connectives with a constant operand folded, and every FNot
+    pushed down to the atoms, so that `conjuncts` sees the parts of a
+    negated disjunction.  An unchanged subtree is returned as the same
+    object.
+
+    `pinned` maps Atomic and Nominal nodes to masks over cells that are
+    disjoint, non-empty and together cover the universe, so top is the
+    union of the masks.  A side built from pinned symbols, top and bot with
+    &, | and ! denotes a known set of cells (an | with a top operand is top
+    and an & with a bot operand is bot, whatever the other); X <= Y then
+    holds iff X's cells lie within Y's and X == Y iff they are the same.
+    X <= Y with X bot or Y top, X <= X and X == X fold to TRUE.  The result
+    is equivalent to phi on every structure where the pins hold."""
+    top = 0
+    for mask in pinned.values():
+        top |= mask
+
+    def cells(c: Concept) -> int | None:
+        t = type(c)
+        if t is Atomic or t is Nominal:
+            return pinned.get(c)
+        if t is Top:
+            return top
+        if t is Bot:
+            return 0
+        if t is Not:
+            inner = cells(c.inner)
+            return None if inner is None else top & ~inner
+        if t is And or t is Or:
+            left, right = cells(c.left), cells(c.right)
+            absorbing = 0 if t is And else top
+            if left == absorbing or right == absorbing:
+                return absorbing
+            if left is None or right is None:
+                return None
+            return left & right if t is And else left | right
+        return None
+
+    def atom(a: Formula) -> Formula:
+        if a.left == a.right:
+            return TRUE
+        left, right = cells(a.left), cells(a.right)
+        if type(a) is Incl and (left == 0 or right == top):
+            return TRUE
+        if left is None or right is None:
+            return a
+        holds = not left & ~right if type(a) is Incl else left == right
+        return TRUE if holds else FALSE
+
+    def fold(f: Formula, negate: bool) -> Formula:
+        t = type(f)
+        if t is FNot:
+            out = fold(f.inner, not negate)
+            return f if type(out) is FNot and out.inner is f.inner else out
+        if t is FAnd or t is FOr:
+            left, right = fold(f.left, negate), fold(f.right, negate)
+            both = (t is FAnd) is not negate  # a conjunction after the negation
+            unit, zero = (TRUE, FALSE) if both else (FALSE, TRUE)
+            if left is zero or right is zero:
+                return zero
+            if left is unit:
+                return right
+            if right is unit:
+                return left
+            if not negate and left is f.left and right is f.right:
+                return f
+            return FAnd(left, right) if both else FOr(left, right)
+        if t is Incl or t is Eq:
+            out = atom(f)
+            if not negate:
+                return out
+            return FALSE if out is TRUE else TRUE if out is FALSE else FNot(out)
+        raise TypeError(f"not a formula: {f!r}")  # pragma: no cover
+
+    return fold(phi, False)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable
 
@@ -32,12 +33,21 @@ class MissingAnnotationError(ReachDLError):
 
 @dataclass(frozen=True)
 class VCEntry:
+    """One edge's verdict.  `negated` holds the conjuncts the VC negates,
+    with update roles in place; `formula`, the update-free VC, is built
+    from them on first read.  `candidates` counts the structures the search
+    yielded (those with at least `min_pool` pool cells)."""
+
     edge: tuple[str, str]
-    formula: Formula
+    negated: tuple[Formula, ...]
     verdict: str  # "valid-up-to-bound" | "counterexample" | "bound-exhausted"
     bound: int
     counterexample: FiniteStructure | None = None
     candidates: int = 0
+
+    @cached_property
+    def formula(self) -> Formula:
+        return _vc_of(self.negated)
 
 
 def _annotation(prog: Program, node: str, which: str) -> Formula:
@@ -58,22 +68,27 @@ def _negated_vc_parts(prog: Program, edge: tuple[str, str]) -> tuple[Formula, ..
     return (_annotation(prog, tail, "shp"), _annotation(prog, tail, "cnt"), res.formula)
 
 
+def _vc_of(parts: tuple[Formula, ...]) -> Formula:
+    return eliminate_updates(FNot(conj(parts)))
+
+
 def vc_formula(prog: Program, edge: tuple[str, str]) -> Formula:
     """not [ shp(tail) /\\ cnt(tail) /\\ Theta(shp(head) /\\ not cnt(head)) ],
     with update roles eliminated from the transformer output."""
-    return eliminate_updates(FNot(conj(_negated_vc_parts(prog, edge))))
+    return _vc_of(_negated_vc_parts(prog, edge))
 
 
 def check_vc(prog: Program, edge: tuple[str, str], bound: int,
              min_pool: int = 1) -> VCEntry:
-    """Search for a memory structure with at most `bound` address cells
-    (plus extension symbols) satisfying the negation of the VC, with the
-    update roles in place; re-validating a counterexample against the
-    update-free VC checks the search's update rule against the eliminator."""
+    """Search for a memory structure with at most `bound` address cells,
+    at least `min_pool` of them in the pool (plus extension symbols),
+    satisfying the negation of the VC, with the update roles in place;
+    re-validating a counterexample against the update-free VC checks the
+    search's update rule against the eliminator.  Only a counterexample
+    builds the update-free VC here."""
     parts = _negated_vc_parts(prog, edge)
-    formula = eliminate_updates(FNot(conj(parts)))
     if bound < 1:
-        return VCEntry(edge, formula, "bound-exhausted", bound)
+        return VCEntry(edge, parts, "bound-exhausted", bound)
     heap = prog.heap
     syms = formula_symbols(conj(parts))
     ext_concepts = tuple(ext_name(c) for c in heap.data_concepts
@@ -82,20 +97,19 @@ def check_vc(prog: Program, edge: tuple[str, str], bound: int,
     code = prog.code[edge]
     candidates = 0
     for n_addr in range(1, bound + 1):
-        search = MemorySearch(heap, n_addr, parts,
-                              extra_nominals=labels, extra_concepts=ext_concepts)
+        search = MemorySearch(heap, n_addr, parts, extra_nominals=labels,
+                              extra_concepts=ext_concepts, min_pool=min_pool)
         for cand in search:
             candidates += 1
-            if cand.cons["MemPool"].bit_count() < min_pool:
-                continue
             if not _realizable(cand, code, heap, ext_concepts):
                 continue
-            if eval_formula(cand.fs, formula):  # re-validate: the VC must fail
+            entry = VCEntry(edge, parts, "counterexample", bound, cand.fs, candidates)
+            if eval_formula(cand.fs, entry.formula):  # re-validate: the VC must fail
                 raise ReachDLError(f"edge {edge}: search returned a structure "
                                    "that does not falsify the VC")
             MemoryStructure(heap, _strip_extras(cand.fs, ext_concepts, labels)).check(0)
-            return VCEntry(edge, formula, "counterexample", bound, cand.fs, candidates)
-    return VCEntry(edge, formula, "valid-up-to-bound", bound, None, candidates)
+            return entry
+    return VCEntry(edge, parts, "valid-up-to-bound", bound, None, candidates)
 
 
 def _strip_extras(fs: FiniteStructure, ext_concepts: Iterable[str],
@@ -214,8 +228,6 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
                                   need_nominals=tuple(sorted(variables)),
                                   min_pool=min_pool)
             for m1 in search:
-                if m1.cons["MemPool"].bit_count() < min_pool:
-                    continue
                 for m2 in run_all(m1, code):
                     if m2 is ABORT:
                         continue

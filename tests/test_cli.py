@@ -291,6 +291,19 @@ BAD_INPUTS = {
     "universe-too-large": ({"s": "UNIVERSE 0..999999999999\n"}, ["eval", "s", "f"],
                            "1:1: the universe has 1000000000000 elements, more than the "
                            "limit of 1000000"),
+    # a section line given twice for one name is an error, not an override
+    "universe-twice": ({"s": "UNIVERSE 0..2\nCONCEPT A: 0\nUNIVERSE 0..4\nCONCEPT B: 4\n"},
+                       ["eval", "s", "f"], "3:1: UNIVERSE given twice (first on line 1)"),
+    "concept-twice": ({"s": "UNIVERSE 0..2\nCONCEPT A: 0\n\nCONCEPT A: 2\n"},
+                      ["eval", "s", "f"], "4:1: concept A given twice (first on line 2)"),
+    "role-twice": ({"s": "UNIVERSE 0..2\nROLE r: (0,1)\nFROLE r: (1,0)\n"},
+                   ["eval", "s", "f"], "3:1: role r given twice (first on line 2)"),
+    "nominal-twice": ({"s": "UNIVERSE 0..2\nNOMINAL o = 0\nNOMINAL o = 1\n"},
+                      ["eval", "s", "f"], "3:1: nominal o given twice (first on line 2)"),
+    "memory-nominal-twice": (
+        {"w.prog": WALKER, "m.mem": WALKER_MEMORY + "NOMINAL e = 4\n"},
+        ["run", "w.prog", "m.mem", "--path", "lb,ll"],
+        "19:1: nominal e given twice (first on line 14)"),
     "concept-id": ({"s": "UNIVERSE 0..1\nCONCEPT A: 0 1 q\n"}, ["eval", "s", "f"],
                    "2:1: bad CONCEPT line"),
     "nominal-equals": ({"s": "UNIVERSE 0..1\nNOMINAL o 1\n"}, ["eval", "s", "f"],

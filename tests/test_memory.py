@@ -1,15 +1,17 @@
 import hashlib
+import random
 from itertools import islice
 
 import pytest
 
-from reachdl.memory import (HeapVocabulary, MemoryAxiomError, MemorySearch,
+from reachdl.memory import (SEARCH_PINS, HeapVocabulary, MemoryAxiomError, MemorySearch,
                             MemoryStructure, PoolExhaustedError, ghost, infer_memory,
                             make_memory)
 from reachdl.parser import (parse_formula, parse_memory_file, parse_structure_file,
                             structure_to_text)
 from reachdl.structures import eval_formula, structure
-from reachdl.syntax import Atomic, Incl, Nominal, ReachDLError
+from reachdl.syntax import (FALSE, TRUE, Atomic, Eq, FAnd, FNot, FOr, Incl, Nominal, ReachDLError,
+                            fold_constants, formula_symbols, to_text)
 
 HEAP = HeapVocabulary(fields=("f",), variables=("x", "y"), data_concepts=("P1",))
 
@@ -245,3 +247,130 @@ def test_state_equality_is_structure_equality():
     empty = [m for m in states if "CONCEPT P1: \n" in structure_to_text(m.fs)]
     assert any(m == n and structure_to_text(m.fs) != structure_to_text(n.fs)
                for m in empty for n in states)
+
+
+# ---------------------------------------------------------------------------
+# Constant folding in the search: folded against unfolded, by both evaluators
+
+# atoms that SEARCH_PINS decides, some only because the address cell is
+# non-empty (top <= Aux, Addresses <= bot)
+_CONSTANT_TEXTS = (
+    "top <= Aux", "Addresses <= bot", "!Aux == Addresses", "Aux | Addresses == top",
+    "not (null == T)", "null | T | F == Aux", "!(Aux | Addresses) <= x",
+    "x <= Addresses | Aux", "Addresses & Aux <= bot", "not (Addresses <= Aux)",
+    "top <= Addresses or x <= null", "x <= x and not (F <= T | null)",
+    "not (E f.top <= !P1 | top) or P1 <= Alloc", "not (not (y == y) or x <= Alloc)",
+    "not (T == F and x <= Alloc) and (null <= Addresses or P1_gho <= bot)",
+    "null == Aux or x <= Alloc", "not (T == T | null) and !F == Addresses | null | T",
+)
+_LABELS = ("__lab_1", "__lab_2", "__lab_3")
+
+
+def _fold_formulas(rng):
+    """The hand-written constants, random heap formulas, and theta_full
+    outputs of random statements (the last VC part: label nominals, P1_ext
+    and update roles), each also negated."""
+    from reachdl.wp import theta_full
+    from gen import random_heap_formula, random_program_stmt
+
+    out = [parse_formula(text, HEAP.vocabulary()) for text in _CONSTANT_TEXTS]
+    out += [random_heap_formula(rng, HEAP) for _ in range(15)]
+    while len(out) < len(_CONSTANT_TEXTS) + 30:
+        post = FAnd(random_heap_formula(rng, HEAP), FNot(random_heap_formula(rng, HEAP)))
+        stmt = random_program_stmt(rng, HEAP, rng.randint(1, 3))
+        phi = theta_full(stmt, post, HEAP).formula
+        if formula_symbols(phi)["nominals"] <= set(HEAP.all_nominals() + _LABELS):
+            out.append(phi)
+    return out + [FNot(phi) for phi in out]
+
+
+def _search_states(rng, n, samples=80, each=12):
+    """MemorySearch structures at n address cells with every field,
+    variable, data concept, label and P1_ext enumerated: the first
+    structures of searches for random conjunctions that narrow the
+    partition and each of these symbols to a few values, so that the
+    samples differ in all of them."""
+    from reachdl.syntax import BOT, TOP, Exists, Or, Role, conj
+
+    values = [Nominal("null"), Nominal("T"), Nominal("F"), Atomic("Alloc"),
+              Atomic("PossibleTargets"), Atomic("Addresses"), Or(Nominal("null"), Atomic("Alloc"))]
+    nominals = ("x", "y", "x_gho", "y_gho") + _LABELS
+    empty = [Incl(Atomic(c), BOT) for c in ("Alloc", "PossibleTargets", "MemPool")]
+    states = []
+    for _ in range(samples):
+        parts = [rng.choice((part, FNot(part), TRUE)) for part in empty]
+        parts += [Incl(Nominal(v), Or(rng.choice(values), rng.choice(values)))
+                  for v in nominals]
+        parts += [Incl(Atomic("Addresses"), Exists(Role(f), Or(rng.choice(values),
+                                                                 rng.choice(values))))
+                  for f in ("f", "f_gho")]
+        parts += [Eq(Atomic(c), rng.choice(values + [TOP, BOT])) for c in ("P1", "P1_gho", "P1_ext")]
+        search = MemorySearch(HEAP, n, (conj(parts),), extra_nominals=_LABELS,
+                              extra_concepts=("P1_ext",))
+        states += islice(search, each)
+    return states
+
+
+def _is_pushed_down(phi):
+    if isinstance(phi, FNot):
+        return isinstance(phi.inner, (Incl, Eq))
+    if isinstance(phi, (FAnd, FOr)):
+        return _is_pushed_down(phi.left) and _is_pushed_down(phi.right)
+    return True
+
+
+def test_fold_constants_matches_unfolded_on_search_structures():
+    """fold_constants under SEARCH_PINS is equivalent to its input on the
+    structures MemorySearch yields, by eval_formula and by fol.fo_eval (on
+    the update-free forms); negations end up on atoms only."""
+    from reachdl.fol import fo_eval, to_first_order
+    from reachdl.wp import eliminate_updates
+
+    rng = random.Random("fold-constants")
+    states = [m.fs for n in (1, 2) for m in _search_states(rng, n)]
+    for phi in _fold_formulas(rng):
+        folded = fold_constants(phi, SEARCH_PINS)
+        assert _is_pushed_down(folded), to_text(phi)
+        fo_phi = to_first_order(eliminate_updates(phi))
+        fo_folded = to_first_order(eliminate_updates(folded))
+        for i, fs in enumerate(states):
+            want = eval_formula(fs, phi)
+            assert eval_formula(fs, folded) == want, (to_text(phi), fs)
+            if i % 8 == 0:
+                assert fo_eval(fs, fo_folded) == fo_eval(fs, fo_phi) == want
+
+
+def test_fold_constants_keeps_unchanged_subtrees():
+    vocab = HEAP.vocabulary()
+    for text in ("x <= Alloc", "not (x <= Alloc) or E f.P1 <= P1_gho",
+                 "x <= Alloc and not (y == null or P1 <= Alloc)"):
+        phi = parse_formula(text, vocab)
+        if "not (y" in text:  # a negated disjunction is pushed down, its atoms kept
+            folded = fold_constants(phi, SEARCH_PINS)
+            assert folded.left is phi.left and folded.right.left.inner is phi.right.inner.left
+        else:
+            assert fold_constants(phi, SEARCH_PINS) is phi
+    phi = parse_formula("x <= Alloc and not (T == F or null <= Aux)", vocab)
+    assert fold_constants(phi, SEARCH_PINS) == FALSE
+    phi = parse_formula("x <= Alloc and not (T == F and null <= Aux)", vocab)
+    assert fold_constants(phi, SEARCH_PINS) is phi.left
+
+
+@pytest.mark.parametrize("text,n", [("x <= x and P1 <= top", 1), ("not (y == y) or x <= Alloc", 2),
+                                    ("E f.top <= top and x <= Alloc", 2)])
+def test_search_symbols_come_from_the_unfolded_formulas(monkeypatch, text, n):
+    """Folding drops x, y or f from these formulas, but the search still
+    enumerates them: it yields the same states in the same order as with the
+    fold replaced by the identity."""
+    import reachdl.memory as memory
+
+    phi = parse_formula(text, HEAP.vocabulary())
+    folded = [m.key for m in MemorySearch(HEAP, n, (phi,))]
+    monkeypatch.setattr(memory, "fold_constants", lambda phi, pinned: phi)
+    assert folded == [m.key for m in MemorySearch(HEAP, n, (phi,))]
+    assert len(folded) > 3 ** n
+
+
+def test_memory_search_needs_an_address_cell():
+    with pytest.raises(ReachDLError, match="address cell"):
+        next(iter(MemorySearch(HEAP, 0, ())))

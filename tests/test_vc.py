@@ -12,7 +12,8 @@ from reachdl.memory import (HeapVocabulary, MemorySearch, MemoryStructure,
                             PoolExhaustedError, make_memory)
 from reachdl.models import formula_plan
 from reachdl.parser import parse_formula, parse_memory_file, parse_program_file
-from reachdl.programs import ABORT, Program, relabel, Assign, NullE, Skip, New, run_all
+from reachdl.programs import (ABORT, Program, relabel, Assign, NullE, Skip, New,
+                              WriteField, run_all)
 from reachdl.structures import MissingNominalError, eval_formula
 from reachdl.syntax import (FAnd, FNot, FOr, Incl, Eq, Not, TRUE, Vocabulary,
                             to_text)
@@ -104,6 +105,27 @@ def test_check_all_vcs_reports_serial_fallback(monkeypatch):
     with pytest.warns(UserWarning, match="no semaphores"):
         assert check_all_vcs(prog, 1, jobs=2) == serial
     assert [e.verdict for e in serial] == ["valid-up-to-bound", "counterexample"]
+
+
+def test_vc_entry_formula_is_built_when_read():
+    """`VCEntry.formula` is the update-free VC on every verdict, built on
+    first read; entries compare equal and survive pickling before and
+    after it is built."""
+    import pickle
+
+    prog = Program(HEAP, ("a", "b", "c"), (("a", "b"), ("a", "c")), "a",
+                   {"a": TRUE, "b": TRUE, "c": TRUE},
+                   {"a": TRUE, "b": TRUE, "c": parse_formula("x <= Alloc", V)},
+                   {("a", "b"): relabel(WriteField("x", "f", NullE())),
+                    ("a", "c"): relabel(Assign("x", NullE()))})
+    entries = [check_vc(prog, e, b) for e in sorted(prog.edges) for b in (0, 1)]
+    assert [e.verdict for e in entries] == ["bound-exhausted", "valid-up-to-bound",
+                                            "bound-exhausted", "counterexample"]
+    for e in entries:
+        assert "formula" not in vars(e) or e.verdict == "counterexample"
+        before = pickle.loads(pickle.dumps(e))
+        assert e.formula == vc_formula(prog, e.edge) == before.formula
+        assert before == e == pickle.loads(pickle.dumps(e))
 
 
 def test_check_all_vcs_caps_the_pool_at_the_edges(monkeypatch):
