@@ -14,6 +14,7 @@ NNF formula to a model of its negation-free reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .reach import ReachSpec, assoc_formula
 from .structures import Evaluator, FiniteStructure, eval_formula
@@ -21,7 +22,8 @@ from .syntax import (And, AtMost, Atomic, BOT, Bot, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, Nominal, Not, Or, ReachDLError,
                      Role, TOP, Top, Vocabulary, big_and, big_or,
                      closure_concepts, conj, conjuncts, disj, expand_eq,
-                     formula_symbols, inv, map_concept, map_sides, role)
+                     formula_symbols, inv, map_concept, map_sides, role,
+                     span_trees)
 
 
 class LimitExceededError(ReachDLError):
@@ -61,8 +63,8 @@ def _fresh(name: str, taken: set[str]) -> str:
     return out
 
 
-def _occurring_names(spec: ReachSpec) -> set[str]:
-    syms = formula_symbols(semi_formula(spec))
+def _occurring_names(phi: Formula) -> set[str]:
+    syms = formula_symbols(phi)
     return syms["concepts"] | syms["roles"] | syms["nominals"]
 
 
@@ -92,28 +94,62 @@ class ExtVocabulary:
         return len(self.ladder) if self.variant == "exp" else 1 << len(self.counters)
 
 
-def _ext_vocab(spec: ReachSpec, variant: str, k: int) -> ExtVocabulary:
-    taken = _occurring_names(spec)
-    h = len(spec.re)
-    labels = tuple(_fresh(f"__lbl_f{i}", taken) for i in range(1, h + 1))
-    if variant == "exp":
-        return ExtVocabulary(
-            variant="exp",
-            marker=_fresh("__ord_M", taken),
+EXP_NOMINAL_LIMIT = 1 << 12
+
+
+def _ord_setup(spec: ReachSpec, variant: str, limit: int = EXP_NOMINAL_LIMIT
+               ) -> tuple[Formula, tuple[Concept, ...], ExtVocabulary]:
+    """semi(Phi), its closure concepts and the fresh symbols of the
+    encoding: 2^#closure ladder nominals (at most `limit`) for exp, one
+    counter concept per closure concept for poly."""
+    if variant not in ("exp", "poly"):
+        raise ReachDLError(f"unknown ord variant {variant!r}")
+    phi = semi_formula(spec)
+    cs = closure_concepts(phi)
+    taken = _occurring_names(phi)
+    labels = tuple(_fresh(f"__lbl_f{i}", taken) for i in range(1, len(spec.re) + 1))
+    if variant == "poly":
+        return phi, cs, ExtVocabulary(
+            variant="poly",
+            marker=_fresh("__cnt_M", taken),
             label_roles=labels,
-            ladder=tuple(_fresh(f"__ord_o{i}", taken) for i in range(1, k + 1)),
-            order_role=_fresh("__ord_ord", taken))
-    return ExtVocabulary(
-        variant="poly",
-        marker=_fresh("__cnt_M", taken),
+            counters=tuple(_fresh(f"__cnt_P{i}", taken) for i in range(1, len(cs) + 1)),
+            start=_fresh("__cnt_start", taken),
+            succ_role=_fresh("__cnt_succ", taken))
+    if len(cs) >= 63 or (1 << len(cs)) > limit:
+        raise LimitExceededError(
+            f"exponential encoding needs 2^{len(cs)} nominals, over the limit {limit}")
+    return phi, cs, ExtVocabulary(
+        variant="exp",
+        marker=_fresh("__ord_M", taken),
         label_roles=labels,
-        counters=tuple(_fresh(f"__cnt_P{i}", taken) for i in range(1, k + 1)),
-        start=_fresh("__cnt_start", taken),
-        succ_role=_fresh("__cnt_succ", taken))
+        ladder=tuple(_fresh(f"__ord_o{i}", taken) for i in range(1, (1 << len(cs)) + 1)),
+        order_role=_fresh("__ord_ord", taken))
+
+
+def ord_vocabulary(spec: ReachSpec, variant: str) -> ExtVocabulary:
+    """The fresh symbols ord_reduction(spec, variant) uses, without
+    building the formula."""
+    return _ord_setup(spec, variant)[2]
 
 
 # ---------------------------------------------------------------------------
 # Relativization (theta 1)
+
+
+def _per_object(fn: Callable[[Concept], Concept]) -> Callable[[Concept], Concept]:
+    """fn applied once per distinct argument object.  The memo holds each
+    argument, so no id is reused while it lives; it lives as long as the
+    returned function, i.e. for one rewrite."""
+    memo: dict[int, tuple[Concept, Concept]] = {}
+
+    def call(c: Concept) -> Concept:
+        got = memo.get(id(c))
+        if got is None:
+            got = memo[id(c)] = (c, fn(c))
+        return got[1]
+
+    return call
 
 
 def relativize_concept(c: Concept, marker: Concept) -> Concept:
@@ -122,114 +158,118 @@ def relativize_concept(c: Concept, marker: Concept) -> Concept:
 
 
 def relativize_formula(phi: Formula, marker: Concept) -> Formula:
-    return map_sides(phi, lambda c: relativize_concept(c, marker))
+    return map_sides(phi, _per_object(lambda c: relativize_concept(c, marker)))
 
 
 # ---------------------------------------------------------------------------
-# The exponential encoding
+# The order-gadget encodings.  Each builds its output as a DAG: a subterm
+# that occurs many times is built once and referenced, and the balanced
+# conjunctions and disjunctions over spans of one list share their common
+# spans (syntax.span_trees).  The text and tree shape are as if every
+# occurrence were built anew.
 
 
-EXP_NOMINAL_LIMIT = 1 << 12
+def _labeling_axioms(spec: ReachSpec, ext: ExtVocabulary, cs: tuple[Concept, ...],
+                     marker: Concept, not_marker: Concept) -> tuple[Formula, Formula]:
+    """theta4 (each label role's domain is the marked target and its range
+    lies outside the marker) and theta5a (elements with the same label
+    agree on every closure concept); the two encodings share them."""
+    not_cs = [Not(c) for c in cs]
+    t4: list[Formula] = []
+    t5a: list[Formula] = []
+    for a, name in zip(spec.re, ext.label_roles):
+        f = role(name)
+        finv = f.inverse()
+        t4.append(Eq(Exists(f, TOP), And(Atomic(a.target), marker)))
+        t4.append(Incl(Exists(finv, TOP), not_marker))
+        for c, not_c in zip(cs, not_cs):
+            t5a.append(Eq(And(Exists(finv, c), Exists(finv, not_c)), BOT))
+    return conj(t4), conj(t5a)
 
 
 def ord_reduction_exp(spec: ReachSpec, limit: int = EXP_NOMINAL_LIMIT
                       ) -> tuple[Formula, ExtVocabulary]:
     """Order gadget with one fresh nominal per type (k = 2^#concepts)."""
-    phi = semi_formula(spec)
-    cs = closure_concepts(phi)
-    if len(cs) >= 63 or (1 << len(cs)) > limit:
-        raise LimitExceededError(
-            f"exponential encoding needs 2^{len(cs)} nominals, over the limit {limit}")
-    k = 1 << len(cs)
-    ext = _ext_vocab(spec, "exp", k)
+    phi, cs, ext = _ord_setup(spec, "exp", limit)
+    k = len(ext.ladder)
     marker = Atomic(ext.marker)
+    not_marker = Not(marker)
     o = [Nominal(name) for name in ext.ladder]
     ordr = role(ext.order_role)
+    before = [Exists(ordr, oj) for oj in o]  # before[j]: the elements ordered before o_j
 
     theta1 = relativize_formula(phi, marker)
-    theta2 = Eq(Not(marker), big_or(o))
+    theta2 = Eq(not_marker, big_or(o))
+    prefix, suffix = span_trees(before, Or, BOT), span_trees(before, And, TOP)
     t3: list[Formula] = []
     for i in range(1, k + 1):
-        t3.append(Incl(o[i - 1], Not(big_or(Exists(ordr, o[j - 1]) for j in range(1, i + 1)))))
+        t3.append(Incl(o[i - 1], Not(prefix(0, i))))
         if i < k:
-            t3.append(Incl(o[i - 1], big_and(Exists(ordr, o[j - 1]) for j in range(i + 1, k + 1))))
+            t3.append(Incl(o[i - 1], suffix(i, k)))
     theta3 = conj(t3)
-    t4: list[Formula] = []
-    t5a: list[Formula] = []
+    theta4, theta5a = _labeling_axioms(spec, ext, cs, marker, not_marker)
     t5b: list[Formula] = []
-    for h, a in enumerate(spec.re, start=1):
-        f = role(ext.label_roles[h - 1])
-        t4.append(Eq(Exists(f, TOP), And(Atomic(a.target), marker)))
-        t4.append(Incl(Exists(f.inverse(), TOP), Not(marker)))
-        for c in cs:
-            t5a.append(Eq(And(Exists(f.inverse(), c), Exists(f.inverse(), Not(c))), BOT))
-        for ell in range(1, k + 1):
-            lhs_empty = Eq(And(Exists(f, o[ell - 1]), Not(a.source)), BOT)
-            witness = And(big_or(Exists(role(s), Exists(f, o[ell - 1])) for s in sorted(a.roles)),
-                          Exists(f, Exists(ordr, o[ell - 1])))
+    for a, name in zip(spec.re, ext.label_roles):
+        f = role(name)
+        not_source = Not(a.source)
+        roles = [role(s) for s in sorted(a.roles)]
+        for ell in range(k):
+            at = Exists(f, o[ell])
+            lhs_empty = Eq(And(at, not_source), BOT)
+            witness = And(big_or(Exists(r, at) for r in roles), Exists(f, before[ell]))
             t5b.append(FOr(lhs_empty, FNot(Eq(BOT, witness))))
-    return conj([theta1, theta2, theta3, conj(t4), conj(t5a), conj(t5b)]), ext
-
-
-# ---------------------------------------------------------------------------
-# The polynomial encoding
+    return conj([theta1, theta2, theta3, theta4, theta5a, conj(t5b)]), ext
 
 
 def ord_reduction_poly(spec: ReachSpec) -> tuple[Formula, ExtVocabulary]:
     """Order gadget with a binary counter: k concepts encode 2^k order
     positions, succ mimics binary increment."""
-    phi = semi_formula(spec)
-    cs = closure_concepts(phi)
-    k = len(cs)
-    ext = _ext_vocab(spec, "poly", k)
+    phi, cs, ext = _ord_setup(spec, "poly")
+    k = len(ext.counters)
     marker = Atomic(ext.marker)
+    not_marker = Not(marker)
     p = [Atomic(name) for name in ext.counters]
+    not_p = [Not(pj) for pj in p]
     succ = role(ext.succ_role)
     start = Nominal(ext.start)
+    succ_p = [Exists(succ, pj) for pj in p]
+    succ_not_p = [Exists(succ, x) for x in not_p]
 
     theta1 = relativize_formula(phi, marker)
-    theta2 = Eq(Not(marker), Or(start, big_or(p)))
-
-    def c_eq(i: int) -> Concept:
-        return And(Not(p[i - 1]), Exists(succ, p[i - 1]))
-
-    def c_lt(i: int) -> Concept:
-        return big_and(And(p[j - 1], Exists(succ, Not(p[j - 1]))) for j in range(1, i))
-
-    def c_gt(i: int) -> Concept:
-        return big_and(Or(And(p[j - 1], Exists(succ, p[j - 1])),
-                          And(Not(p[j - 1]), Exists(succ, Not(p[j - 1]))))
-                       for j in range(i + 1, k + 1))
-
-    all_p = big_and(p)
-    zeta_consec = Incl(And(Not(marker), Not(all_p)),
-                       big_or(And(And(c_lt(i), c_eq(i)), c_gt(i)) for i in range(1, k + 1)))
-    zeta_first = FAnd(Eq(start, And(Not(marker), big_and(Not(pi) for pi in p))),
-                      Eq(Exists(succ.inverse(), TOP), And(Not(marker), Not(start))))
-    zeta_last = Eq(Exists(succ, TOP), And(Not(marker), Not(all_p)))
+    theta2 = Eq(not_marker, Or(start, big_or(p)))
+    # below the bit that increments every bit flips from 1 to 0, above it
+    # every bit stays
+    flips = span_trees([And(p[j], succ_not_p[j]) for j in range(k)], And, TOP)
+    stays = span_trees([Or(And(p[j], succ_p[j]), And(not_p[j], succ_not_p[j]))
+                        for j in range(k)], And, TOP)
+    not_last = And(not_marker, Not(big_and(p)))
+    zeta_consec = Incl(not_last, big_or(And(And(flips(0, i), And(not_p[i], succ_p[i])),
+                                            stays(i + 1, k)) for i in range(k)))
+    zeta_first = FAnd(Eq(start, And(not_marker, big_and(not_p))),
+                      Eq(Exists(succ.inverse(), TOP), And(not_marker, Not(start))))
+    zeta_last = Eq(Exists(succ, TOP), not_last)
     theta3 = conj([zeta_consec, zeta_first, zeta_last])
 
-    t4: list[Formula] = []
-    t5a: list[Formula] = []
+    theta4, theta5a = _labeling_axioms(spec, ext, cs, marker, not_marker)
     t5b: list[Formula] = []
-    for h, a in enumerate(spec.re, start=1):
-        f = role(ext.label_roles[h - 1])
-        t4.append(Eq(Exists(f, TOP), And(Atomic(a.target), marker)))
-        t4.append(Incl(Exists(f.inverse(), TOP), Not(marker)))
-        for c in cs:
-            t5a.append(Eq(And(Exists(f.inverse(), c), Exists(f.inverse(), Not(c))), BOT))
+    for a, name in zip(spec.re, ext.label_roles):
+        f = role(name)
+        finv = f.inverse()
+        at_p = [Exists(f, pj) for pj in p]
+        at_not_p = [Exists(f, x) for x in not_p]
         pieces: list[Concept] = []
         for s in sorted(a.roles):
-            for i in range(1, k + 1):
-                e_hsi = big_and(
-                    [And(Exists(f, Not(p[i - 1])), Exists(role(s), Exists(f, p[i - 1])))]
-                    + [Or(And(Exists(f, p[j - 1]), Exists(role(s), Exists(f, p[j - 1]))),
-                          And(Exists(f, Not(p[j - 1])), Exists(role(s), Exists(f, Not(p[j - 1])))))
-                       for j in range(i + 1, k + 1)])
-                pieces.append(Exists(role(s).inverse(), e_hsi))
-        t5b.append(Incl(Exists(f.inverse(), Not(a.source)),
-                        Exists(f.inverse(), big_or(pieces))))
-    return conj([theta1, theta2, theta3, conj(t4), conj(t5a), conj(t5b)]), ext
+            r = role(s)
+            rinv = r.inverse()
+            next_p = [Exists(r, x) for x in at_p]
+            next_not_p = [Exists(r, x) for x in at_not_p]
+            tail = [Or(And(at_p[j], next_p[j]), And(at_not_p[j], next_not_p[j]))
+                    for j in range(k)]
+            for i in range(k):
+                head = And(at_not_p[i], next_p[i])
+                pieces.append(Exists(rinv, big_and([head] + tail[i + 1:])))
+        t5b.append(Incl(Exists(finv, Not(a.source)), Exists(finv, big_or(pieces))))
+    return conj([theta1, theta2, theta3, theta4, theta5a, conj(t5b)]), ext
 
 
 def ord_reduction(spec: ReachSpec, variant: str) -> tuple[Formula, ExtVocabulary]:
@@ -251,7 +291,7 @@ def ord_lift(m: FiniteStructure, spec: ReachSpec, variant: str,
     roles; the result satisfies the encoding and passes ord_membership."""
     from .models import PremiseViolationError, useful_labeling
 
-    _, ext = ord_reduction(spec, variant)
+    ext = ord_vocabulary(spec, variant)
     if labelings is None:
         labelings = {}
         for h in range(1, len(spec.re) + 1):
@@ -296,23 +336,27 @@ def ord_substructure(n_struct: FiniteStructure, ext: ExtVocabulary) -> FiniteStr
     return FiniteStructure(tuple(sorted(mpart)), concepts, roles, nominals)
 
 
+def ord_positions(n_struct: FiniteStructure, ext: ExtVocabulary) -> dict[int, int]:
+    """The order position (from 1) of each element outside the marker: its
+    ladder index (exp), or 1 plus the binary number its counter concepts
+    spell, P_1 the lowest bit (poly)."""
+    if ext.variant == "exp":
+        return {n_struct.nominal_elem(name): i + 1 for i, name in enumerate(ext.ladder)}
+    mpart = n_struct.concept_ext(ext.marker)
+    position = {u: 1 for u in n_struct.universe if u not in mpart}
+    for i, name in enumerate(ext.counters):
+        for u in n_struct.concept_ext(name):
+            if u in position:
+                position[u] += 1 << i
+    return position
+
+
 def ord_labelings(n_struct: FiniteStructure, spec: ReachSpec,
                   ext: ExtVocabulary) -> dict[int, dict[int, int]]:
     """Read the numeric labelings off an order-gadget witness."""
-    if ext.variant == "exp":
-        position = {n_struct.nominal_elem(name): i + 1 for i, name in enumerate(ext.ladder)}
-    else:
-        position = {}
-        opart = set(n_struct.universe) - set(n_struct.concept_ext(ext.marker))
-        for u in opart:
-            position[u] = 1 + sum(1 << (i - 1)
-                                  for i, name in enumerate(ext.counters, start=1)
-                                  if u in n_struct.concept_ext(name))
-    out: dict[int, dict[int, int]] = {}
-    for h in range(1, len(spec.re) + 1):
-        pairs = n_struct.role_ext(ext.label_roles[h - 1])
-        out[h] = {u: position[v] for u, v in pairs}
-    return out
+    position = ord_positions(n_struct, ext)
+    return {h: {u: position[v] for u, v in n_struct.role_ext(ext.label_roles[h - 1])}
+            for h in range(1, len(spec.re) + 1)}
 
 
 def ord_membership(n_struct: FiniteStructure, spec: ReachSpec, variant: str,
@@ -321,7 +365,7 @@ def ord_membership(n_struct: FiniteStructure, spec: ReachSpec, variant: str,
     from .models import labeling_is_useful
 
     if ext is None:
-        ext = ord_reduction(spec, variant)[1]
+        ext = ord_vocabulary(spec, variant)
     mpart = n_struct.concept_ext(ext.marker)
     opart = set(n_struct.universe) - mpart
     phi = semi_formula(spec)
@@ -347,6 +391,7 @@ def ord_membership(n_struct: FiniteStructure, spec: ReachSpec, variant: str,
             for j in range(len(ladder)):
                 if ((ladder[i], ladder[j]) in ordext) != (i < j):
                     return False
+        position = ord_positions(n_struct, ext)
     else:
         k = len(ext.counters)
         if ext.start not in n_struct.nominals:
@@ -361,11 +406,7 @@ def ord_membership(n_struct: FiniteStructure, spec: ReachSpec, variant: str,
             return False
         # property 3: eval is a bijection onto [1, 2^k], start maps to 1,
         # succ restricted to O is exactly the increment relation
-        position = {}
-        for u in opart:
-            position[u] = 1 + sum(1 << (i - 1)
-                                  for i, name in enumerate(ext.counters, start=1)
-                                  if u in n_struct.concept_ext(name))
+        position = ord_positions(n_struct, ext)
         if len(opart) != 1 << k or set(position.values()) != set(range(1, (1 << k) + 1)):
             return False
         if position[n_struct.nominal_elem(ext.start)] != 1:
@@ -377,7 +418,7 @@ def ord_membership(n_struct: FiniteStructure, spec: ReachSpec, variant: str,
         if succ_o != want:
             return False
     # properties 4 and 5 per assertion
-    labelings = {}
+    cs = closure_concepts(phi)
     for h, a in enumerate(spec.re, start=1):
         pairs = n_struct.role_ext(ext.label_roles[h - 1])
         domain = sub.concept_ext(a.target)
@@ -385,10 +426,8 @@ def ord_membership(n_struct: FiniteStructure, spec: ReachSpec, variant: str,
             return False
         if not all(v in opart for _, v in pairs):
             return False
-    labelings = ord_labelings(n_struct, spec, ext)
-    cs = closure_concepts(phi)
-    for h in range(1, len(spec.re) + 1):
-        if not labeling_is_useful(sub, spec, h, labelings[h], cs):
+        labeling = {u: position[v] for u, v in pairs}
+        if not labeling_is_useful(sub, spec, h, labeling, cs):
             return False
     return True
 
@@ -402,7 +441,7 @@ def implication_reduction(spec1: ReachSpec, spec2: ReachSpec
     """kappa: spec1 with the negation of spec2 pushed into the base via one
     fresh closure concept per reach assertion of spec2; spec1 implies spec2
     iff kappa is unsatisfiable.  Returns kappa and the fresh concepts."""
-    taken = _occurring_names(spec1) | _occurring_names(spec2)
+    taken = _occurring_names(semi_formula(spec1)) | _occurring_names(semi_formula(spec2))
     fresh: list[str] = []
     alphas: list[Formula] = []
     for h, a in enumerate(spec2.re, start=1):
@@ -502,7 +541,7 @@ class BCInfo:
 
 
 def _relativize_atoms(phi: Formula, guard: Concept) -> Formula:
-    return map_sides(phi, lambda c: And(c, guard))
+    return map_sides(phi, _per_object(lambda c: And(c, guard)))
 
 
 def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
@@ -545,13 +584,14 @@ def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
             assign[r] = frozenset((u, d0) for u in universe)
         psi1 = _bc(phi.left, info, ev if on == 1 else None, assign)
         psi2 = _bc(phi.right, info, ev if on == 2 else None, assign)
+        rr = role(r)
         prep = conj([Incl(ox, Not(oy)), Incl(o1, Not(o2)),
                      Eq(Or(ox, oy), Or(o1, o2)),
-                     Eq(Exists(role(r), ox), TOP),
-                     Eq(Exists(role(r), oy), BOT)])
+                     Eq(Exists(rr, ox), TOP),
+                     Eq(Exists(rr, oy), BOT)])
         return conj([prep,
-                     _relativize_atoms(psi1, Exists(role(r), o1)),
-                     _relativize_atoms(psi2, Exists(role(r), o2))])
+                     _relativize_atoms(psi1, Exists(rr, o1)),
+                     _relativize_atoms(psi2, Exists(rr, o2))])
     if isinstance(phi, Eq):
         return _bc(expand_eq(phi), info, ev, assign)
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover

@@ -29,7 +29,7 @@ programs.map_stmt and programs.commands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class ReachDLError(Exception):
@@ -220,15 +220,34 @@ def exactly(n: int, r: Role, c: Concept) -> Concept:
     return And(AtMost(n, r, c), atleast(n, r, c))
 
 
-def _balanced(parts: list, node, empty):
-    """Balanced tree so wide conjunctions stay shallow for recursion."""
-    if not parts:
-        return empty
-    if len(parts) == 1:
-        return parts[0]
-    mid = (len(parts) + 1) // 2
-    return node(_balanced(parts[:mid], node, empty),
-                _balanced(parts[mid:], node, empty))
+def _balanced(parts: Sequence, node, empty, lo: int = 0, hi: int | None = None,
+              spans: dict | None = None):
+    """Balanced tree over parts[lo:hi], so wide conjunctions stay shallow
+    for recursion; an odd span puts its middle part in the left half.
+    `spans`, when given, maps each (lo, hi) built so far to its tree, so
+    trees over spans of one list share the spans they have in common."""
+    if hi is None:
+        hi = len(parts)
+    if hi - lo <= 1:
+        return parts[lo] if hi > lo else empty
+    if spans is not None:
+        got = spans.get((lo, hi))
+        if got is not None:
+            return got
+    mid = (lo + hi + 1) // 2
+    out = node(_balanced(parts, node, empty, lo, mid, spans),
+               _balanced(parts, node, empty, mid, hi, spans))
+    if spans is not None:
+        spans[(lo, hi)] = out
+    return out
+
+
+def span_trees(parts: Sequence, node, empty) -> Callable[[int, int], object]:
+    """tree(lo, hi): the balanced tree over parts[lo:hi] that big_and and
+    friends build, with each span built once across calls, so the trees
+    over spans of one list are one DAG."""
+    spans: dict = {}
+    return lambda lo, hi: _balanced(parts, node, empty, lo, hi, spans)
 
 
 def big_and(parts: Iterable[Concept]) -> Concept:
@@ -581,50 +600,66 @@ def _print_role(r: Role) -> str:
     return text
 
 
-def _print_concept(c: Concept, prec: int) -> str:
+def _print_concept(c: Concept, prec: int, memo: dict[tuple[int, int], str]) -> str:
+    """The text of c where an operator of precedence prec encloses it.
+    memo maps (id(node), prec) to the text already printed, so a node that
+    a DAG reaches many times is printed once per precedence."""
     if isinstance(c, Atomic) or isinstance(c, Nominal):
         return c.name
     if isinstance(c, Top):
         return "top"
     if isinstance(c, Bot):
         return "bot"
+    key = (id(c), prec)
+    got = memo.get(key)
+    if got is not None:
+        return got
     if isinstance(c, Or):
-        s = f"{_print_concept(c.left, _CPREC['or'])} | {_print_concept(c.right, _CPREC['or'] + 1)}"
-        return f"({s})" if prec > _CPREC["or"] else s
-    if isinstance(c, And):
-        s = f"{_print_concept(c.left, _CPREC['and'])} & {_print_concept(c.right, _CPREC['and'] + 1)}"
-        return f"({s})" if prec > _CPREC["and"] else s
-    if isinstance(c, Not):
-        return f"!{_print_concept(c.inner, _CPREC['not'] + 1)}"
-    if isinstance(c, Exists):
-        return f"E {_print_role(c.role)}.{_print_concept(c.inner, _CPREC['atom'])}"
-    if isinstance(c, AtMost):
-        return f"E<={c.bound} {_print_role(c.role)}.{_print_concept(c.inner, _CPREC['atom'])}"
-    raise TypeError(f"not a concept: {c!r}")  # pragma: no cover
+        s = (f"{_print_concept(c.left, _CPREC['or'], memo)} | "
+             f"{_print_concept(c.right, _CPREC['or'] + 1, memo)}")
+        s = f"({s})" if prec > _CPREC["or"] else s
+    elif isinstance(c, And):
+        s = (f"{_print_concept(c.left, _CPREC['and'], memo)} & "
+             f"{_print_concept(c.right, _CPREC['and'] + 1, memo)}")
+        s = f"({s})" if prec > _CPREC["and"] else s
+    elif isinstance(c, Not):
+        s = f"!{_print_concept(c.inner, _CPREC['not'] + 1, memo)}"
+    elif isinstance(c, Exists):
+        s = f"E {_print_role(c.role)}.{_print_concept(c.inner, _CPREC['atom'], memo)}"
+    elif isinstance(c, AtMost):
+        s = f"E<={c.bound} {_print_role(c.role)}.{_print_concept(c.inner, _CPREC['atom'], memo)}"
+    else:  # pragma: no cover
+        raise TypeError(f"not a concept: {c!r}")
+    memo[key] = s
+    return s
 
 
 _FPREC = {"or": 1, "and": 2, "not": 3}
 
 
-def _print_formula(phi: Formula, prec: int) -> str:
+def _print_formula(phi: Formula, prec: int, memo: dict[tuple[int, int], str]) -> str:
     if isinstance(phi, Incl):
-        return f"{_print_concept(phi.left, 0)} <= {_print_concept(phi.right, 0)}"
+        return f"{_print_concept(phi.left, 0, memo)} <= {_print_concept(phi.right, 0, memo)}"
     if isinstance(phi, Eq):
-        return f"{_print_concept(phi.left, 0)} == {_print_concept(phi.right, 0)}"
+        return f"{_print_concept(phi.left, 0, memo)} == {_print_concept(phi.right, 0, memo)}"
     if isinstance(phi, FOr):
-        s = f"{_print_formula(phi.left, _FPREC['or'])} or {_print_formula(phi.right, _FPREC['or'] + 1)}"
+        s = (f"{_print_formula(phi.left, _FPREC['or'], memo)} or "
+             f"{_print_formula(phi.right, _FPREC['or'] + 1, memo)}")
         return f"({s})" if prec > _FPREC["or"] else s
     if isinstance(phi, FAnd):
-        s = f"{_print_formula(phi.left, _FPREC['and'])} and {_print_formula(phi.right, _FPREC['and'] + 1)}"
+        s = (f"{_print_formula(phi.left, _FPREC['and'], memo)} and "
+             f"{_print_formula(phi.right, _FPREC['and'] + 1, memo)}")
         return f"({s})" if prec > _FPREC["and"] else s
     if isinstance(phi, FNot):
         inner = phi.inner
         if isinstance(inner, (Incl, Eq)):
-            return f"not ({_print_formula(inner, 0)})"
-        return f"not {_print_formula(inner, _FPREC['not'] + 1)}"
+            return f"not ({_print_formula(inner, 0, memo)})"
+        return f"not {_print_formula(inner, _FPREC['not'] + 1, memo)}"
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
 
 
 def to_text(phi: Formula) -> str:
-    """Deterministic surface rendering; parse(to_text(phi)) == phi."""
-    return _print_formula(phi, 0)
+    """Deterministic surface rendering; parse(to_text(phi)) == phi.  The
+    concept texts are memoized by node identity for this call only; phi
+    keeps every node alive meanwhile, so no id is reused."""
+    return _print_formula(phi, 0, {})

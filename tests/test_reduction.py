@@ -6,12 +6,14 @@ from reachdl.models import (find_model, find_semi_useful_model, repair,
                             useful_labeling)
 from reachdl.reach import (DisjAssertion, ReachAssertion, ReachSpec,
                            alist_spec, check_semi_connected, check_spec,
-                           list_spec, tree_spec, LIST_VOCAB, TREE_VOCAB)
+                           clist_spec, list_spec, tree_spec, LIST_VOCAB,
+                           TREE_VOCAB)
 from reachdl.reduction import (LimitExceededError, NonNNFError, bc_lift,
                                boolean_closure_reduction, implication_reduction,
                                is_negation_free, is_nnf, nnf, ord_labelings,
-                               ord_lift, ord_membership, ord_reduction,
-                               ord_reduction_exp, ord_reduction_poly,
+                               ord_lift, ord_membership, ord_positions,
+                               ord_reduction, ord_reduction_exp,
+                               ord_reduction_poly, ord_vocabulary,
                                ord_substructure, owl_export, sat_pipeline,
                                sat_pipeline_full, semi_formula)
 from reachdl.structures import eval_formula, structure
@@ -113,6 +115,36 @@ def test_ord_membership_mutations():
     # displacing a tau-nominal into the order part breaks property 1
     displaced = n.with_nominal("head", n.nominal_elem(ext.ladder[0]))
     assert not ord_membership(displaced, spec, "exp", ext)
+
+
+def test_ord_vocabulary_is_the_reductions():
+    tree = structure(range(3), {"T": [0, 1, 2]}, {"left": [(0, 1)], "right": [(0, 2)]},
+                     {"root": 0})
+    for spec, m in ((list_spec(), CHAIN), (alist_spec(), CHAIN), (tree_spec(), tree)):
+        for variant in ("exp", "poly"):
+            try:
+                want = ord_reduction(spec, variant)[1]
+            except LimitExceededError as e:
+                message = str(e)
+                for call in (lambda: ord_vocabulary(spec, variant),
+                             lambda: ord_lift(m, spec, variant),
+                             lambda: ord_membership(m, spec, variant)):
+                    with pytest.raises(LimitExceededError) as got:
+                        call()
+                    assert str(got.value) == message
+                continue
+            assert ord_vocabulary(spec, variant) == want
+            n, ext = ord_lift(m, spec, variant)
+            assert ext == want
+            assert ord_membership(n, spec, variant) == ord_membership(n, spec, variant, want)
+    assert "2^21 nominals" in message  # tree_spec's exponential encoding
+
+
+def test_ord_positions_read_the_lifted_order():
+    for variant in ("exp", "poly"):
+        n, ext = ord_lift(CHAIN, list_spec(), variant)
+        o_elems = sorted(set(n.universe) - set(CHAIN.universe))
+        assert ord_positions(n, ext) == {u: v for v, u in enumerate(o_elems, start=1)}
 
 
 def test_poly_counter_shapes():
@@ -305,6 +337,45 @@ def test_bc_equisatisfiable_small():
             sat_out = find_model(psi, out_vocab, size, size,
                                  role_canon=info.role_canon) is not None
             assert sat_in == sat_out, (to_text(phi), size)
+
+
+# ---------------------------------------------------------------------------
+# sharing: the reductions build each distinct subterm once
+
+
+def _objects_and_distinct(root) -> tuple[int, int]:
+    """The number of concept and formula node objects reachable from root,
+    and the number of structurally distinct ones."""
+    ids: dict[int, int] = {}
+    table: dict[tuple, int] = {}
+
+    def canon(x) -> int:
+        got = ids.get(id(x))
+        if got is None:
+            kids = tuple(canon(getattr(x, f)) for f in ("left", "right", "inner")
+                         if hasattr(x, f))
+            key = (type(x), getattr(x, "name", None), getattr(x, "bound", None),
+                   getattr(x, "role", None), kids)
+            got = ids[id(x)] = table.setdefault(key, len(table))
+        return got
+
+    canon(root)
+    return len(ids), len(table)
+
+
+@pytest.mark.parametrize("variant", ["exp", "poly"])
+@pytest.mark.parametrize("make", [list_spec, alist_spec, clist_spec, tree_spec])
+def test_ord_and_bc_outputs_are_shared(make, variant):
+    # each repeated subterm built anew gave 2.0-7.2 objects per distinct node
+    try:
+        ord_formula, _ = ord_reduction(make(), variant)
+    except LimitExceededError:
+        assert (make, variant) == (tree_spec, "exp")
+        return
+    bc_formula, _ = boolean_closure_reduction(nnf(ord_formula))
+    for phi in (ord_formula, bc_formula):
+        objects, distinct = _objects_and_distinct(phi)
+        assert objects <= 1.5 * distinct
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import pytest
 
 from reachdl.parser import (ParseError, parse_block, parse_concept, parse_formula,
                             parse_spec_file)
-from reachdl.syntax import (And, AtMost, Atomic, Eq, Exists, FAnd, Incl,
-                            Nominal, Not, Or, Role, TOP, UnknownSymbolError,
-                            Vocabulary, closure_concepts, concepts_of,
+from reachdl.syntax import (And, AtMost, Atomic, BOT, Eq, Exists, FALSE, FAnd,
+                            FOr, Incl, Nominal, Not, Or, Role, TOP, TRUE,
+                            UnknownSymbolError, Vocabulary, big_and, big_or,
+                            closure_concepts, concepts_of, conj, disj,
                             formula_size, inv, map_concept, map_sides, role,
-                            subconcepts, to_text)
+                            span_trees, subconcepts, to_text)
 from gen import random_formula
 
 V = Vocabulary(concepts={"L", "A", "B"}, roles={"next", "left", "r"},
@@ -115,6 +116,41 @@ def test_subconcepts_preorder_matches_closure_order():
         want = tuple(dict.fromkeys(c for side in concepts_of(phi) for c in preorder(side)))
         assert closure_concepts(phi) == want
         assert tuple(dict.fromkeys(subconcepts(phi))) == want
+
+
+def _sliced(parts, node, empty):
+    """The balanced builder as it was written first, by slicing."""
+    if not parts:
+        return empty
+    if len(parts) == 1:
+        return parts[0]
+    mid = (len(parts) + 1) // 2
+    return node(_sliced(parts[:mid], node, empty), _sliced(parts[mid:], node, empty))
+
+
+@pytest.mark.parametrize("build,node,empty,leaf", [
+    (big_and, And, TOP, lambda i: Atomic(f"A{i}")),
+    (big_or, Or, BOT, lambda i: Atomic(f"A{i}")),
+    (conj, FAnd, TRUE, lambda i: Incl(Atomic(f"A{i}"), TOP)),
+    (disj, FOr, FALSE, lambda i: Incl(Atomic(f"A{i}"), TOP))])
+def test_balanced_builders_match_slicing(build, node, empty, leaf):
+    for n in range(41):
+        parts = [leaf(i) for i in range(n)]
+        assert build(parts) == _sliced(parts, node, empty)
+        tree = span_trees(parts, node, empty)
+        built = {(lo, hi): tree(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)}
+        for (lo, hi), got in built.items():
+            assert got == _sliced(parts[lo:hi], node, empty)
+            assert tree(lo, hi) is got
+        # across all the trees, one object per span of two or more parts
+        inner: set[int] = set()
+        stack = list(built.values())
+        while stack:
+            x = stack.pop()
+            if type(x) is node and id(x) not in inner:
+                inner.add(id(x))
+                stack += [x.left, x.right]
+        assert len(inner) == sum(1 for lo, hi in built if hi - lo >= 2)
 
 
 def test_role_inverse_normalizes():
