@@ -363,6 +363,19 @@ def _objects_and_distinct(root) -> tuple[int, int]:
     return len(ids), len(table)
 
 
+def test_relativization_rewrites_each_side_object_once():
+    from reachdl.reduction import _relativize_atoms, relativize_concept, relativize_formula
+
+    c, d = And(Atomic("A"), Nominal("o")), Exists(inv("r"), Atomic("A"))
+    phi = FAnd(Incl(c, d), FOr(Eq(d, c), Incl(c, Not(d))))
+    guard = Atomic("M")
+    for out, want in ((relativize_formula(phi, guard), relativize_concept(c, guard)),
+                      (_relativize_atoms(phi, guard), And(c, guard))):
+        assert out.left.left == want
+        assert out.left.left is out.right.left.right is out.right.right.left
+        assert out.left.right is out.right.left.left
+
+
 @pytest.mark.parametrize("variant", ["exp", "poly"])
 @pytest.mark.parametrize("make", [list_spec, alist_spec, clist_spec, tree_spec])
 def test_ord_and_bc_outputs_are_shared(make, variant):
