@@ -26,20 +26,21 @@ mask of maps the slot may try.
 `Kernel` is the search front-end of the one set of bitmask node rules
 (`structures.update` / `invert` / `exists` / `image` / `at_most`); the
 other front-end is `structures.Evaluator`, which evaluates over the mask
-view of one finite structure.  Both hash-cons on (constructor, child node
-ids).  A search compiles all its conjuncts into one kernel, with one node
-per distinct subterm (concepts, formulas and the views of updated or
-inverted roles), shared across conjuncts.  A node's level is the largest
-slot index among its symbols, so its value can change only when that
-slot writes a new value.  A node read at a later stage than its level, or
-read more than once, gets a cell in the store of its level, so it is
-computed at most once per value of that slot; other nodes are evaluated
-inline.  The reset points: each value a slot writes clears that slot's
-store, and each `search(env)` clears them all first.  Two callers rebind
-symbols without a slot write, so a cell would go stale there; they use the
-kernel uncached: `find_model`'s sliced filter of single-role conjuncts,
-which is evaluated once per nominal placement, and the connectivity check
-(`compile_concept`).  `formula_plan` compiles one formula for evaluation
+view of one finite structure and memoizes by object identity.  The kernel
+hash-conses on (constructor, child node ids), because parsed conjuncts
+repeat subterms as copies: a search compiles all its conjuncts into one
+kernel, with one node per structurally distinct subterm (concepts,
+formulas and the views of updated or inverted roles), shared across
+conjuncts.  A node's level is the largest slot index among its symbols,
+so its value can change only when that slot writes a new value.  A node
+read at a later stage than its level, or read more than once, gets a cell
+in the store of its level, so it is computed at most once per value of
+that slot; other nodes are evaluated inline.  The reset points: each value
+a slot writes clears that slot's store, and each `search(env)` clears them
+all first.  One caller rebinds symbols without a slot write, so a cell
+would go stale there, and it uses the kernel uncached: `find_model`'s
+sliced filter of single-role conjuncts, which is evaluated once per
+nominal placement.  `formula_plan` compiles one formula for evaluation
 over the mask views of many structures, clearing its store per structure.
 """
 
@@ -630,13 +631,6 @@ def _compile_node(key: tuple, fns: list[Callable[[dict], object]]) -> Callable[[
     raise TypeError(f"unknown kernel node {tag!r}")  # pragma: no cover
 
 
-def compile_concept(c: Concept) -> Callable[[dict], int]:
-    """The kernel's uncached function of concept c."""
-    kernel = Kernel()
-    nid = kernel.concept(c)
-    return kernel.compile()[nid]
-
-
 def formula_plan(phi: Formula) -> Callable[[object], bool]:
     """phi compiled once, for evaluation over many heap states
     (memory.MemoryStructure): the truth of phi in a state, as
@@ -1029,13 +1023,14 @@ def _simplify_functional(phi: Formula, functional: frozenset[str]) -> Formula:
 def _connectivity_check(a: ReachAssertion) -> Callable[[dict], bool]:
     """Mask-level check that every target element of assertion `a` is
     reachable from its source inside the target."""
-    srcf = compile_concept(a.source)
+    src_name, src_nominal = a.source.name, isinstance(a.source, Nominal)
     tgt_name = a.target
     rnames = sorted(a.roles)
 
     def conn(env: dict) -> bool:
         tgt = env["cons"].get(tgt_name, 0)
-        reach = srcf(env) & tgt
+        src = 1 << env["noms"][src_name] if src_nominal else env["cons"].get(src_name, 0)
+        reach = src & tgt
         frontier = reach
         while frontier:
             step = 0

@@ -265,9 +265,18 @@ def ord_reduction_poly(spec: ReachSpec) -> tuple[Formula, ExtVocabulary]:
             next_not_p = [Exists(r, x) for x in at_not_p]
             tail = [Or(And(at_p[j], next_p[j]), And(at_not_p[j], next_not_p[j]))
                     for j in range(k)]
+            tails = span_trees(tail, And, TOP)
             for i in range(k):
-                head = And(at_not_p[i], next_p[i])
-                pieces.append(Exists(rinv, big_and([head] + tail[i + 1:])))
+                # big_and([head] + tail[i + 1:]), spans shared: a span of it
+                # that leaves out the head is a span of tail, split at the
+                # same point, so only the spine [0, w) over the head is new
+                widths = [k - i]
+                while widths[-1] > 1:
+                    widths.append((widths[-1] + 1) // 2)
+                tree = And(at_not_p[i], next_p[i])  # the head
+                for w in reversed(widths[:-1]):
+                    tree = And(tree, tails(i + (w + 1) // 2, i + w))
+                pieces.append(Exists(rinv, tree))
         t5b.append(Incl(Exists(finv, Not(a.source)), Exists(finv, big_or(pieces))))
     return conj([theta1, theta2, theta3, theta4, theta5a, conj(t5b)]), ext
 

@@ -18,9 +18,11 @@ universe, and `env_structure` over range(n).  The heap layer does not go
 through the view: a memory.MemoryStructure stores its masks in the same
 layout and builds its FiniteStructure only when one is read (a witness, a
 printed state, I/O).  An `Evaluator` holds the view of one structure and
-computes each distinct subterm once, when first reached, with the node
-rules below (role updates, inversion, E r.C, the image E r^-.C, at-most)
-that models.Kernel shares.  Inclusions and equalities evaluate both sides,
+computes each node object once, when first reached, with the node rules
+below (role updates, inversion, E r.C, the image E r^-.C, at-most) that
+models.Kernel shares.  Its memo is by identity, not structure: the
+reductions build their outputs as shared DAGs, so a repeated subterm is
+one object.  Inclusions and equalities evaluate both sides,
 and FAnd / FOr short-circuit, so a missing nominal raises
 MissingNominalError exactly where evaluation reaches it.  `eval_concept`,
 `eval_formula`, `type_of` and `types_of_all` build one evaluator per call;
@@ -104,11 +106,6 @@ class FiniteStructure:
         except KeyError:
             raise MissingNominalError(f"nominal {name} is not interpreted") from None
 
-    def role_pairs(self, r: Role) -> frozenset[tuple[int, int]]:
-        """Pairs of a role expression: overrides applied innermost-first,
-        inversion last."""
-        return Evaluator(self).role_pairs(r)
-
     # -- functional-update helpers (used by the operational semantics)
 
     def with_symbols(self, **entries: Mapping) -> "FiniteStructure":
@@ -160,8 +157,6 @@ def structure(universe: Iterable[int], concepts: Mapping[str, Iterable[int]] | N
                            {k: frozenset(v) for k, v in (concepts or {}).items()},
                            {k: frozenset(v) for k, v in (roles or {}).items()},
                            dict(nominals or {}))
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -306,200 +301,137 @@ class Evaluator:
     """Evaluation of concepts and formulas over the mask view of one
     structure.
 
-    Every AST node reached gets a node id: an identity memo maps the node
-    object (and each role object) to it, and nodes are hash-consed on
-    (constructor, child node ids), like models.Kernel, so a structurally
-    equal copy maps to the node already computed.  A node's value is
-    computed once, when it is first reached; `computed` counts them.  FAnd
-    and FOr short-circuit and take the node of the operand that decides
-    them.  The walk keeps its own stack, so nesting depth is bounded by
-    memory, not by Python frames.  The evaluator holds the root of every
-    walk; the AST is immutable, so that keeps every object in the identity
-    memo alive and no id is reused while the evaluator lives."""
+    The memo maps each node object reached (by identity) to its value, so
+    an object is computed once, when it is first reached, and a shared
+    subterm of a DAG once per evaluator; a structurally equal copy is a
+    new object and is computed anew.  `computed` counts the objects
+    computed.  Role views have a memo of their own, keyed by the role's
+    name, updates and inversion.  FAnd and FOr short-circuit and take the
+    value of the operand that decides them.  The walk keeps its own stack,
+    so nesting depth is bounded by memory, not by Python frames.  The
+    evaluator holds the root of every walk; the AST is immutable, so that
+    keeps every object in the memo alive and no id is reused while the
+    evaluator lives."""
 
     def __init__(self, m: FiniteStructure) -> None:
         self.structure = m
         self.view = mask_view(m)
-        self._ids: dict[int, int] = {}
+        self._memo: dict[int, object] = {}
         self._roots: list[object] = []
-        self._nodes: dict[tuple, int] = {}
-        self._values: list = []
+        self._views: dict[tuple, list[int]] = {}
 
     @property
     def computed(self) -> int:
-        """The number of distinct subterms computed so far."""
-        return len(self._values)
+        """The number of node objects computed so far."""
+        return len(self._memo)
 
     def concept(self, c: Concept) -> int:
         """The element mask of c."""
-        return self._values[self._walk(c)]
+        return self._walk(c)
 
     def formula(self, phi: Formula) -> bool:
         """The truth of phi."""
-        return self._values[self._walk(phi)]
+        return self._walk(phi)
 
     def elements(self, mask: int) -> frozenset[int]:
         """The elements whose bits are set in mask."""
         universe = self.structure.universe
         return frozenset(universe[i] for i in mask_bits(mask))
 
-    def role_pairs(self, r: Role) -> frozenset[tuple[int, int]]:
-        """The pairs of a role expression."""
-        nid = self._role(r)
-        if r.inverted:
-            nid = self._inverse(nid)
-        universe = self.structure.universe
-        return frozenset((universe[i], universe[j])
-                         for i, row in enumerate(self._values[nid]) for j in mask_bits(row))
+    def _role_view(self, r: Role, inverted: bool) -> list[int]:
+        """r's successor view updated at each point in turn, and inverted
+        when `inverted` is set (r's own inversion is left to the caller)."""
+        views = self._views
+        key = (r.name, r.updates, inverted)
+        view = views.get(key)
+        if view is None:
+            if inverted:
+                view = invert(self._role_view(r, False))
+            else:
+                view = self.view["rsucc"][r.name]
+                noms = self.view["noms"]
+                for p in r.updates:
+                    try:
+                        view = update(view, 1 << noms[p.source], 1 << noms[p.target])
+                    except KeyError as e:
+                        raise MissingNominalError(f"nominal {e.args[0]} is not interpreted") from None
+            views[key] = view
+        return view
 
-    def _add(self, key: tuple, value) -> int:
-        nid = self._nodes[key] = len(self._values)
-        self._values.append(value)
-        return nid
-
-    def _nominal(self, name: str) -> int:
-        nid = self._nodes.get(("nom", name))
-        if nid is None:
-            bit = self.view["noms"].get(name)
-            if bit is None:
-                raise MissingNominalError(f"nominal {name} is not interpreted")
-            nid = self._add(("nom", name), 1 << bit)
-        return nid
-
-    def _leaf(self, c: Concept) -> int:
-        """The node of an atomic concept, nominal, top or bottom."""
-        t = type(c)
-        if t is Nominal:
-            nid = self._nominal(c.name)
-        else:
-            key = ("atom", c.name) if t is Atomic else (_TAGS[t],)
-            nid = self._nodes.get(key)
-            if nid is None:
-                value = (self.view["cons"][c.name] if t is Atomic
-                         else self.view["full"] if t is Top else 0)
-                nid = self._add(key, value)
-        self._ids[id(c)] = nid
-        return nid
-
-    def _role(self, r: Role) -> int:
-        """The node of r's successor view, updated at each point in turn
-        (inversion is left to the caller)."""
-        nodes, values = self._nodes, self._values
-        nid = nodes.get(("succ", r.name))
-        if nid is None:
-            nid = self._add(("succ", r.name), self.view["rsucc"][r.name])
-        for p in r.updates:
-            src, tgt = self._nominal(p.source), self._nominal(p.target)
-            key = ("upd", nid, src, tgt)
-            got = nodes.get(key)
-            if got is None:
-                got = self._add(key, update(values[nid], values[src], values[tgt]))
-            nid = got
-        return nid
-
-    def _inverse(self, nid: int) -> int:
-        got = self._nodes.get(("inv", nid))
-        if got is None:
-            got = self._add(("inv", nid), invert(self._values[nid]))
-        return got
-
-    def _walk(self, root: Concept | Formula) -> int:
-        """The node of a concept or formula.  A child without a node is
-        pushed (a leaf child gets its node at once), and gets its node
-        before its parent is looked at again, so children are computed
-        left to right, before their parent, as a recursive walk would."""
-        ids, nodes, values = self._ids, self._nodes, self._values
-        nid = ids.get(id(root))
-        if nid is not None:
-            return nid
+    def _walk(self, root: Concept | Formula):
+        """The value of a concept or formula.  A child without a value is
+        pushed, and gets its value before its parent is looked at again, so
+        children are computed left to right, before their parent, as a
+        recursive walk would."""
+        memo = self._memo
+        value = memo.get(id(root))
+        if value is not None:
+            return value
         self._roots.append(root)
-        if type(root) in _LEAVES:
-            return self._leaf(root)
-        leaves, leaf = _LEAVES, self._leaf
+        view = self.view
         stack = [root]
         while stack:
             x = stack[-1]
             t = type(x)
-            if t is And or t is Or or t is Incl or t is Eq:
-                c = x.left
-                left = ids.get(id(c))
-                if left is None:
-                    if type(c) not in leaves:
-                        stack.append(c)
-                        continue
-                    left = leaf(c)
-                c = x.right
-                right = ids.get(id(c))
-                if right is None:
-                    if type(c) not in leaves:
-                        stack.append(c)
-                        continue
-                    right = leaf(c)
-                key = (_TAGS[t], left, right)
-                nid = nodes.get(key)
-                if nid is None:
-                    a, b = values[left], values[right]
-                    if t is And:
-                        value = a & b
-                    elif t is Or:
-                        value = a | b
-                    elif t is Incl:
-                        value = not (a & ~b)
-                    else:
-                        value = a == b
-            elif t is FAnd or t is FOr:
-                nid = ids.get(id(x.left))
-                if nid is None:
+            if t is Atomic:
+                value = view["cons"][x.name]
+            elif t is And or t is Or or t is Incl or t is Eq:
+                a = memo.get(id(x.left))
+                if a is None:
                     stack.append(x.left)
                     continue
-                if values[nid] != (t is FOr):  # the left operand does not decide
-                    nid = ids.get(id(x.right))
-                    if nid is None:
+                b = memo.get(id(x.right))
+                if b is None:
+                    stack.append(x.right)
+                    continue
+                if t is And:
+                    value = a & b
+                elif t is Or:
+                    value = a | b
+                elif t is Incl:
+                    value = not (a & ~b)
+                else:
+                    value = a == b
+            elif t is FAnd or t is FOr:
+                value = memo.get(id(x.left))
+                if value is None:
+                    stack.append(x.left)
+                    continue
+                if value != (t is FOr):  # the left operand does not decide
+                    value = memo.get(id(x.right))
+                    if value is None:
                         stack.append(x.right)
                         continue
             elif t is Not or t is Exists or t is AtMost or t is FNot:
-                c = x.inner
-                inner = ids.get(id(c))
+                inner = memo.get(id(x.inner))
                 if inner is None:
-                    if type(c) not in leaves:
-                        stack.append(c)
-                        continue
-                    inner = leaf(c)
-                if t is Not or t is FNot:
-                    key = (_TAGS[t], inner)
-                    nid = nodes.get(key)
-                    if nid is None:
-                        value = self.view["full"] & ~values[inner] if t is Not else not values[inner]
+                    stack.append(x.inner)
+                    continue
+                if t is Not:
+                    value = view["full"] & ~inner
+                elif t is FNot:
+                    value = not inner
                 else:
                     r = x.role
-                    view = ids.get(id(r))
-                    if view is None:
-                        view = ids[id(r)] = self._role(r)
                     if t is Exists:
-                        key = ("image" if r.inverted else "Exists", view, inner)
-                        nid = nodes.get(key)
-                        if nid is None:
-                            value = (image if r.inverted else exists)(values[view], values[inner])
+                        succ = self._role_view(r, False)
+                        value = (image if r.inverted else exists)(succ, inner)
                     else:
-                        if r.inverted:
-                            view = self._inverse(view)
-                        key = ("AtMost", view, inner, x.bound)
-                        nid = nodes.get(key)
-                        if nid is None:
-                            value = at_most(values[view], values[inner], x.bound)
+                        value = at_most(self._role_view(r, r.inverted), inner, x.bound)
+            elif t is Nominal:
+                bit = view["noms"].get(x.name)
+                if bit is None:
+                    raise MissingNominalError(f"nominal {x.name} is not interpreted")
+                value = 1 << bit
+            elif t is Top:
+                value = view["full"]
+            elif t is Bot:
+                value = 0
             else:  # pragma: no cover
                 raise TypeError(f"not a concept or formula: {x!r}")
-            if nid is None:
-                nid = nodes[key] = len(values)
-                values.append(value)
-            ids[id(x)] = nid
+            memo[id(x)] = value
             stack.pop()
-        return nid
-
-
-_LEAVES = frozenset({Atomic, Nominal, Top, Bot})
-_TAGS = {And: "And", Or: "Or", Incl: "Incl", Eq: "Eq", Not: "Not", FNot: "FNot",
-         Top: "Top", Bot: "Bot"}
+        return value
 
 
 def eval_concept(m: FiniteStructure, c: Concept) -> frozenset[int]:

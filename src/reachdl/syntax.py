@@ -19,7 +19,8 @@ stay hand-written, on purpose: formula_symbols and formula_size (the
 symbol scan sits on the search set-up path; the size defines the node
 counts the benchmark reports), the printers below, the OWL export,
 models.Kernel and structures.Evaluator (the two front-ends of the bitmask
-node rules; the evaluator's walk keeps its own stack), fol's translation
+node rules: the kernel hash-conses, the evaluator memoizes by object
+identity and its walk keeps its own stack), fol's translation
 (the independent oracle), nnf's polarity walk and the boolean-closure
 recursion _bc, and fold_constants (it pushes negations down to the
 atoms, which map_atoms does not).  Statements have their own walk pair,

@@ -47,7 +47,10 @@ def test_update_then_invert():
     m = structure(range(3), {}, {"next": [(0, 1)]}, {"e": 0, "proj": 2})
     u = Role("next", updates=(UpdatePoint("e", "proj"),))
     # updated relation is {(0,2)}; its inverse is {(2,0)}
-    assert m.role_pairs(u.inverse()) == frozenset({(2, 0)})
+    assert eval_concept(m, Exists(u.inverse(), TOP)) == frozenset({2})
+    assert eval_concept(m, Exists(u.inverse(), Nominal("e"))) == frozenset({2})
+    assert eval_concept(m, Exists(u.inverse(), Nominal("proj"))) == frozenset()
+    assert eval_concept(m, AtMost(0, u.inverse(), TOP)) == frozenset({0, 1})
 
 
 def test_bot_inclusion_always_true():
@@ -260,19 +263,30 @@ def test_deep_exists_chain():
 
 def test_evaluator_computes_each_subterm_once():
     ev = Evaluator(RING)
-    c = Exists(role("r"), And(Atomic("A"), Not(Nominal("o"))))  # A, o, Not, And, r, E
+    c = Exists(role("r"), And(Atomic("A"), Not(Nominal("o"))))  # A, o, Not, And, E
     phi = Incl(c, Atomic("A"))
     chain = phi
     for _ in range(9):
         chain = FAnd(chain, phi)
     assert ev.formula(chain) is False  # E r.(A & !o) = {2}, A = {0}
-    assert ev.computed == 7
+    assert ev.computed == 7 + 9  # c's five objects, the second A, phi, 9 FAnds
+    assert ev.concept(c) == 0b100 and ev.formula(chain) is False
+    assert ev.computed == 16  # each object is computed once
+    # a shared operand is one object: 200 nested And(d, d) are 201 objects
+    d = Atomic("A")
+    for _ in range(200):
+        d = And(d, d)
+    assert ev.concept(d) == 0b1 and ev.computed == 16 + 201
+    # a deciding left operand leaves the right one uncomputed
+    right = Incl(Exists(role("r"), Atomic("B")), Nominal("o"))
+    assert ev.formula(FOr(Incl(c, TOP), right)) is True
+    assert ev.computed == 217 + 3  # TOP, the Incl, the FOr
+    assert ev.formula(FAnd(Incl(TOP, c), right)) is False
+    assert ev.computed == 220 + 2  # the Incl and the FAnd: TOP is one object
+    # a structurally equal copy is another object, and is computed anew
     copy = Exists(role("r"), And(Atomic("A"), Not(Nominal("o"))))
-    assert ev.concept(copy) == 0b100 and ev.computed == 7
-    assert ev.formula(FOr(Incl(copy, Nominal("o")), Incl(TOP, c))) is True
-    assert ev.computed == 8  # only the new inclusion: its left side decides
-    assert ev.formula(Incl(Or(c, Atomic("A")), TOP)) is True
-    assert ev.computed == 11  # Or, Top, Incl
+    assert copy == c and ev.concept(copy) == 0b100
+    assert ev.computed == 222 + 5
 
 
 def test_with_symbols_validates_the_new_entries():

@@ -388,7 +388,7 @@ def test_ord_and_bc_outputs_are_shared(make, variant):
     bc_formula, _ = boolean_closure_reduction(nnf(ord_formula))
     for phi in (ord_formula, bc_formula):
         objects, distinct = _objects_and_distinct(phi)
-        assert objects <= 1.5 * distinct
+        assert objects <= 1.1 * distinct
 
 
 # ---------------------------------------------------------------------------
