@@ -1,6 +1,9 @@
 import hashlib
+import json
 import random
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -104,54 +107,63 @@ def test_memory_search_respects_unsat():
 
 
 # ---------------------------------------------------------------------------
-# Golden enumeration: the exact sequence MemorySearch yields
+# Golden enumeration: the exact sequence MemorySearch yields.  The count and
+# the sha256 of the texts of the yielded structures, in order, are recorded
+# in golden_memory_search.json.  Re-record (only on purpose, saying why; it
+# keeps the case set and prints every case and key it changes):
+#     PYTHONPATH=src:tests python tests/test_memory.py --record
 
+MEMORY_GOLDEN = Path(__file__).with_name("golden_memory_search.json")
 RHEAP = HeapVocabulary(fields=("f",), variables=("x",), data_roles=("rel",))
 CRHEAP = HeapVocabulary(fields=("f",), variables=("x",), data_concepts=("P1",),
                         data_roles=("rel",))
 
-_GOLDEN = [
-    # (heap, formula, search options, addresses, limit, count, sha256 of the texts)
-    (HEAP, "x <= Alloc and Alloc <= E f.(Alloc | null) and P1 <= Alloc", {}, 1, None,
-     4, "ffef88aa9a224841556cc68a108142e02306dcfcf9a78b1d8291526636dbbcac"),
-    (HEAP, "x <= Alloc and Alloc <= E f.(Alloc | null) and P1 <= Alloc", {}, 2, None,
-     128, "0410793ebf3c5aa015d22b5456a584f793d965951db1d286c21514a2c5daa876"),
-    (RHEAP, "Alloc <= E rel.(Alloc | x) and x <= Alloc and "
-            "Aux | PossibleTargets <= !E rel.top", {}, 1, None,
-     8, "747f80de453add28aa83c21de03d507f0aa2898175adb52771d8695ebc4347b5"),
-    (RHEAP, "Alloc <= E rel.(Alloc | x) and x <= Alloc and "
-            "Aux | PossibleTargets <= !E rel.top", {}, 2, 300,
-     300, "58fdc79510111e7b5d1909e7c3d57127ded0962d53ad78ac6ce9fba1eeb32481"),
-    (CRHEAP, "x <= Alloc and P1 <= Alloc and E rel.top <= Alloc and E rel^-.top <= Alloc",
-     {}, 1, None,
-     4, "9ecdca3e8e8ffc4cd8ed101b02b37a7b90e0ac4b449bd9855dd71fbe93c6531a"),
-    (HEAP, "y <= Alloc | null", {"need_roles": ("f",), "need_nominals": ("x",)}, 1, None,
-     54, "cf9849f042cb09321208041cd3e552cc0d8fb488de9f20e296f138b0c2c88447"),
-    (HEAP, "y <= Alloc | null", {"need_roles": ("f",), "need_nominals": ("x",)}, 2, None,
-     1204, "e0a4dafbd7cc4d59f7ba7cd2e16023f55c1e5d71de67c4ef61d2162040743638"),
-    (HEAP, "lab1 <= P1_ext and P1_ext <= Alloc | lab1 and x <= Alloc",
-     {"extra_nominals": ("lab1",), "extra_concepts": ("P1_ext",)}, 1, None,
-     7, "769786b4ace60f7ef2107d0a4fc30007cc62c1654b6b90e77bf932fcac9cbe60"),
-    (HEAP, "lab1 <= P1_ext and P1_ext <= Alloc | lab1 and x <= Alloc",
-     {"extra_nominals": ("lab1",), "extra_concepts": ("P1_ext",)}, 2, None,
-     68, "4de0e2d6c0ec2fb7dd5396114cebff02cc00dec08d479cbf6a857534ccd8d11e"),
-]
+_GOLDEN = {
+    # name: (heap, formula, search options, addresses, limit)
+    "field-1": (HEAP, "x <= Alloc and Alloc <= E f.(Alloc | null) and P1 <= Alloc", {}, 1, None),
+    "field-2": (HEAP, "x <= Alloc and Alloc <= E f.(Alloc | null) and P1 <= Alloc", {}, 2, None),
+    "data-role-1": (RHEAP, "Alloc <= E rel.(Alloc | x) and x <= Alloc and "
+                           "Aux | PossibleTargets <= !E rel.top", {}, 1, None),
+    "data-role-2": (RHEAP, "Alloc <= E rel.(Alloc | x) and x <= Alloc and "
+                           "Aux | PossibleTargets <= !E rel.top", {}, 2, 300),
+    "data-concept-and-role-1": (
+        CRHEAP, "x <= Alloc and P1 <= Alloc and E rel.top <= Alloc and E rel^-.top <= Alloc",
+        {}, 1, None),
+    "need-1": (HEAP, "y <= Alloc | null", {"need_roles": ("f",), "need_nominals": ("x",)},
+               1, None),
+    "need-2": (HEAP, "y <= Alloc | null", {"need_roles": ("f",), "need_nominals": ("x",)},
+               2, None),
+    "extra-1": (HEAP, "lab1 <= P1_ext and P1_ext <= Alloc | lab1 and x <= Alloc",
+                {"extra_nominals": ("lab1",), "extra_concepts": ("P1_ext",)}, 1, None),
+    "extra-2": (HEAP, "lab1 <= P1_ext and P1_ext <= Alloc | lab1 and x <= Alloc",
+                {"extra_nominals": ("lab1",), "extra_concepts": ("P1_ext",)}, 2, None),
+}
 
 
-@pytest.mark.parametrize("heap,text,options,n_addresses,limit,count,digest", _GOLDEN,
-                         ids=["field-1", "field-2", "data-role-1", "data-role-2",
-                              "data-concept-and-role-1", "need-1", "need-2", "extra-1",
-                              "extra-2"])
-def test_memory_search_golden(heap, text, options, n_addresses, limit, count, digest):
-    """Exact enumeration order: the texts of the yielded structures, in order,
-    hash to a recorded value."""
+def _enumeration(name: str) -> dict:
+    heap, text, options, n_addresses, limit = _GOLDEN[name]
     vocab = heap.vocabulary().with_nominals(options.get("extra_nominals", ())) \
         .with_concepts(options.get("extra_concepts", ()))
     phi = parse_formula(text, vocab)
     search = MemorySearch(heap, n_addresses, (phi,), **options)
     texts = [structure_to_text(m.fs) for m in islice(search, limit)]
-    assert len(texts) == count
-    assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+    return {"count": len(texts), "sha256": hashlib.sha256("".join(texts).encode()).hexdigest()}
+
+
+def record_memory_golden() -> None:
+    from test_vc_golden import print_changes
+
+    old = json.loads(MEMORY_GOLDEN.read_text()) if MEMORY_GOLDEN.exists() else {}
+    new = {name: _enumeration(name) for name in _GOLDEN}
+    print_changes(old, new)
+    MEMORY_GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_memory_search_golden(name):
+    """Exact enumeration order: the texts of the yielded structures, in order,
+    hash to a recorded value."""
+    assert _enumeration(name) == json.loads(MEMORY_GOLDEN.read_text())[name]
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +386,7 @@ def test_search_symbols_come_from_the_unfolded_formulas(monkeypatch, text, n):
 def test_memory_search_needs_an_address_cell():
     with pytest.raises(ReachDLError, match="address cell"):
         next(iter(MemorySearch(HEAP, 0, ())))
+
+
+if __name__ == "__main__" and "--record" in sys.argv:
+    record_memory_golden()
