@@ -12,9 +12,12 @@ a state (`fs`) is built only when it is read: for a witness, a printed
 state, I/O, or the axiom checker.
 
 `MemorySearch` is a list of slots over `models.StagedSearch`, in this
-order: the Alloc/PossibleTargets/MemPool partition of the addresses, then
-one slot each for the variables, fields, data concepts, data roles,
-extension concepts and label nominals the formulas or the caller need.
+order: the Alloc/PossibleTargets/MemPool partition of the addresses, the
+label nominals, then one slot each for the variables, fields, data
+concepts, data roles and extension concepts the formulas or the caller
+need.  The partition is enumerated up to a permutation of the addresses
+(one sorted coloring per class), so the search yields one structure per
+address-permutation class of its partition.
 
 Universe layout convention: elements 0, 1, 2 interpret null, T and F (the
 Aux cells); addresses follow.  The memory pool is a finite stand-in for
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product, repeat
+from itertools import combinations_with_replacement, product, repeat
 from typing import Iterable, Iterator, Mapping
 
 from .models import StagedSearch, symbol_slot
@@ -432,6 +435,17 @@ class MemorySearch:
     with fewer than `min_pool` MemPool cells are skipped before any other
     symbol is assigned.
 
+    The partition is enumerated up to a permutation of the addresses: it
+    takes only the sorted colorings (Alloc cells, then PossibleTargets,
+    then MemPool, in address order).  Every later slot's range depends on
+    the MemPool mask alone or on nothing, and no formula names an address,
+    so each structure of the full enumeration is an address permutation
+    of one this search yields; callers that only ask whether such a
+    structure exists (`vc.check_vc`, `vc.check_inductive`) get the same
+    answer.  The label nominals are bound right after the partition, so
+    conjuncts such as `__lab_2 <= MemPool` prune before the variables,
+    fields and data relations are enumerated.
+
     The slots are chosen from the symbols of the formulas as given; the
     search checks them with the constants that `SEARCH_PINS` decides
     folded out (`syntax.fold_constants`), so a conjunct hidden under a
@@ -470,7 +484,7 @@ class MemorySearch:
 
         def partition(env: dict) -> Iterator[None]:
             cons = env["cons"]
-            for colors in product((0, 1, 2), repeat=self.n_addresses):
+            for colors in combinations_with_replacement((0, 1, 2), self.n_addresses):
                 masks = [0, 0, 0]
                 for a, c in enumerate(colors, start=3):
                     masks[c] |= 1 << a
@@ -503,14 +517,14 @@ class MemorySearch:
 
         slots = [((("concepts", "Alloc"), ("concepts", "PossibleTargets"),
                    ("concepts", "MemPool")), partition)]
+        slots += [symbol_slot("nominals", o, lambda env: range(n))
+                  for o in self.extra_nominals]
         slots += [symbol_slot("nominals", v, cells) for v in vars_on]
         slots += [symbol_slot("roles", f, field_maps) for f in fields_on]
         slots += [symbol_slot("concepts", c, subsets) for c in cons_on]
         slots += [symbol_slot("roles", r, relations) for r in droles_on]
         slots += [symbol_slot("concepts", c, lambda env: range(1 << n))
                   for c in self.extra_concepts]
-        slots += [symbol_slot("nominals", o, lambda env: range(n))
-                  for o in self.extra_nominals]
 
         # pin unsupported symbols: fields map every address to null
         env: dict = {"n": n, "full": full, "noms": {"null": 0, "T": 1, "F": 2},

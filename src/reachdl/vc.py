@@ -36,7 +36,8 @@ class VCEntry:
     """One edge's verdict.  `negated` holds the conjuncts the VC negates,
     with update roles in place; `formula`, the update-free VC, is built
     from them on first read.  `candidates` counts the structures the search
-    yielded (those with at least `min_pool` pool cells)."""
+    yielded (those with at least `min_pool` pool cells): representatives,
+    one per permutation of the addresses of each partition."""
 
     edge: tuple[str, str]
     negated: tuple[Formula, ...]
@@ -204,8 +205,11 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
     with at most `bound` address cells steps only into structures
     satisfying the head annotations (over all allocation choices and all
     post-values of the unconstrained relations).  The search skips
-    pre-states with fewer than `min_pool` pool cells, and each edge's head
-    annotation is compiled once (`models.formula_plan`)."""
+    pre-states with fewer than `min_pool` pool cells and yields them up to
+    a permutation of the addresses (the step and the variants explore
+    every choice, so a failing pre-state exists iff a yielded one fails),
+    and each edge's head annotation is compiled once
+    (`models.formula_plan`)."""
     initial = FAnd(*_annotations(prog, prog.initial))
     for m in init:
         if not eval_formula(m.fs, initial):
