@@ -549,17 +549,30 @@ class BCInfo:
         return FiniteStructure(fs.universe, fs.concepts, roles, noms)
 
 
-def _relativize_atoms(phi: Formula, guard: Concept) -> Formula:
-    return map_sides(phi, _per_object(lambda c: And(c, guard)))
+def _guarded(outer: Callable[[Concept], Concept] | None,
+             guard: Concept) -> Callable[[Concept], Concept]:
+    """The side rewrite of a disjunct: C becomes And(C, guard), then the
+    enclosing disjuncts' rewrite `outer` (None at the top) applies to that,
+    once per distinct side object."""
+    if outer is None:
+        return _per_object(lambda c: And(c, guard))
+    return _per_object(lambda c: outer(And(c, guard)))
+
+
+def _side_atom(a: Formula, side: Callable[[Concept], Concept] | None) -> Formula:
+    """Inclusion or equality `a` with `side` applied to both sides."""
+    return a if side is None else type(a)(side(a.left), side(a.right))
 
 
 def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
-        assign: dict[str, object]) -> Formula:
+        assign: dict[str, object], side: Callable[[Concept], Concept] | None = None) -> Formula:
     """The recursion; when an evaluator over a model is given, `assign`
     collects interpretations of the fresh symbols making the output true
-    over its universe."""
+    over its universe.  `side` relativizes every side of an output atom to
+    the guards of the enclosing disjuncts (`_guarded`), so each atom is
+    built once, with all of them."""
     if isinstance(phi, Incl):
-        return phi
+        return _side_atom(phi, side)
     if isinstance(phi, FNot):
         if not isinstance(phi.inner, Incl):
             raise NonNNFError("negation on a non-atomic formula; convert to NNF first")
@@ -568,9 +581,10 @@ def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
         if ev is not None:
             witnesses = ev.concept(c) & ~ev.concept(d)
             assign[o.name] = min(ev.elements(witnesses) or ev.structure.universe)
-        return FAnd(Incl(o, c), Incl(d, Not(o)))
+        return FAnd(_side_atom(Incl(o, c), side), _side_atom(Incl(d, Not(o)), side))
     if isinstance(phi, FAnd):
-        return FAnd(_bc(phi.left, info, ev, assign), _bc(phi.right, info, ev, assign))
+        return FAnd(_bc(phi.left, info, ev, assign, side),
+                    _bc(phi.right, info, ev, assign, side))
     if isinstance(phi, FOr):
         r = info.next_role()
         o1, o2, ox, oy = (Nominal(info.next_nominal()) for _ in range(4))
@@ -591,18 +605,17 @@ def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
             assign[o1.name] = d0 if on == 1 else d1
             assign[o2.name] = d1 if on == 1 else d0
             assign[r] = frozenset((u, d0) for u in universe)
-        psi1 = _bc(phi.left, info, ev if on == 1 else None, assign)
-        psi2 = _bc(phi.right, info, ev if on == 2 else None, assign)
         rr = role(r)
-        prep = conj([Incl(ox, Not(oy)), Incl(o1, Not(o2)),
-                     Eq(Or(ox, oy), Or(o1, o2)),
-                     Eq(Exists(rr, ox), TOP),
-                     Eq(Exists(rr, oy), BOT)])
-        return conj([prep,
-                     _relativize_atoms(psi1, Exists(rr, o1)),
-                     _relativize_atoms(psi2, Exists(rr, o2))])
+        psi1 = _bc(phi.left, info, ev if on == 1 else None, assign,
+                   _guarded(side, Exists(rr, o1)))
+        psi2 = _bc(phi.right, info, ev if on == 2 else None, assign,
+                   _guarded(side, Exists(rr, o2)))
+        prep = conj([_side_atom(a, side) for a in (
+            Incl(ox, Not(oy)), Incl(o1, Not(o2)), Eq(Or(ox, oy), Or(o1, o2)),
+            Eq(Exists(rr, ox), TOP), Eq(Exists(rr, oy), BOT))])
+        return conj([prep, psi1, psi2])
     if isinstance(phi, Eq):
-        return _bc(expand_eq(phi), info, ev, assign)
+        return _bc(expand_eq(phi), info, ev, assign, side)
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
 
 

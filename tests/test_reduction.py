@@ -364,16 +364,25 @@ def _objects_and_distinct(root) -> tuple[int, int]:
 
 
 def test_relativization_rewrites_each_side_object_once():
-    from reachdl.reduction import _relativize_atoms, relativize_concept, relativize_formula
+    """relativize_formula, and the boolean-closure side rewrite under one
+    and under two stacked disjunct guards, rewrite each distinct side
+    object once."""
+    from reachdl.reduction import _guarded, relativize_concept, relativize_formula
+    from reachdl.syntax import map_sides
 
     c, d = And(Atomic("A"), Nominal("o")), Exists(inv("r"), Atomic("A"))
     phi = FAnd(Incl(c, d), FOr(Eq(d, c), Incl(c, Not(d))))
-    guard = Atomic("M")
+    guard, inner = Atomic("M"), Atomic("N")
+    outer_side = _guarded(None, guard)
+    nested_side = _guarded(outer_side, inner)
     for out, want in ((relativize_formula(phi, guard), relativize_concept(c, guard)),
-                      (_relativize_atoms(phi, guard), And(c, guard))):
+                      (map_sides(phi, outer_side), And(c, guard)),
+                      (map_sides(phi, nested_side), And(And(c, inner), guard))):
         assert out.left.left == want
         assert out.left.left is out.right.left.right is out.right.right.left
         assert out.left.right is out.right.left.left
+    # the nested rewrite reuses the enclosing one's memo for what it wraps
+    assert nested_side(c) is outer_side(nested_side(c).left)
 
 
 @pytest.mark.parametrize("variant", ["exp", "poly"])
