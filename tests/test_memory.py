@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import signal
 import sys
 from itertools import islice
 from pathlib import Path
@@ -390,3 +391,136 @@ def test_memory_search_needs_an_address_cell():
 
 if __name__ == "__main__" and "--record" in sys.argv:
     record_memory_golden()
+
+
+# ---------------------------------------------------------------------------
+# Symmetry reduction: the sorted partition against the full one
+
+# draws whose full search yields more structures or takes longer are
+# skipped, for time
+_FULL_LIMIT = 20000
+_FULL_SECONDS = 1.0
+
+
+class _Slow(Exception):
+    pass
+
+
+def _budgeted(fn):
+    """fn(), or None when it takes over _FULL_SECONDS."""
+    def alarm(signum, frame):
+        raise _Slow
+
+    old = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, _FULL_SECONDS)
+    try:
+        return fn()
+    except _Slow:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _full_partition(monkeypatch):
+    """Make MemorySearch enumerate every coloring of the addresses."""
+    import reachdl.memory as memory
+    from itertools import product
+
+    monkeypatch.setattr(memory, "combinations_with_replacement",
+                        lambda colors, k: product(colors, repeat=k))
+
+
+def _permuted(m, perm):
+    """m with address cell 3 + i renamed to 3 + perm[i]."""
+    n = len(m.elements)
+    to = list(range(3)) + [3 + p for p in perm]
+
+    def mask(x):
+        return sum(1 << to[u] for u in range(n) if x >> u & 1)
+
+    rsucc = {}
+    for name, rows in m.rsucc.items():
+        new = [0] * n
+        for u in range(n):
+            new[to[u]] = mask(rows[u])
+        rsucc[name] = tuple(new)
+    return m._with(cons={name: mask(v) for name, v in m.cons.items()}, rsucc=rsucc,
+                   noms={name: to[b] for name, b in m.noms.items()})
+
+
+def _symmetry_cases():
+    """Random heap formulas at 1-3 addresses, alone, with a label nominal
+    that a conjunct constrains, with code-touched symbols, or with a pool
+    floor."""
+    from gen import random_concept, random_heap_formula
+
+    rng = random.Random("memory-symmetry")
+    vocab = HEAP.annotation_vocabulary().with_nominals(("__lab_1",))
+    cases = []
+    for i in range(72):
+        n = 1 + i % 3
+        phi = random_heap_formula(rng, HEAP, depth=1)
+        kind = i // 3 % 4
+        options = {}
+        if kind == 1:
+            phi = FAnd(phi, Incl(Nominal("__lab_1"), random_concept(rng, vocab, 1)))
+            options["extra_nominals"] = ("__lab_1",)
+        elif kind == 2:
+            options = {"need_roles": ("f",), "need_nominals": ("x",)}
+        elif kind == 3:
+            options["min_pool"] = 1
+        cases.append((n, phi, options))
+    return cases
+
+
+def test_sorted_partition_yields_every_structure_up_to_address_permutation(monkeypatch):
+    """The closure of the search's states under every permutation of the
+    addresses is the set the search over every coloring yields, and the
+    search yields each of those sets' states at most once."""
+    from itertools import permutations
+
+    full_runs = []
+    _full_partition(monkeypatch)
+    for n, phi, options in _symmetry_cases():
+        full = _budgeted(lambda: [m.key for m in islice(MemorySearch(HEAP, n, (phi,), **options),
+                                                        _FULL_LIMIT + 1)])
+        full_runs.append(None if full is None or len(full) > _FULL_LIMIT else full)
+    monkeypatch.undo()
+    checked = {1: 0, 2: 0, 3: 0}
+    for (n, phi, options), full in zip(_symmetry_cases(), full_runs):
+        if full is None:
+            continue
+        reps = list(MemorySearch(HEAP, n, (phi,), **options))
+        assert len({m.key for m in reps}) == len(reps)
+        closure = {_permuted(m, perm).key for m in reps for perm in permutations(range(n))}
+        assert closure == set(full), (n, to_text(phi), options)
+        checked[n] += bool(full)
+    assert min(checked.values()) >= 5, checked
+
+
+def test_sorted_partition_keeps_vc_and_inductive_verdicts(monkeypatch):
+    """check_vc and check_inductive give the same verdicts at bound 2 on
+    the VC golden's seeded programs with the sorted partition as with
+    every coloring."""
+    from reachdl.parser import parse_program_file
+    from reachdl.vc import check_inductive, check_vc
+    from test_vc_golden import EDGE, GOLDEN, seeded_program
+
+    names = sorted(name for name in json.loads(GOLDEN.read_text()) if name.startswith("seeded-"))
+    progs = [parse_program_file(seeded_program(int(name.split("-")[1]))) for name in names]
+
+    def inductive(prog):
+        try:
+            return check_inductive(prog, [], 2)[0]
+        except ReachDLError as err:
+            return type(err).__name__
+
+    def verdicts():
+        return [(check_vc(prog, EDGE, 2).verdict, inductive(prog)) for prog in progs]
+
+    reduced = verdicts()
+    _full_partition(monkeypatch)
+    assert verdicts() == reduced
+    assert {v for v, _ in reduced} == {"valid-up-to-bound", "counterexample"}
+    assert {True, False} <= {ok for _, ok in reduced}

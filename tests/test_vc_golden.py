@@ -144,12 +144,17 @@ def test_vc_golden(name):
 
 
 # bound-2 searches that took long before the VC search folded constants
-# and skipped pool-less structures (time then, on a 2-vCPU machine), with
-# the verdict and counterexample text they gave
+# and skipped pool-less structures (the first three), or before it bound
+# the label nominals right after a partition sorted up to address
+# permutation (the last three), with the verdict and counterexample text
+# they gave (time then, on a 2-vCPU machine)
 TAILS = {
     "r-wp25": (R_WP25, "valid-up-to-bound", None),        # over 60 s
     "seeded-37": (37, "counterexample", SEEDED_37_CEX),   # 13.8 s, 301,025 candidates
     "seeded-44": (44, "valid-up-to-bound", None),         # 13.7 s
+    "seeded-23": (23, "valid-up-to-bound", None),         # 18.8 s, 0 candidates
+    "seeded-61": (61, "valid-up-to-bound", None),         # 4.3 s, 0 candidates
+    "seeded-15": (15, "valid-up-to-bound", None),         # 1.9 s, 0 candidates
 }
 
 
@@ -163,6 +168,8 @@ def test_vc_tail_under_two_seconds(name):
     assert time.perf_counter() - start < 2.0
     assert entry.verdict == verdict
     assert cex == (entry.counterexample and structure_to_text(entry.counterexample))
+    if verdict == "valid-up-to-bound":  # no structure of the search was yielded
+        assert entry.candidates == 0
 
 
 if __name__ == "__main__" and "--record" in sys.argv:
