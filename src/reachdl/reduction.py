@@ -622,24 +622,26 @@ def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
 def boolean_closure_reduction(phi: Formula) -> tuple[Formula, BCInfo]:
     """Eliminate formula-level negation and disjunction; equisatisfiable
     with the NNF input over universes of size at least 2."""
-    if not is_nnf(expand_eq(phi)):
+    expanded = expand_eq(phi)
+    if not is_nnf(expanded):
         raise NonNNFError("input must be in negation normal form")
     info = BCInfo()
-    psi = _bc(expand_eq(phi), info, None, {})
+    psi = _bc(expanded, info, None, {})
     return psi, info
 
 
 def bc_lift(phi: Formula, m: FiniteStructure) -> tuple[FiniteStructure, Formula, BCInfo]:
     """Witness extension: from a model of the NNF input, interpretations of
     the fresh symbols (same universe) satisfying the reduction output."""
-    if not is_nnf(expand_eq(phi)):
+    expanded = expand_eq(phi)
+    if not is_nnf(expanded):
         raise NonNNFError("input must be in negation normal form")
     ev = Evaluator(m)
     if not ev.formula(phi):
         raise ReachDLError("bc_lift needs a model of the input formula")
     info = BCInfo()
     assign: dict[str, object] = {}
-    psi = _bc(expand_eq(phi), info, ev, assign)
+    psi = _bc(expanded, info, ev, assign)
     fallback = min(m.universe) if m.universe else 0
     lifted = m.with_symbols(roles={name: assign.get(name, frozenset()) for name in info.roles},
                             nominals={name: assign.get(name, fallback) for name in info.nominals})
