@@ -16,8 +16,8 @@ order: the Alloc/PossibleTargets/MemPool partition of the addresses, the
 label nominals, then one slot each for the variables, fields, data
 concepts, data roles and extension concepts the formulas or the caller
 need.  The partition is enumerated up to a permutation of the addresses
-(one sorted coloring per class), so the search yields one structure per
-address-permutation class of its partition.
+(its sorted colorings only), so every structure of the full enumeration
+is an address permutation of one the search yields.
 
 Universe layout convention: elements 0, 1, 2 interpret null, T and F (the
 Aux cells); addresses follow.  The memory pool is a finite stand-in for

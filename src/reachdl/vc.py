@@ -36,8 +36,9 @@ class VCEntry:
     """One edge's verdict.  `negated` holds the conjuncts the VC negates,
     with update roles in place; `formula`, the update-free VC, is built
     from them on first read.  `candidates` counts the structures the search
-    yielded (those with at least `min_pool` pool cells): representatives,
-    one per permutation of the addresses of each partition."""
+    yielded (those with at least `min_pool` pool cells), which represent
+    the structures up to a permutation of the addresses (its partition
+    sorted, `memory.MemorySearch`)."""
 
     edge: tuple[str, str]
     negated: tuple[Formula, ...]

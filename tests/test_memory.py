@@ -477,18 +477,18 @@ def _symmetry_cases():
 def test_sorted_partition_yields_every_structure_up_to_address_permutation(monkeypatch):
     """The closure of the search's states under every permutation of the
     addresses is the set the search over every coloring yields, and the
-    search yields each of those sets' states at most once."""
+    search yields no state twice."""
     from itertools import permutations
 
-    full_runs = []
+    cases, full_runs = _symmetry_cases(), []
     _full_partition(monkeypatch)
-    for n, phi, options in _symmetry_cases():
+    for n, phi, options in cases:
         full = _budgeted(lambda: [m.key for m in islice(MemorySearch(HEAP, n, (phi,), **options),
                                                         _FULL_LIMIT + 1)])
         full_runs.append(None if full is None or len(full) > _FULL_LIMIT else full)
     monkeypatch.undo()
     checked = {1: 0, 2: 0, 3: 0}
-    for (n, phi, options), full in zip(_symmetry_cases(), full_runs):
+    for (n, phi, options), full in zip(cases, full_runs):
         if full is None:
             continue
         reps = list(MemorySearch(HEAP, n, (phi,), **options))
