@@ -14,10 +14,12 @@ a condition.  All three keep their own stack, so a long flat block costs
 no recursion depth; the step relation and wp.psi recurse once per nested
 if, not per command.
 
-The step relation is written once, in _run, over three policies for
+The step relation is written once, in _run, over four policies for
 allocation and field reads: the least pool cell (run_loopless, which can
-record the values it pinned), every pool cell (run_all), and a label
-assignment d that pins every labeled read and allocation (run_labeled).
+record the values it pinned), every pool cell (run_all), the least cell of
+each class of interchangeable pool cells (run_representatives, which
+reach_sets and vc.check_inductive use), and a label assignment d that pins
+every labeled read and allocation (run_labeled).
 Disposing of a cell moves it from Alloc to PossibleTargets and sets its
 fields to null.  The memory axioms allow any field value on a possible
 target; null is the value the dispose row of wp.psi assumes.
@@ -426,11 +428,41 @@ def _set_row(ms: MemoryStructure, field: str, cell: int, row: int) -> tuple[int,
 
 
 # Allocation and read policies: the least pool cell, every pool cell (one
-# outcome each), or a label assignment d, which pins the value of every
-# labeled field read and the cell of every allocation.  The step works on
-# bits; the policy and the trace speak of elements.
+# outcome each), the least cell of each class of interchangeable pool cells,
+# or a label assignment d, which pins the value of every labeled field read
+# and the cell of every allocation.  The step works on bits; the policy and
+# the trace speak of elements.
 _LEAST = "least"
 _EVERY = "every"
+_CLASSES = "classes"
+
+
+def _cell_key(ms: MemoryStructure, cell: int) -> tuple:
+    """What a cell nothing points to is told apart by: its membership in
+    every concept and its row in every role."""
+    return (tuple(mask >> cell & 1 for mask in ms.cons.values()),
+            tuple(rows[cell] for rows in ms.rsucc.values()))
+
+
+def _class_leaders(ms: MemoryStructure, cells: list[int]) -> list[int]:
+    """The least of `cells` in each class of interchangeable cells, in
+    order.  A cell that a nominal or a row of some role points to is a
+    class of its own; the others are interchangeable when their keys are
+    equal.  Swapping two interchangeable cells maps ms to itself, so
+    allocating either gives the same outcomes up to that swap."""
+    pointed = 0
+    for bit in ms.noms.values():
+        pointed |= 1 << bit
+    for rows in ms.rsucc.values():
+        for row in rows:
+            pointed |= row
+    seen, out = set(), []
+    for cell in cells:
+        key = cell if pointed >> cell & 1 else _cell_key(ms, cell)
+        if key not in seen:
+            seen.add(key)
+            out.append(cell)
+    return out
 
 
 def _pool_cells(ms: MemoryStructure, c: New, policy) -> list[int]:
@@ -442,7 +474,11 @@ def _pool_cells(ms: MemoryStructure, c: New, policy) -> list[int]:
     if not pool:
         raise PoolExhaustedError("memory pool exhausted (finite stand-in)")
     cells = sorted(mask_bits(pool), key=ms.elements.__getitem__)
-    return cells if policy == _EVERY else cells[:1]
+    if policy == _LEAST:
+        return cells[:1]
+    if policy == _CLASSES and len(cells) > 1:
+        return _class_leaders(ms, cells)
+    return cells
 
 
 def _exec(ms: MemoryStructure, c: Stmt, policy, trace: dict[int, int] | None):
@@ -520,14 +556,28 @@ def run_loopless(ms: MemoryStructure, s: Stmt, trace: dict[int, int] | None = No
     return _run(ms, s, _LEAST, trace)[0]
 
 
+def _distinct(outs: list) -> tuple:
+    if sum(r is not ABORT for r in outs) > 1:  # only two states can repeat
+        outs = dict.fromkeys(outs)
+    return tuple(outs)
+
+
 def run_all(ms: MemoryStructure, s: Stmt) -> tuple:
     """All outcomes under nondeterministic allocation, each once, in the
     order of the runs (lesser pool cells first): memory structures, then
     ABORT if some run aborts."""
-    outs = _run(ms, s, _EVERY)
-    if sum(r is not ABORT for r in outs) > 1:  # only two states can repeat
-        outs = dict.fromkeys(outs)
-    return tuple(outs)
+    return _distinct(_run(ms, s, _EVERY))
+
+
+def run_representatives(ms: MemoryStructure, s: Stmt) -> tuple:
+    """run_all's outcomes up to address permutation: each allocation takes
+    only the least cell of each class of interchangeable pool cells (see
+    _class_leaders).  The outcomes are those of the runs of run_all that
+    take those cells, each once, in the order of the runs, and every
+    outcome of run_all is an address permutation of one listed.  ABORT is
+    listed iff run_all lists it, and PoolExhaustedError is raised iff
+    run_all raises it."""
+    return _distinct(_run(ms, s, _CLASSES))
 
 
 def run_labeled(ms: MemoryStructure, s: Stmt, d: Mapping[int, int]):
@@ -631,22 +681,30 @@ def run_path(ms: MemoryStructure, prog: Program,
 def reach_sets(prog: Program, init: Iterable[MemoryStructure], depth: int,
                cap: int = 20000, nondet: bool = True) -> dict[str, frozenset]:
     """Structures reachable at each node within `depth` block executions;
-    an under-approximation of the reachable sets."""
+    an under-approximation of the reachable sets.  With `nondet`, each
+    block runs under every allocation choice up to address permutation
+    (`run_representatives`): a node's set holds one or more
+    representatives of each address-permutation class of the states
+    reachable there, and every state it holds is reachable.  Without it,
+    each block runs once (`run_loopless`).  `cap` bounds the number of
+    states held, representatives under `nondet`; more raise
+    StateCapError."""
     out: dict[str, set] = {v: set() for v in prog.nodes}
     frontier: set[tuple[str, MemoryStructure]] = set()
     for m in init:
         out[prog.initial].add(m)
         frontier.add((prog.initial, m))
     succ_edges: dict[str, list[tuple[str, str]]] = {v: [] for v in prog.nodes}
-    for e in prog.edges:
+    for e in sorted(prog.edges):
         succ_edges[e[0]].append(e)
     total = sum(len(s) for s in out.values())
     for _ in range(depth):
         nxt: set[tuple[str, MemoryStructure]] = set()
         for node, m in frontier:
-            for e in sorted(succ_edges[node]):
+            for e in succ_edges[node]:
                 if nondet:
-                    results = [r for r in run_all(m, prog.code[e]) if r is not ABORT]
+                    results = [r for r in run_representatives(m, prog.code[e])
+                               if r is not ABORT]
                 else:
                     r = run_loopless(m, prog.code[e])
                     results = [] if r is ABORT else [r]

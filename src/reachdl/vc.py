@@ -19,7 +19,7 @@ from typing import Iterable
 from .memory import MemorySearch, MemoryStructure
 from .models import formula_plan
 from .programs import (ABORT, Program, Stmt, labels_of, reach_sets,
-                       run_all, run_labeled, touched_symbols)
+                       run_labeled, run_representatives, touched_symbols)
 from .structures import FiniteStructure, eval_formula
 from .syntax import (FAnd, FNot, Formula, ReachDLError, TRUE, conj,
                      formula_symbols)
@@ -210,7 +210,16 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
     a permutation of the addresses (the step and the variants explore
     every choice, so a failing pre-state exists iff a yielded one fails),
     and each edge's head annotation is compiled once
-    (`models.formula_plan`)."""
+    (`models.formula_plan`).
+
+    The post-states are those of `programs.run_representatives`, one or
+    more per address-permutation class of run_all's outcomes.  No
+    annotation names an address and the variants range over every
+    post-value, so a post-state fails iff its permutations do; the first
+    failing run of run_all allocates the least cell of its class at every
+    `new` (else swapping that cell for the least one gives an earlier
+    failing run), so the witness, and any PoolExhaustedError, are those of
+    run_all."""
     initial = FAnd(*_annotations(prog, prog.initial))
     for m in init:
         if not eval_formula(m.fs, initial):
@@ -233,7 +242,7 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
                                   need_nominals=tuple(sorted(variables)),
                                   min_pool=min_pool)
             for m1 in search:
-                for m2 in run_all(m1, code):
+                for m2 in run_representatives(m1, code):
                     if m2 is ABORT:
                         continue
                     for m2v in _rem_variants(m2, rem_concepts, rem_roles):
@@ -246,7 +255,9 @@ def check_reach_soundness(prog: Program, init: Iterable[MemoryStructure],
                           depth: int, cap: int = 20000) -> bool:
     """The executable shadow of the soundness theorem: every structure
     reached within `depth` steps satisfies the content annotation of its
-    node.  Each node's annotation is compiled once."""
+    node.  The states are `reach_sets`'s representatives; no annotation
+    names an address, so the verdict is that of the full reachable sets.
+    Each node's annotation is compiled once."""
     reached = reach_sets(prog, init, depth, cap=cap, nondet=True)
     for node in sorted(prog.nodes):
         holds = formula_plan(prog.cnt.get(node, TRUE))

@@ -201,10 +201,10 @@ DEFAULT_HEAP = HeapVocabulary(fields=("f", "g"), variables=("x", "y", "z"),
 
 
 def random_memory(rng: random.Random, heap: HeapVocabulary = DEFAULT_HEAP,
-                  max_cells: int = 5) -> MemoryStructure:
+                  max_cells: int = 5, max_pool: int = 2) -> MemoryStructure:
     alloc = rng.randint(0, max_cells - 2)
     targets = rng.randint(0, 1)
-    pool = rng.randint(1, 2)
+    pool = rng.randint(1, max_pool)
     cells = list(range(3, 3 + alloc + targets))
     nonpool = [0, 1, 2] + cells
     fields = {f: {c: rng.choice(nonpool) for c in cells} for f in heap.fields}

@@ -5,14 +5,17 @@ import pytest
 
 from reachdl.memory import (HeapVocabulary, MemoryStructure, PoolExhaustedError,
                             make_memory)
-from reachdl.parser import parse_block, parse_program_file, structure_to_text
+import reachdl.programs as programs
+from reachdl.parser import (parse_block, parse_memory_file, parse_program_file,
+                            structure_to_text)
 from reachdl.programs import (ABORT, ERR, AndB, Assign, Assume, Dispose, EqB, FalseB,
                               FalseE, FieldE, If, New, NotB, NullE, OrB,
                               Program, ReadField, Seq, Skip, StateCapError,
                               TrueB, TrueE, UnallocB, VarE, WriteField, commands,
                               eval_bool, eval_expr, instrument_abort, labels_of,
                               reach_sets, relabel, run_all, run_labeled,
-                              run_loopless, run_path, seq, touched_symbols)
+                              run_loopless, run_path, run_representatives, seq,
+                              touched_symbols)
 from reachdl.structures import FiniteStructure, MissingNominalError
 from reachdl.syntax import ReachDLError
 from gen import DEFAULT_HEAP, random_bool, random_memory, random_stmt
@@ -319,6 +322,134 @@ def test_reach_sets_cap():
     m = MemoryStructure(prog.heap, walker_memory().fs)
     with pytest.raises(StateCapError):
         reach_sets(prog, [m], 6, cap=1)
+
+
+# ---------------------------------------------------------------------------
+# Allocation up to address permutation
+
+
+def _every_cell(monkeypatch):
+    """Make run_representatives, and so reach_sets and check_inductive,
+    allocate every pool cell, as run_all does."""
+    monkeypatch.setattr(programs, "_class_leaders", lambda ms, cells: cells)
+
+
+def _builder():
+    from test_programs_golden import BUILDER, BUILDER_MEMORY
+
+    prog = parse_program_file(BUILDER)
+    m = parse_memory_file(BUILDER_MEMORY, prog.heap)
+    return prog, MemoryStructure(prog.heap, m.fs).check(min_pool=0)
+
+
+def _symmetry_cases():
+    """(program, memory, depth): the builder at pool 6 and depth 7; a
+    state outside the memory axioms, with pool cells 4 to 7 of which 4 is
+    in P1, y points to 6 and f maps cell 3 to 7, under `x := new`; then
+    random memories under a three-edge program whose first block
+    allocates at least once, at depth 3."""
+    prog, m = _builder()
+    cases = [(prog, m, 7)]
+    heap = DEFAULT_HEAP
+    m = make_memory(heap, alloc=1, pool=4)
+    rows = m.rsucc["f"][:3] + (1 << 7,) + m.rsucc["f"][4:]
+    code = {("a", "b"): relabel(New("x"))}
+    cases.append((Program(heap, ("a", "b"), tuple(code), "a", {}, {}, code),
+                  m._with(cons={**m.cons, "P1": 1 << 4}, rsucc={**m.rsucc, "f": rows},
+                          noms={**m.noms, "y": 6}), 1))
+    rng = random.Random("step-symmetry")
+    for _ in range(150):
+        m = random_memory(rng, heap, max_cells=4, max_pool=3)
+        first = seq(random_stmt(rng, heap, rng.randint(1, 2)), New(rng.choice(heap.variables)),
+                    random_stmt(rng, heap, rng.randint(1, 2)))
+        code = {("a", "b"): relabel(first),
+                ("b", "b"): relabel(random_stmt(rng, heap, rng.randint(1, 3))),
+                ("b", "c"): relabel(random_stmt(rng, heap, rng.randint(1, 3)))}
+        cases.append((Program(heap, ("a", "b", "c"), tuple(code), "a", {}, {}, code), m, 3))
+    return cases
+
+
+def _step_and_reach(prog, m, depth):
+    """run_representatives's outcomes of the least edge's block from m,
+    and reach_sets from m; or PoolExhaustedError."""
+    try:
+        return run_representatives(m, prog.code[min(prog.edges)]), reach_sets(prog, [m], depth)
+    except PoolExhaustedError:
+        return PoolExhaustedError
+
+
+def _closure(states):
+    """The states' images under every permutation of the addresses."""
+    from itertools import permutations
+
+    from test_memory import _permuted
+
+    return {_permuted(m, perm) for m in states
+            for perm in permutations(range(len(m.elements) - 3))}
+
+
+def _agree(reduced, full) -> bool:
+    """Both raise, or neither does, both steps list ABORT or neither does,
+    and each set of reduced states is a subset of the full one whose
+    closure under address permutation contains it."""
+    if PoolExhaustedError in (reduced, full):
+        return reduced is full
+    (step, reached), (full_step, full_reached) = reduced, full
+    if (ABORT in step) != (ABORT in full_step):
+        return False
+    pairs = [(set(step) - {ABORT}, set(full_step) - {ABORT})]
+    pairs += [(reached[v], full_reached[v]) for v in full_reached]
+    return all(r <= f and (r == f or f <= _closure(r)) for r, f in pairs)
+
+
+def _symmetry_runs(monkeypatch):
+    """The cases, their reduced runs, their runs over every pool cell, and
+    the cases where the two disagree."""
+    cases = _symmetry_cases()
+    reduced = [_step_and_reach(*case) for case in cases]
+    with monkeypatch.context() as patch:
+        _every_cell(patch)
+        full = [_step_and_reach(*case) for case in cases]
+    bad = [case for case, r, f in zip(cases, reduced, full) if not _agree(r, f)]
+    return cases, reduced, full, bad
+
+
+def test_reduced_allocation_yields_every_state_up_to_address_permutation(monkeypatch):
+    """One run_representatives step and reach_sets, which allocate the
+    least cell of each class of interchangeable pool cells, give subsets
+    of the runs over every pool cell with the same closure under every
+    address permutation, on the builder, a state outside the axioms and
+    150 random memories and programs; both raise PoolExhaustedError or
+    neither does.  The run over every pool cell is run_all's."""
+    cases, reduced, full, bad = _symmetry_runs(monkeypatch)
+    assert not bad, bad[:3]
+    for (prog, m, _), f in zip(cases, full):
+        if f is not PoolExhaustedError:
+            assert f[0] == run_all(m, prog.code[min(prog.edges)])
+    assert [sum(map(len, r[1].values())) for r in (reduced[0], full[0])] == [8, 1958]
+    ran = [(r, f) for r, f in zip(reduced, full) if f is not PoolExhaustedError]
+    assert len(ran) >= 100
+    assert sum(r[0] != f[0] for r, f in ran) >= 10
+    assert sum(r[1] != f[1] for r, f in ran) >= 10
+
+
+def test_a_class_key_without_rows_is_caught(monkeypatch):
+    """Mutation check of the test above: a class key that drops the rows
+    merges pool cells whose ghost fields map to null and to F."""
+    monkeypatch.setattr(programs, "_cell_key",
+                        lambda ms, cell: tuple(mask >> cell & 1 for mask in ms.cons.values()))
+    assert _symmetry_runs(monkeypatch)[3]
+
+
+def test_reach_sets_cap_counts_representatives(monkeypatch):
+    """The builder reaches 1,958 states at depth 7 over every pool cell
+    and 8 representatives up to address permutation; `cap` counts the
+    representatives."""
+    prog, m = _builder()
+    assert sum(map(len, reach_sets(prog, [m], 7, cap=100).values())) == 8
+    _every_cell(monkeypatch)
+    with pytest.raises(StateCapError):
+        reach_sets(prog, [m], 7, cap=100)
 
 
 def test_flat_block_is_not_nested(capsys, tmp_path):

@@ -15,8 +15,8 @@ from reachdl.parser import parse_formula, parse_memory_file, parse_program_file
 from reachdl.programs import (ABORT, Program, relabel, Assign, NullE, Skip, New,
                               WriteField, run_all)
 from reachdl.structures import MissingNominalError, eval_formula
-from reachdl.syntax import (FAnd, FNot, FOr, Incl, Eq, Not, TRUE, Vocabulary,
-                            to_text)
+from reachdl.syntax import (FAnd, FNot, FOr, Incl, Eq, Not, ReachDLError, TRUE,
+                            Vocabulary, to_text)
 from reachdl.vc import (MissingAnnotationError, _rem_variants, check_all_vcs,
                         check_inductive, check_reach_soundness, check_vc,
                         vc_formula)
@@ -235,6 +235,46 @@ def test_write_then_dispose_vc_agrees_with_inductive(code, cnt_a, cnt_b, want):
     all_valid = all(e.verdict == "valid-up-to-bound" for e in check_all_vcs(prog, 2))
     inductive, _ = check_inductive(prog, [], 2)
     assert all_valid == inductive == want
+
+
+def test_reduced_post_states_keep_the_inductive_witness(monkeypatch):
+    """check_inductive returns the same verdict and witness (edge, pre-
+    and post-state), or raises the same error, on the VC golden's seeded
+    programs at bound 2 whether a post-state's allocations take the least
+    cell of each class of interchangeable pool cells or every pool cell."""
+    import json
+
+    import reachdl.programs as programs
+    from test_vc_golden import GOLDEN, seeded_program
+
+    names = sorted(name for name in json.loads(GOLDEN.read_text()) if name.startswith("seeded-"))
+    progs = [parse_program_file(seeded_program(int(name.split("-")[1]))) for name in names]
+    merged = []
+    leaders = programs._class_leaders
+
+    def counting_leaders(ms, cells):
+        out = leaders(ms, cells)
+        merged.append(len(out) < len(cells))
+        return out
+
+    def results():
+        out = []
+        for prog in progs:
+            try:
+                ok, witness = check_inductive(prog, [], 2)
+            except ReachDLError as err:
+                out.append(type(err))
+                continue
+            out.append((ok, witness and (witness.edge, witness.before, witness.after)))
+        return out
+
+    monkeypatch.setattr(programs, "_class_leaders", counting_leaders)
+    reduced = results()
+    assert any(merged)
+    monkeypatch.setattr(programs, "_class_leaders", lambda ms, cells: cells)
+    assert results() == reduced
+    assert {True, False, PoolExhaustedError} <= {r if isinstance(r, type) else r[0]
+                                                 for r in reduced}
 
 
 WITNESS_SCRIPT = """
