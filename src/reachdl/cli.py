@@ -29,10 +29,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _positive(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """An argparse type: a decimal integer of at least `low`."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_positive, _nonnegative = _at_least(1), _at_least(0)
 
 
 _OPTIONS = {
@@ -111,13 +120,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p = _verb(sub, "vc", "bounded verification-condition report for a program", "--jobs")
     p.add_argument("program")
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=_nonnegative, default=3)
     p.add_argument("--cex-prefix", default="vc_cex")
 
     p = _verb(sub, "reach", "bounded reachable-set soundness check")
     p.add_argument("program")
     p.add_argument("memory", nargs="+")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_nonnegative, default=4)
 
     args = top.parse_args(argv)
     try:

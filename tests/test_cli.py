@@ -394,3 +394,24 @@ def test_max_universe_below_one_exit_2(capsys, files, bound):
         main(["check-implies", files["list.spec"], files["list.spec"], "--max-universe", bound])
     assert exc.value.code == 2
     assert "--max-universe" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("verb, option", [("vc", "--bound"), ("reach", "--depth")])
+@pytest.mark.parametrize("value", ["-1", "-3", "two"])
+def test_negative_bound_or_depth_exit_2(capsys, files, verb, option, value):
+    argv = [verb, files["walker.prog"]] + ([files["walker.mem"]] if verb == "reach" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    assert option in _one_error_line(capsys)
+
+
+def test_zero_bound_and_depth_keep_their_meaning(capsys, files):
+    """--bound 0 gives the library's bound-exhausted verdict for every
+    edge, and --depth 0 checks the initial memories alone."""
+    rc, out = run(capsys, "vc", files["walker.prog"], "--bound", "0")
+    assert rc == 0
+    assert out.splitlines() == ["EDGE lb->ll: BOUND_EXHAUSTED", "EDGE ll->le: BOUND_EXHAUSTED",
+                                "EDGE ll->ll: BOUND_EXHAUSTED"]
+    rc, out = run(capsys, "reach", files["walker.prog"], files["walker.mem"], "--depth", "0")
+    assert (rc, out) == (0, "REACH_OK\n")
