@@ -389,9 +389,10 @@ def _closure(states):
 
 
 def _agree(reduced, full) -> bool:
-    """Both raise, or neither does, both steps list ABORT or neither does,
-    and each set of reduced states is a subset of the full one whose
-    closure under address permutation contains it."""
+    """Both raise or neither does; both steps list ABORT or neither does;
+    and each set of reduced states is a subset of the full one, which in
+    turn lies in the reduced set's closure under address permutation (so
+    the two sets have the same closure)."""
     if PoolExhaustedError in (reduced, full):
         return reduced is full
     (step, reached), (full_step, full_reached) = reduced, full
