@@ -377,6 +377,12 @@ def _golden_cases():
               "NOMINAL root = 0\n")
     yield "list-full", _filled(list_spec(), "L"), LIST_VOCAB, 4, 4, (
         23, 330, chain4.format("L", "", "next", "head"))
+    # an at-most over a functional role that every element satisfies, so
+    # L is every element, as in list-full
+    atmost = parse_formula("E<=1 next.L == L", LIST_VOCAB)
+    yield "list-atmost", ReachSpec(FAnd(list_spec().base, atmost), list_spec().re,
+                                   list_spec().di), LIST_VOCAB, 4, 4, (
+        23, 330, chain4.format("L", "", "next", "head"))
     yield "alist-full", _filled(alist_spec(), "L"), LIST_VOCAB, 4, 4, (
         10, 343, chain4.format("L", "", "next", "head"))
     yield "tree-full", _filled(tree_spec(), "T"), TREE_VOCAB, 4, 4, (
