@@ -6,10 +6,9 @@ brute-force model finder.
 assigns symbols slot by slot over bitmask interpretations and checks each
 conjunct right after the slot that binds the last of its symbols.
 `find_model` is one list of slots over it, per universe size: canonical
-nominal placements (which also bind the `role_canon` roles), a filter of
-each functional role's maps by its single-role conjuncts, sorted concept
-colorings of the unpinned elements, one slot per functional role, one per
-plain role, and a last slot that counts the candidate and runs the
+nominal placements (which also bind the `role_canon` roles), sorted
+concept colorings of the unpinned elements, one slot per functional role,
+one per plain role, and a last slot that counts the candidate and runs the
 connectivity checks.  `memory.MemorySearch` is the other list.
 
 A functional-role slot of `find_model` is bit-sliced: bit k of a Python
@@ -19,9 +18,7 @@ evaluated once for every map at once, a concept as n row ints, a role view
 as an n x n matrix of rows and a formula as one mask; the leaf is the
 selector matrix of `functional_selectors` (bit k of `sel[a][b]` is set
 when map k sends a to b).  The slot then tries the set bits of the pass
-mask, lowest first, decoding each into the role's successor masks.  The
-filter of single-role conjuncts is the same sliced evaluation, giving the
-mask of maps the slot may try.
+mask, lowest first, decoding each into the role's successor masks.
 
 `Kernel` is the search front-end of the one set of bitmask node rules
 (`structures.update` / `invert` / `exists` / `image` / `at_most`); the
@@ -37,11 +34,8 @@ read at a later stage than its level, or read more than once, gets a cell
 in the store of its level, so it is computed at most once per value of
 that slot; other nodes are evaluated inline.  The reset points: each value
 a slot writes clears that slot's store, and each `search(env)` clears them
-all first.  One caller rebinds symbols without a slot write, so a cell
-would go stale there, and it uses the kernel uncached: `find_model`'s
-sliced filter of single-role conjuncts, which is evaluated once per
-nominal placement.  `formula_plan` compiles one formula for evaluation
-over the mask views of many structures, clearing its store per structure.
+all first.  `formula_plan` compiles one formula for evaluation over the
+mask views of many structures, clearing its store per structure.
 """
 
 from __future__ import annotations
@@ -59,8 +53,7 @@ from .structures import (FiniteStructure, at_most, env_structure, eval_formula, 
                          image, invert, types_of_all, update)
 from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,
                      FOr, Formula, Incl, Nominal, Not, Or, ReachDLError, Role,
-                     TOP, Top, Vocabulary, closure_concepts, conjuncts,
-                     formula_symbols, map_concept, map_sides)
+                     Top, Vocabulary, closure_concepts, conjuncts, formula_symbols)
 
 
 class CeilingExceededError(ReachDLError):
@@ -400,18 +393,17 @@ class Kernel:
     subterm repeated anywhere in the added formulas is one node.  A role
     expression is a chain of role views: the successor array, one node per
     update point, then an inversion; E r^-.C never needs the inversion, it
-    is the image of C under r.  Given `slot_of`, the slot index of each
-    (kind, name) symbol, each node has a level: the largest slot index
+    is the image of C under r.  `slot_of` gives the slot index of each
+    (kind, name) symbol, and each node has a level: the largest slot index
     among its symbols (0 if none), taken from its leaves' and children's
     levels.  A non-leaf node read at a later stage than its level (a parent
     has a higher level) or read more than once (several parents, or a
     parent and a root read) keeps its value in a cell of `stores[level]`;
     every other node is evaluated inline by its parent.  Whoever writes the
-    symbols of a slot must clear that slot's store.  Without `slot_of`
-    nothing is cached: each call evaluates afresh, for callers that rebind
-    symbols outside any slot."""
+    symbols of a slot must clear that slot's store, so a cell never
+    outlives the values it was computed from."""
 
-    def __init__(self, slot_of: Mapping[tuple[str, str], int] | None = None) -> None:
+    def __init__(self, slot_of: Mapping[tuple[str, str], int]) -> None:
         self.slot_of = slot_of
         self.levels: list[int] = []
         self.stores: dict[int, dict[int, object]] = {}
@@ -439,8 +431,7 @@ class Kernel:
         return nid
 
     def _leaf(self, tag: str, kind: str, name: str) -> int:
-        slot = 0 if self.slot_of is None else self.slot_of.get((kind, name), 0)
-        return self._node((tag, name), level=slot)
+        return self._node((tag, name), level=self.slot_of.get((kind, name), 0))
 
     def _role(self, r: Role, inverted: bool) -> int:
         nid = self._leaf("succ", "roles", r.name)
@@ -498,8 +489,7 @@ class Kernel:
         fns: list[Callable[[dict], object]] = []
         for nid, key in enumerate(self._keys):
             fn = _compile_node(key, fns)
-            if (self.slot_of is not None and key[0] not in _LEAVES
-                    and (self._reads[nid] > 1 or self._late[nid])):
+            if key[0] not in _LEAVES and (self._reads[nid] > 1 or self._late[nid]):
                 fn = _cell(fn, self.stores.setdefault(self.levels[nid], {}), nid)
             fns.append(fn)
         return fns
@@ -865,16 +855,15 @@ def symbol_slot(kind: str, name: str, values: Callable[[dict], Iterable]) -> Slo
 
 @dataclass(frozen=True)
 class FunctionalMaps:
-    """The values of a sliced slot: the maps of functional role `role`
-    whose bit is set in keep(env), in functional_selectors' order."""
+    """The values of a sliced slot: every map of functional role `role`,
+    in functional_selectors' order."""
     role: str
-    keep: Callable[[dict], int]
 
 
-def functional_slot(role: str, keep: Callable[[dict], int]) -> Slot:
-    """The bit-sliced slot binding functional role `role` to each map whose
-    bit is set in keep(env) in turn (see StagedSearch)."""
-    return (("roles", role),), FunctionalMaps(role, keep)
+def functional_slot(role: str) -> Slot:
+    """The bit-sliced slot binding functional role `role` to each of its
+    maps in turn (see StagedSearch)."""
+    return (("roles", role),), FunctionalMaps(role)
 
 
 class StagedSearch:
@@ -892,10 +881,10 @@ class StagedSearch:
     once per full assignment that passes every check.
 
     A sliced slot (`functional_slot`) checks its conjuncts for every map of
-    its role at once (`Kernel.sliced`) and ANDs the pass mask with its keep
-    mask.  It then writes the maps of the set bits, lowest first, and
-    counts the kept maps that failed as it passes them, so a search that
-    stops early counts exactly what the per-value stage would."""
+    its role at once (`Kernel.sliced`).  It then writes the maps of the set
+    bits of the pass mask, lowest first, and counts the maps that failed as
+    it passes them, so a search that stops early counts exactly what the
+    per-value stage would."""
 
     def __init__(self, slots: Iterable[Slot], formulas: Iterable[Formula],
                  stats: SearchStats | None = None) -> None:
@@ -942,10 +931,9 @@ class StagedSearch:
 
         def sliced(i: int, maps: FunctionalMaps, passing: Callable[[dict], int],
                    clear: Callable[[], None] | None) -> Iterator[dict]:
-            keep = maps.keep(env)
-            rest = passing(env) & keep
-            failed = keep ^ rest
             n, table = env["n"], env["rsucc"]
+            rest = passing(env)
+            failed = ((1 << (n + 1) ** n) - 1) ^ rest
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -1003,21 +991,6 @@ def _colorings(free: list[int], pinned: list[int], ncolors: int) -> Iterator[dic
         del acc[free[i]]
 
     yield from rec_free(0, 0, {})
-
-
-def _simplify_functional(phi: Formula, functional: frozenset[str]) -> Formula:
-    """Search-time rewriting sound over functional interpretations: a
-    qualified at-most with bound >= 1 over a plain functional role holds of
-    every element (there is at most one successor in total).  Dropping the
-    role from such conjuncts moves them to earlier pruning stages."""
-
-    def simp(c: Concept) -> Concept:
-        if (isinstance(c, AtMost) and c.bound >= 1 and not c.role.inverted
-                and not c.role.updates and c.role.name in functional):
-            return TOP
-        return c
-
-    return map_sides(phi, lambda c: map_concept(c, simp))
 
 
 def _connectivity_check(a: ReachAssertion) -> Callable[[dict], bool]:
@@ -1080,13 +1053,8 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
         phi = semi_formula(spec)
     else:
         phi = target
-    phi = _simplify_functional(phi, vocab.functional)
 
-    conj_syms = [(cj, formula_symbols(cj)) for cj in conjuncts(phi)]
-    syms: dict[str, set[str]] = {"concepts": set(), "roles": set(), "nominals": set()}
-    for _, cs in conj_syms:
-        for kind in syms:
-            syms[kind] |= cs[kind]
+    syms = formula_symbols(phi)
     if spec is not None:
         for a in spec.re:
             if isinstance(a.source, Nominal):
@@ -1114,20 +1082,6 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     pinned_cons = sorted(vocab.concepts - set(concepts))
     pinned_roles = sorted(vocab.roles - set(froles) - set(proles) - set(role_canon))
 
-    # Conjuncts over nominals and one functional role alone filter that
-    # role's maps once per placement instead of once per coloring.
-    enumerated = set(froles) | set(proles)
-    local: dict[str, list[int]] = {r: [] for r in froles}
-    local_kernel = Kernel()
-    staged: list[Formula] = []
-    for cj, cs in conj_syms:
-        enum_syms = [r for r in cs["roles"] if r in enumerated]
-        if not cs["concepts"] and len(enum_syms) == 1 and enum_syms[0] in froles:
-            local[enum_syms[0]].append(local_kernel.formula(cj))
-        else:
-            staged.append(cj)
-    local_fns = local_kernel.compile()
-    local_masks = {r: local_kernel.sliced(local[r], r, local_fns) for r in froles}
     conn_checks = [_connectivity_check(a) for a in spec.re] if spec is not None else []
     ncolors = 1 << len(concepts)
 
@@ -1140,14 +1094,6 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
             for rname, nom in role_canon.items():
                 env["rsucc"][rname] = [1 << noms[nom]] * n
             yield
-
-    def filter_maps(env: dict) -> Iterator[None]:
-        keep = env["keep"] = {}
-        for rname in froles:
-            keep[rname] = local_masks[rname](env)
-            if not keep[rname]:
-                return
-        yield
 
     def colorings(env: dict) -> Iterator[None]:
         n = env["n"]
@@ -1166,13 +1112,12 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     slots: list[Slot] = [
         (tuple(("nominals", o) for o in nominals)
          + tuple(("roles", r) for r in role_canon), placements),
-        ((), filter_maps),
         (tuple(("concepts", c) for c in concepts), colorings)]
-    slots += [functional_slot(r, lambda env, r=r: env["keep"][r]) for r in froles]
+    slots += [functional_slot(r) for r in froles]
     slots += [symbol_slot("roles", r, lambda env: product(range(1 << env["n"]), repeat=env["n"]))
               for r in proles]
     slots.append(((), connected))
-    engine = StagedSearch(slots, staged, stats)
+    engine = StagedSearch(slots, [phi], stats)
 
     for n in range(max(min_size, 1 if vocab.nominals else 0), max_size + 1):
         env = {"n": n, "full": (1 << n) - 1, "noms": {},

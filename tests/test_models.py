@@ -378,11 +378,12 @@ def _golden_cases():
     yield "list-full", _filled(list_spec(), "L"), LIST_VOCAB, 4, 4, (
         23, 330, chain4.format("L", "", "next", "head"))
     # an at-most over a functional role that every element satisfies, so
-    # L is every element, as in list-full
+    # L is every element, as in list-full; read at next's slot, it fails
+    # every map of each coloring where L is not every element
     atmost = parse_formula("E<=1 next.L == L", LIST_VOCAB)
     yield "list-atmost", ReachSpec(FAnd(list_spec().base, atmost), list_spec().re,
                                    list_spec().di), LIST_VOCAB, 4, 4, (
-        23, 330, chain4.format("L", "", "next", "head"))
+        23, 2202, chain4.format("L", "", "next", "head"))
     yield "alist-full", _filled(alist_spec(), "L"), LIST_VOCAB, 4, 4, (
         10, 343, chain4.format("L", "", "next", "head"))
     yield "tree-full", _filled(tree_spec(), "T"), TREE_VOCAB, 4, 4, (
@@ -481,25 +482,16 @@ def _map_rows(n):
     return [[0 if t < 0 else 1 << t for t in fmap] for fmap in product(range(-1, n), repeat=n)]
 
 
-def _kept(env):
-    """The maps a sliced test slot tries: those not sending 0 to 0."""
-    n = env["n"]
-    return ((1 << (n + 1) ** n) - 1) & ~functional_selectors(n)[0][0]
-
-
 def _kernel_slots(order, sliced):
     """One slot per symbol in order; s is sliced when `sliced`, else a
-    per-value slot over the same maps in the same order."""
+    per-value slot over every map in the same order."""
     values = {
         "concepts": lambda env: range(1 << env["n"]),
         "roles": lambda env: product(range(1 << env["n"]), repeat=env["n"]),
         "nominals": lambda env: range(env["n"]),
     }
-
-    def maps(env):
-        return [row for k, row in enumerate(_map_rows(env["n"])) if _kept(env) >> k & 1]
-
-    return [(functional_slot(name, _kept) if sliced else symbol_slot(kind, name, maps))
+    return [(functional_slot(name) if sliced
+             else symbol_slot(kind, name, lambda env: _map_rows(env["n"])))
             if name == "s" else symbol_slot(kind, name, values[kind]) for kind, name in order]
 
 
@@ -573,7 +565,7 @@ def test_sliced_mask_matches_eval_formula_per_map():
                    "rsucc": {"r": [rng.randrange(1 << n) for _ in range(n)]}}
             formulas = [_with_updates(rng, random_formula(rng, _KERNEL_VOCAB, depth=2, cdepth=2))
                         for _ in range(rng.randint(1, 3))]
-            kernel = Kernel()
+            kernel = Kernel({})
             roots = [kernel.formula(phi) for phi in formulas]
             mask = kernel.sliced(roots, "s", kernel.compile())(env)
             want = 0
