@@ -403,7 +403,7 @@ def _golden_cases():
     # enumerated in name order, f outermost
     yield "two-roles", parse_formula("o & p <= bot and p <= E g.top and o <= E g.top and "
                                      "(o <= E f.p or o <= E g.p)", _TWO_VOCAB), \
-        _TWO_VOCAB, 3, 3, (1, 13, "UNIVERSE 0..2\nFROLE f: \nFROLE g: (0,1) (1,0)\n"
+        _TWO_VOCAB, 3, 3, (1, 37, "UNIVERSE 0..2\nFROLE f: \nFROLE g: (0,1) (1,0)\n"
                                   "NOMINAL o = 0\nNOMINAL p = 1\n")
 
 
