@@ -15,7 +15,7 @@ from .reach import (DisjAssertion, ReachAssertion, ReachSpec, assoc_formula,
                     LIST_VOCAB, TREE_VOCAB)
 from .reduction import (boolean_closure_reduction, implication_reduction, nnf,
                         ord_membership, ord_reduction_exp, ord_reduction_poly,
-                        sat_pipeline, sat_pipeline_full, semi_formula, ord_lift,
+                        sat_pipeline_full, semi_formula, ord_lift,
                         bc_lift)
 from .models import (SwapTuple, apply_swap, check_model, dfs_labeling,
                      find_model, graph_value, labeling_is_useful, repair,

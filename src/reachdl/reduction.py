@@ -678,17 +678,12 @@ class PipelineResult:
 
 def sat_pipeline_full(spec: ReachSpec, vocab: Vocabulary, variant: str = "poly"
                       ) -> PipelineResult:
+    """semi -> ord -> nnf -> boolean closure: the plain negation-free
+    formula with what each stage added."""
     ord_formula, ext = ord_reduction(spec, variant)
     psi, info = boolean_closure_reduction(nnf(ord_formula))
     out_vocab = info.extend(ext.extend(vocab))
     return PipelineResult(psi, ord_formula, ext, info, out_vocab)
-
-
-def sat_pipeline(spec: ReachSpec, variant: str = "poly") -> Formula:
-    """semi -> ord -> nnf -> boolean closure; plain negation-free output."""
-    ord_formula, _ = ord_reduction(spec, variant)
-    psi, _ = boolean_closure_reduction(nnf(ord_formula))
-    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from reachdl.reduction import (LimitExceededError, NonNNFError, bc_lift,
                                ord_lift, ord_membership, ord_positions,
                                ord_reduction, ord_reduction_exp,
                                ord_reduction_poly, ord_vocabulary,
-                               ord_substructure, owl_export, sat_pipeline,
-                               sat_pipeline_full, semi_formula)
+                               ord_substructure, owl_export, sat_pipeline_full,
+                               semi_formula)
 from reachdl.structures import eval_formula, structure
 from reachdl.syntax import (And, Atomic, Eq, Exists, FAnd, FNot, FOr, Formula,
                             Incl, Nominal, Not, TRUE, Vocabulary,
@@ -406,8 +406,8 @@ def test_ord_and_bc_outputs_are_shared(make, variant):
 
 def test_pipeline_negation_free_and_deterministic():
     spec = alist_spec()
-    out1 = sat_pipeline(spec, "poly")
-    out2 = sat_pipeline(spec, "poly")
+    out1 = sat_pipeline_full(spec, LIST_VOCAB, "poly").formula
+    out2 = sat_pipeline_full(spec, LIST_VOCAB, "poly").formula
     assert out1 == out2
     assert is_negation_free(out1)
     assert to_text(out1) == to_text(out2)
