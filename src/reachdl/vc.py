@@ -17,7 +17,7 @@ from itertools import product
 from typing import Iterable
 
 from .memory import MemorySearch, MemoryStructure
-from .models import formula_plan
+from .models import CeilingExceededError, formula_plan, search_ceiling
 from .programs import (ABORT, Program, Stmt, labels_of, reach_sets,
                        run_labeled, run_representatives, touched_symbols)
 from .structures import FiniteStructure, eval_formula
@@ -80,6 +80,16 @@ def vc_formula(prog: Program, edge: tuple[str, str]) -> Formula:
     return _vc_of(_negated_vc_parts(prog, edge))
 
 
+def _check_ceiling(bound: int) -> None:
+    """Raise CeilingExceededError when a search with `bound` address cells
+    builds a universe, 3 + bound (null, T, F and the addresses), larger
+    than models.search_ceiling().  Bound 0 builds none."""
+    ceiling = search_ceiling()
+    if bound >= 1 and 3 + bound > ceiling:
+        raise CeilingExceededError(f"bound {bound} needs universe {3 + bound}, "
+                                   f"which exceeds ceiling {ceiling}")
+
+
 def check_vc(prog: Program, edge: tuple[str, str], bound: int,
              min_pool: int = 1) -> VCEntry:
     """Search for a memory structure with at most `bound` address cells,
@@ -87,7 +97,9 @@ def check_vc(prog: Program, edge: tuple[str, str], bound: int,
     satisfying the negation of the VC, with the update roles in place;
     re-validating a counterexample against the update-free VC checks the
     search's update rule against the eliminator.  Only a counterexample
-    builds the update-free VC here."""
+    builds the update-free VC here.  A bound over the search ceiling
+    raises CeilingExceededError before any search."""
+    _check_ceiling(bound)
     parts = _negated_vc_parts(prog, edge)
     if bound < 1:
         return VCEntry(edge, parts, "bound-exhausted", bound)
@@ -138,6 +150,7 @@ def _realizable(cand: MemoryStructure, code: Stmt, heap, ext_concepts) -> bool:
 
 
 def check_all_vcs(prog: Program, bound: int, jobs: int = 1) -> list[VCEntry]:
+    _check_ceiling(bound)  # before any worker starts
     edges = sorted(prog.edges)
     # under fork the pool starts all its workers at the first submit
     workers = min(jobs, len(edges))
@@ -219,7 +232,9 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
     failing run of run_all allocates the least cell of its class at every
     `new` (else swapping that cell for the least one gives an earlier
     failing run), so the witness, and any PoolExhaustedError, are those of
-    run_all."""
+    run_all.  A bound over the search ceiling raises CeilingExceededError
+    before any check, as in check_vc."""
+    _check_ceiling(bound)
     initial = FAnd(*_annotations(prog, prog.initial))
     for m in init:
         if not eval_formula(m.fs, initial):

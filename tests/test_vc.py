@@ -10,7 +10,7 @@ import pytest
 
 from reachdl.memory import (HeapVocabulary, MemorySearch, MemoryStructure,
                             PoolExhaustedError, make_memory)
-from reachdl.models import formula_plan
+from reachdl.models import CeilingExceededError, formula_plan
 from reachdl.parser import parse_formula, parse_memory_file, parse_program_file
 from reachdl.programs import (ABORT, Program, relabel, Assign, NullE, Skip, New,
                               WriteField, run_all)
@@ -156,6 +156,24 @@ def test_inductive_trivial_and_broken():
                           cnt_b=parse_formula("x <= Alloc", V))
     ok2, witness2 = check_inductive(broken, init, bound=2)
     assert not ok2 and witness2.edge == ("a", "b")
+
+
+def test_bounds_over_the_ceiling_raise(monkeypatch):
+    """check_vc, check_all_vcs and check_inductive refuse a bound whose
+    universe, 3 + bound, exceeds the search ceiling, before any check (a
+    failing initial structure included); bound 0 searches nothing."""
+    prog = tiny_program(Skip(), cnt_a=parse_formula("x <= Alloc", V))
+    init = [make_memory(HEAP, alloc=1, pool=1)]
+    monkeypatch.setenv("REACHDL_CEILING", "5")
+    for call in (lambda: check_vc(prog, ("a", "b"), 3), lambda: check_all_vcs(prog, 3),
+                 lambda: check_inductive(prog, init, 3)):
+        with pytest.raises(CeilingExceededError, match="bound 3 needs universe 6"):
+            call()
+    assert check_vc(prog, ("a", "b"), 2).verdict == "valid-up-to-bound"
+    assert check_inductive(prog, init, 2)[1].edge is None
+    monkeypatch.setenv("REACHDL_CEILING", "1")
+    assert check_vc(prog, ("a", "b"), 0).verdict == "bound-exhausted"
+    assert check_inductive(prog, init, 0)[1].edge is None
 
 
 def test_inductive_rejects_bad_init():
