@@ -11,13 +11,16 @@ plans (`models.formula_plan`) read them directly.  The FiniteStructure of
 a state (`fs`) is built only when it is read: for a witness, a printed
 state, I/O, or the axiom checker.
 
-`MemorySearch` is a list of slots over `models.StagedSearch`, in this
-order: the Alloc/PossibleTargets/MemPool partition of the addresses, the
-label nominals, then one slot each for the variables, fields, data
-concepts, data roles and extension concepts the formulas or the caller
-need.  The partition is enumerated up to a permutation of the addresses
-(its sorted colorings only), so every structure of the full enumeration
-is an address permutation of one the search yields.
+`MemorySearch` is a list of slots over `models.StagedSearch`, read off
+the heap and the formulas: the Alloc/PossibleTargets/MemPool partition,
+the label nominals (outside the heap) over every cell, the heap symbols
+the formulas name over the cells outside MemPool, the post-state copies
+(concepts and roles outside the heap) over the subsets and relations that
+avoid the pool cells no label names, and last the `need`-only symbols.
+The partition is enumerated up to a permutation of the addresses (its
+sorted colorings only); every later range depends only on the pool and
+the label cells, which a permutation moves alike, so every structure of
+the full enumeration is an address permutation of one the search yields.
 
 Universe layout convention: elements 0, 1, 2 interpret null, T and F (the
 Aux cells); addresses follow.  The memory pool is a finite stand-in for
@@ -427,24 +430,35 @@ def infer_memory(fs: FiniteStructure) -> MemoryStructure:
 @dataclass
 class MemorySearch:
     """Enumerate memory structures with `n_addresses` (at least 1) address
-    cells that satisfy a conjunction of formulas, assigning only the
-    symbols the formulas or the caller need and pinning everything else.
+    cells that satisfy a conjunction of formulas.  Each slot and its range
+    is read off the heap and the symbols the formulas name; the other heap
+    symbols are pinned (null, empty, every field to null).  `need` lists the
+    (kind, name) pairs of heap symbols that no formula names but that must
+    be bound anyway (`vc.check_inductive` passes the code-touched variables
+    and fields).  Partitions with fewer than `min_pool` MemPool cells are
+    skipped before any other symbol is assigned.  The slots, in order:
 
-    extra_nominals range over the whole universe (label constants), and
-    extra_concepts over arbitrary subsets (the R^ext copies).  Partitions
-    with fewer than `min_pool` MemPool cells are skipped before any other
-    symbol is assigned.
+    - the Alloc/PossibleTargets/MemPool partition;
+    - the nominals outside the heap (labels), over every cell, so that
+      conjuncts such as `__lab_2 <= MemPool` prune early;
+    - the heap symbols the formulas name, in heap order (variables,
+      fields, data concepts, data roles), over the cells outside MemPool
+      (a pool cell's fields map to null or F);
+    - the concepts and roles outside the heap (post-state copies), over
+      the subsets and relations that avoid the pool cells no label names.
+      The range is complete: a run allocates only cells a label names, so
+      a copy touching another pool cell breaks axiom 9 after the run
+      (`vc._realizable` checks the rest);
+    - last, the `need`-only symbols, which no conjunct tests.
 
-    The partition is enumerated up to a permutation of the addresses: it
-    takes only the sorted colorings (Alloc cells, then PossibleTargets,
-    then MemPool, in address order).  Every later slot's range depends on
-    the MemPool mask alone or on nothing, and no formula names an address,
-    so each structure of the full enumeration is an address permutation
-    of one this search yields; callers that only ask whether such a
-    structure exists (`vc.check_vc`, `vc.check_inductive`) get the same
-    answer.  The label nominals are bound right after the partition, so
-    conjuncts such as `__lab_2 <= MemPool` prune before the variables,
-    fields and data relations are enumerated.
+    The partition is enumerated up to a permutation of the addresses: only
+    its sorted colorings (Alloc cells, then PossibleTargets, then MemPool,
+    in address order).  The labels range over every cell, every later
+    range depends only on the pool and the label cells, an address
+    permutation moves both, and no formula names an address; so each
+    structure of the full enumeration is an address permutation of one
+    this search yields, and callers that only ask whether such a structure
+    exists (`vc.check_vc`, `vc.check_inductive`) get the same answer.
 
     The slots are chosen from the symbols of the formulas as given; the
     search checks them with the constants that `SEARCH_PINS` decides
@@ -456,10 +470,7 @@ class MemorySearch:
     heap: HeapVocabulary
     n_addresses: int
     formulas: tuple[Formula, ...]
-    extra_nominals: tuple[str, ...] = ()
-    extra_concepts: tuple[str, ...] = ()
-    need_roles: tuple[str, ...] = ()      # code-touched fields to enumerate anyway
-    need_nominals: tuple[str, ...] = ()   # code-touched variables
+    need: tuple[tuple[str, str], ...] = ()
     min_pool: int = 0
 
     def __iter__(self) -> Iterator[MemoryStructure]:
@@ -467,20 +478,11 @@ class MemorySearch:
             raise ReachDLError("MemorySearch needs at least one address cell")
         heap = self.heap
         n = 3 + self.n_addresses
-        full = (1 << n) - 1
-
-        support = formula_symbols(conj(self.formulas))
-        support["roles"] |= set(self.need_roles)
-        support["nominals"] |= set(self.need_nominals)
-
-        fieldlike = set(heap.all_fieldlike())
-        fields_on = [f for f in heap.all_fieldlike() if f in support["roles"]]
-        droles_on = [r for r in heap.all_roles()
-                     if r not in fieldlike and r in support["roles"]]
-        vars_on = [v for v in heap.all_nominals()
-                   if v not in RESERVED_NOMINALS and v in support["nominals"]]
-        cons_on = [c for c in heap.all_concepts()
-                   if c not in REQUIRED_CONCEPTS and c in support["concepts"]]
+        named = formula_symbols(conj(self.formulas))
+        concepts, roles, nominals = heap.state_names
+        fieldlike = heap.all_fieldlike()
+        outside = {kind: sorted(named[kind] - names.keys()) for kind, names
+                   in zip(("concepts", "roles", "nominals"), heap.state_names)}
 
         def partition(env: dict) -> Iterator[None]:
             cons = env["cons"]
@@ -493,54 +495,53 @@ class MemorySearch:
                 cons["Alloc"], cons["PossibleTargets"], cons["MemPool"] = masks
                 yield
 
-        # the variables, fields and data relations range over the cells
-        # outside MemPool, read off the partition; a pool cell's fields map
-        # to null or F, and the Aux cells have no fields
-        def cells(env: dict) -> list[int]:
-            pool = env["cons"]["MemPool"]
-            return [u for u in range(n) if not pool >> u & 1]
+        def pool(env: dict) -> int:
+            return env["cons"]["MemPool"]
 
-        def subsets(env: dict) -> list[int]:
-            pool = env["cons"]["MemPool"]
-            return [m for m in range(1 << n) if not m & pool]
+        def unlabelled_pool(env: dict) -> int:
+            return pool(env) & ~sum({1 << env["noms"][o] for o in outside["nominals"]})
 
-        def field_maps(env: dict) -> Iterator[tuple[int, ...]]:
-            pool = env["cons"]["MemPool"]
-            targets = tuple(1 << u for u in cells(env))
-            return product(*[(0,) if u < 3 else (1 << 0, 1 << 2) if pool >> u & 1 else targets
-                             for u in range(n)])
+        def slot(kind: str, name: str, blocked):
+            """Bind a symbol to each of its values over the cells outside
+            blocked(env): an element, a subset, a field map (the Aux cells
+            map nowhere, a blocked cell to null or F) or a relation."""
+            def values(env: dict):
+                avoid = blocked(env)
+                cells = [u for u in range(n) if not avoid >> u & 1]
+                if kind == "nominals":
+                    return cells
+                if kind == "roles" and name in fieldlike:
+                    return product(*[(0,) if u < 3 else (1 << 0, 1 << 2) if avoid >> u & 1
+                                     else [1 << v for v in cells] for u in range(n)])
+                rows = [m for m in range(1 << n) if not m & avoid]
+                if kind == "concepts":
+                    return rows
+                return product(*[(0,) if avoid >> u & 1 else rows for u in range(n)])
+            return symbol_slot(kind, name, values)
 
-        def relations(env: dict) -> Iterator[tuple[int, ...]]:
-            pool = env["cons"]["MemPool"]
-            rows = subsets(env)
-            return product(*[(0,) if pool >> u & 1 else rows for u in range(n)])
+        free = [("nominals", v) for v in nominals if v not in RESERVED_NOMINALS]
+        free += [("roles", f) for f in fieldlike]
+        free += [("concepts", c) for c in concepts if c not in REQUIRED_CONCEPTS]
+        free += [("roles", r) for r in roles if r not in fieldlike]
+        tested = [(kind, name) for kind, name in free if name in named[kind]]
+        enumerated = tested + [s for s in free if s in self.need and s not in tested]
 
         slots = [((("concepts", "Alloc"), ("concepts", "PossibleTargets"),
                    ("concepts", "MemPool")), partition)]
-        slots += [symbol_slot("nominals", o, lambda env: range(n))
-                  for o in self.extra_nominals]
-        slots += [symbol_slot("nominals", v, cells) for v in vars_on]
-        slots += [symbol_slot("roles", f, field_maps) for f in fields_on]
-        slots += [symbol_slot("concepts", c, subsets) for c in cons_on]
-        slots += [symbol_slot("roles", r, relations) for r in droles_on]
-        slots += [symbol_slot("concepts", c, lambda env: range(1 << n))
-                  for c in self.extra_concepts]
+        slots += [slot("nominals", o, lambda env: 0) for o in outside["nominals"]]
+        slots += [slot(kind, name, pool) for kind, name in tested]
+        slots += [slot(kind, name, unlabelled_pool) for kind in ("concepts", "roles")
+                  for name in outside[kind]]
+        slots += [slot(kind, name, pool) for kind, name in enumerated[len(tested):]]
 
-        # pin unsupported symbols: fields map every address to null
-        env: dict = {"n": n, "full": full, "noms": {"null": 0, "T": 1, "F": 2},
-                     "cons": {"Aux": 0b111, "Addresses": full & ~0b111}, "rsucc": {}}
-        for f in heap.all_fieldlike():
-            if f not in fields_on:
-                env["rsucc"][f] = tuple(1 if 3 <= u < n else 0 for u in range(n))
-        for r in heap.all_roles():
-            if r not in fieldlike and r not in droles_on:
-                env["rsucc"][r] = (0,) * n
-        for v in heap.all_nominals():
-            if v not in RESERVED_NOMINALS and v not in vars_on:
-                env["noms"][v] = 0
-        for c in heap.all_concepts():
-            if c not in REQUIRED_CONCEPTS and c not in cons_on:
-                env["cons"][c] = 0
+        # pin the other heap symbols: a field maps every address to null
+        env: dict = {"n": n, "full": (1 << n) - 1, "noms": {"null": 0, "T": 1, "F": 2},
+                     "cons": {"Aux": 0b111, "Addresses": (1 << n) - 8}, "rsucc": {}}
+        tables = {"nominals": env["noms"], "concepts": env["cons"], "roles": env["rsucc"]}
+        for kind, name in free:
+            if (kind, name) not in enumerated:
+                tables[kind][name] = 0 if kind != "roles" else (0,) * n if name not in fieldlike \
+                    else tuple(1 if u >= 3 else 0 for u in range(n))
 
         # each state wraps a snapshot of the env; the search rebinds its
         # symbols in place, but never mutates a row

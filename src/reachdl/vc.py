@@ -16,15 +16,14 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable
 
-from .memory import MemorySearch, MemoryStructure
+from .memory import HeapVocabulary, MemorySearch, MemoryStructure
 from .models import CeilingExceededError, formula_plan, search_ceiling
 from .programs import (ABORT, Program, Stmt, labels_of, reach_sets,
                        run_labeled, run_representatives, touched_symbols)
 from .structures import FiniteStructure, eval_formula
 from .syntax import (FAnd, FNot, Formula, ReachDLError, TRUE, conj,
                      formula_symbols)
-from .wp import (LABEL_PREFIX, eliminate_updates, ext_name, label_nominal,
-                 theta_full)
+from .wp import eliminate_updates, label_nominal, theta_full
 
 
 class MissingAnnotationError(ReachDLError):
@@ -93,50 +92,46 @@ def _check_ceiling(bound: int) -> None:
 def check_vc(prog: Program, edge: tuple[str, str], bound: int,
              min_pool: int = 1) -> VCEntry:
     """Search for a memory structure with at most `bound` address cells,
-    at least `min_pool` of them in the pool (plus extension symbols),
-    satisfying the negation of the VC, with the update roles in place;
-    re-validating a counterexample against the update-free VC checks the
-    search's update rule against the eliminator.  Only a counterexample
-    builds the update-free VC here.  A bound over the search ceiling
-    raises CeilingExceededError before any search."""
+    at least `min_pool` of them in the pool, satisfying the negation of the
+    VC, with the update roles in place and the labels and post-state copies
+    it names bound by the search (`memory.MemorySearch`); a candidate counts
+    only if a run realizes it (`_realizable`).  Re-validating a
+    counterexample against the update-free VC checks the search's update
+    rule against the eliminator; only a counterexample builds that VC here.
+    A bound over the search ceiling raises CeilingExceededError first."""
     _check_ceiling(bound)
     parts = _negated_vc_parts(prog, edge)
     if bound < 1:
         return VCEntry(edge, parts, "bound-exhausted", bound)
-    heap = prog.heap
-    syms = formula_symbols(conj(parts))
-    ext_concepts = tuple(ext_name(c) for c in heap.data_concepts
-                         if ext_name(c) in syms["concepts"])
-    labels = tuple(sorted(n for n in syms["nominals"] if n.startswith(LABEL_PREFIX)))
-    code = prog.code[edge]
+    heap, code = prog.heap, prog.code[edge]
     candidates = 0
     for n_addr in range(1, bound + 1):
-        search = MemorySearch(heap, n_addr, parts, extra_nominals=labels,
-                              extra_concepts=ext_concepts, min_pool=min_pool)
-        for cand in search:
+        for cand in MemorySearch(heap, n_addr, parts, min_pool=min_pool):
             candidates += 1
-            if not _realizable(cand, code, heap, ext_concepts):
+            if not _realizable(cand, code):
                 continue
             entry = VCEntry(edge, parts, "counterexample", bound, cand.fs, candidates)
             if eval_formula(cand.fs, entry.formula):  # re-validate: the VC must fail
                 raise ReachDLError(f"edge {edge}: search returned a structure "
                                    "that does not falsify the VC")
-            MemoryStructure(heap, _strip_extras(cand.fs, ext_concepts, labels)).check(0)
+            MemoryStructure(heap, _strip_extras(cand.fs, heap)).check(0)
             return entry
     return VCEntry(edge, parts, "valid-up-to-bound", bound, None, candidates)
 
 
-def _strip_extras(fs: FiniteStructure, ext_concepts: Iterable[str],
-                  labels: Iterable[str]) -> FiniteStructure:
-    ext_concepts, labels = set(ext_concepts), set(labels)
-    cons = {k: v for k, v in fs.concepts.items() if k not in ext_concepts}
-    noms = {k: v for k, v in fs.nominals.items() if k not in labels}
-    return FiniteStructure(fs.universe, cons, fs.roles, noms)
+def _strip_extras(fs: FiniteStructure, heap: HeapVocabulary) -> FiniteStructure:
+    """fs without the symbols outside the heap (labels and copies)."""
+    concepts, roles, nominals = heap.state_names
+    return FiniteStructure(fs.universe,
+                           {k: v for k, v in fs.concepts.items() if k in concepts},
+                           {k: v for k, v in fs.roles.items() if k in roles},
+                           {k: v for k, v in fs.nominals.items() if k in nominals})
 
 
-def _realizable(cand: MemoryStructure, code: Stmt, heap, ext_concepts) -> bool:
-    """The label assignment must be realized by a run, and the extension
-    relations must respect axiom 9 against that run's remaining pool."""
+def _realizable(cand: MemoryStructure, code: Stmt) -> bool:
+    """The label assignment must be realized by a run, and the post-state
+    copies (the concepts and roles outside the heap) must respect axiom 9
+    against that run's remaining pool: no copy touches a pool cell."""
     d = {}
     for lab in labels_of(code):
         bit = cand.noms.get(label_nominal(lab))
@@ -146,7 +141,11 @@ def _realizable(cand: MemoryStructure, code: Stmt, heap, ext_concepts) -> bool:
     if m2 is ABORT:
         return False
     pool = m2.cons["MemPool"]
-    return not any(cand.cons.get(name, 0) & pool for name in ext_concepts)
+    concepts, roles, _ = cand.heap.state_names
+    return not any(mask & pool for name, mask in cand.cons.items() if name not in concepts) \
+        and not any(rows[u] & pool or rows[u] and pool >> u & 1
+                    for name, rows in cand.rsucc.items() if name not in roles
+                    for u in range(len(rows)))
 
 
 def check_all_vcs(prog: Program, bound: int, jobs: int = 1) -> list[VCEntry]:
@@ -219,11 +218,12 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
     with at most `bound` address cells steps only into structures
     satisfying the head annotations (over all allocation choices and all
     post-values of the unconstrained relations).  The search skips
-    pre-states with fewer than `min_pool` pool cells and yields them up to
-    a permutation of the addresses (the step and the variants explore
-    every choice, so a failing pre-state exists iff a yielded one fails),
-    and each edge's head annotation is compiled once
-    (`models.formula_plan`).
+    pre-states with fewer than `min_pool` pool cells, binds the
+    code-touched variables and fields no tail annotation names last (its
+    `need`), and yields pre-states up to a permutation of the addresses
+    (the step and the variants explore every choice, so a failing
+    pre-state exists iff a yielded one fails); each edge's head annotation
+    is compiled once (`models.formula_plan`).
 
     The post-states are those of `programs.run_representatives`, one or
     more per address-permutation class of run_all's outcomes.  No
@@ -251,11 +251,10 @@ def check_inductive(prog: Program, init: Iterable[MemoryStructure], bound: int,
         rem_roles = [r for r in heap.data_roles if r in head_syms["roles"]]
         code = prog.code[edge]
         variables, fields = touched_symbols(code)
+        need = tuple(("nominals", v) for v in sorted(variables)) \
+            + tuple(("roles", f) for f in sorted(fields))
         for n_addr in range(1, bound + 1):
-            search = MemorySearch(heap, n_addr, (t_shp, t_cnt),
-                                  need_roles=tuple(sorted(fields)),
-                                  need_nominals=tuple(sorted(variables)),
-                                  min_pool=min_pool)
+            search = MemorySearch(heap, n_addr, (t_shp, t_cnt), need, min_pool)
             for m1 in search:
                 for m2 in run_representatives(m1, code):
                     if m2 is ABORT:

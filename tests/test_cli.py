@@ -162,6 +162,17 @@ def test_vc_report(capsys, files, tmp_path, monkeypatch):
     assert all(e["verdict"] == "valid-up-to-bound" for e in payload["edges"])
 
 
+def test_vc_binds_data_role_copies(capsys, tmp_path, monkeypatch):
+    """A head annotation over a data role puts its post-state copy r_ext
+    into the VC, and the search binds it: a counterexample, no traceback."""
+    monkeypatch.chdir(tmp_path)
+    prog = tmp_path / "r.prog"
+    prog.write_text("FIELDS f\nVARS x\nROLES r\nFORMULA inv: x <= E r.top\n"
+                    "NODE a cnt=inv\nNODE b cnt=inv\nEDGE a -> b { skip }\n")
+    rc, out = run(capsys, "vc", str(prog), "--bound", "1")
+    assert rc == 1 and out.startswith("EDGE a->b: CEX")
+
+
 def test_usage_error_exit_2(capsys, tmp_path):
     missing = tmp_path / "nope.spec"
     rc = main(["check-sat", str(missing)])

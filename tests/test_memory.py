@@ -118,6 +118,7 @@ MEMORY_GOLDEN = Path(__file__).with_name("golden_memory_search.json")
 RHEAP = HeapVocabulary(fields=("f",), variables=("x",), data_roles=("rel",))
 CRHEAP = HeapVocabulary(fields=("f",), variables=("x",), data_concepts=("P1",),
                         data_roles=("rel",))
+_NEED = (("nominals", "x"), ("roles", "f"))
 
 _GOLDEN = {
     # name: (heap, formula, search options, addresses, limit)
@@ -130,21 +131,17 @@ _GOLDEN = {
     "data-concept-and-role-1": (
         CRHEAP, "x <= Alloc and P1 <= Alloc and E rel.top <= Alloc and E rel^-.top <= Alloc",
         {}, 1, None),
-    "need-1": (HEAP, "y <= Alloc | null", {"need_roles": ("f",), "need_nominals": ("x",)},
-               1, None),
-    "need-2": (HEAP, "y <= Alloc | null", {"need_roles": ("f",), "need_nominals": ("x",)},
-               2, None),
-    "extra-1": (HEAP, "lab1 <= P1_ext and P1_ext <= Alloc | lab1 and x <= Alloc",
-                {"extra_nominals": ("lab1",), "extra_concepts": ("P1_ext",)}, 1, None),
-    "extra-2": (HEAP, "lab1 <= P1_ext and P1_ext <= Alloc | lab1 and x <= Alloc",
-                {"extra_nominals": ("lab1",), "extra_concepts": ("P1_ext",)}, 2, None),
+    "need-1": (HEAP, "y <= Alloc | null", {"need": _NEED}, 1, None),
+    "need-2": (HEAP, "y <= Alloc | null", {"need": _NEED}, 2, None),
+    "extra-1": (HEAP, "lab1 <= P1_ext and P1_ext <= Alloc | lab1 and x <= Alloc", {}, 1, None),
+    "extra-2": (HEAP, "lab1 <= P1_ext and P1_ext <= Alloc | lab1 and x <= Alloc", {}, 2, None),
 }
 
 
 def _enumeration(name: str) -> dict:
     heap, text, options, n_addresses, limit = _GOLDEN[name]
-    vocab = heap.vocabulary().with_nominals(options.get("extra_nominals", ())) \
-        .with_concepts(options.get("extra_concepts", ()))
+    # a label nominal and a post-state copy, outside every heap
+    vocab = heap.vocabulary().with_nominals(("lab1",)).with_concepts(("P1_ext",))
     phi = parse_formula(text, vocab)
     search = MemorySearch(heap, n_addresses, (phi,), **options)
     texts = [structure_to_text(m.fs) for m in islice(search, limit)]
@@ -165,6 +162,36 @@ def test_memory_search_golden(name):
     """Exact enumeration order: the texts of the yielded structures, in order,
     hash to a recorded value."""
     assert _enumeration(name) == json.loads(MEMORY_GOLDEN.read_text())[name]
+
+
+def test_need_only_symbols_are_bound_last():
+    """x and f, which no conjunct names, vary fastest: the first states
+    differ only in them."""
+    phi = parse_formula("y <= Alloc | null and P1 <= Alloc", HEAP.vocabulary())
+    first = list(islice(MemorySearch(HEAP, 2, (phi,), _NEED), 10))
+    rest = {(m.cons["P1"], m.cons["MemPool"], m.cons["Alloc"], m.noms["y"]) for m in first}
+    assert len(rest) == 1 and len({m.key for m in first}) == 10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_need_only_symbols_take_every_value(n):
+    """The search with `need` yields the formula-only search's states, each
+    with x at every cell outside the pool and f at every field map (total
+    on the addresses, a pool cell to null or F, any other cell outside the
+    pool), and nothing else."""
+    from itertools import product
+
+    phi = parse_formula("y <= Alloc | null", HEAP.vocabulary())
+    want = set()
+    for m in MemorySearch(HEAP, n, (phi,)):
+        pool = m.cons["MemPool"]
+        outside = [u for u in range(3 + n) if not pool >> u & 1]
+        rows = [(0,) if u < 3 else (1, 4) if pool >> u & 1 else [1 << v for v in outside]
+                for u in range(3 + n)]
+        want |= {m._with(noms={**m.noms, "x": x}, rsucc={**m.rsucc, "f": f}).key
+                 for x in outside for f in product(*rows)}
+    got = [m.key for m in MemorySearch(HEAP, n, (phi,), _NEED)]
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +232,8 @@ def _identity_states():
 
     rng = random.Random(97)
     phi = parse_formula("P1 <= Alloc and x <= Alloc | null", HEAP.vocabulary())
-    search = list(islice(MemorySearch(HEAP, 2, (phi,), need_roles=("f",),
-                                      need_nominals=("y",)), 0, 1200, 40))
+    search = list(islice(MemorySearch(HEAP, 2, (phi,), (("roles", "f"), ("nominals", "y"))),
+                         0, 1200, 40))
     states = list(search)
     for m in search[::3]:
         text = structure_to_text(m.fs, memory=True)
@@ -221,8 +248,7 @@ def _identity_states():
     # names outside the heap: a label nominal and a post-state copy
     phi = parse_formula("lab1 <= P1_ext and x <= Alloc",
                         HEAP.vocabulary().with_nominals(("lab1",)).with_concepts(("P1_ext",)))
-    for m in MemorySearch(HEAP, 1, (phi,), extra_nominals=("lab1",),
-                          extra_concepts=("P1_ext",)):
+    for m in MemorySearch(HEAP, 1, (phi,)):
         states += [m, MemoryStructure(HEAP, parse_structure_file(structure_to_text(m.fs))[1])]
     for m in list(states[::4]):
         s = relabel(random_stmt(rng, HEAP, rng.randint(1, 3)))
@@ -319,9 +345,7 @@ def _search_states(rng, n, samples=80, each=12):
                   for f in ("f", "f_gho")]
         parts += [Eq(Atomic(c), rng.choice(values + [TOP, BOT]))
                   for c in ("P1", "P1_gho", "P1_ext")]
-        search = MemorySearch(HEAP, n, (conj(parts),), extra_nominals=_LABELS,
-                              extra_concepts=("P1_ext",))
-        states += islice(search, each)
+        states += islice(MemorySearch(HEAP, n, (conj(parts),)), each)
     return states
 
 
@@ -451,8 +475,8 @@ def _permuted(m, perm):
 
 def _symmetry_cases():
     """Random heap formulas at 1-3 addresses, alone, with a label nominal
-    that a conjunct constrains, with code-touched symbols, or with a pool
-    floor."""
+    and a post-state copy that conjuncts constrain, with code-touched
+    symbols, or with a pool floor."""
     from gen import random_concept, random_heap_formula
 
     rng = random.Random("memory-symmetry")
@@ -464,10 +488,10 @@ def _symmetry_cases():
         kind = i // 3 % 4
         options = {}
         if kind == 1:
-            phi = FAnd(phi, Incl(Nominal("__lab_1"), random_concept(rng, vocab, 1)))
-            options["extra_nominals"] = ("__lab_1",)
+            phi = FAnd(phi, FAnd(Incl(Nominal("__lab_1"), random_concept(rng, vocab, 1)),
+                                 Incl(Atomic("P1_ext"), random_concept(rng, vocab, 1))))
         elif kind == 2:
-            options = {"need_roles": ("f",), "need_nominals": ("x",)}
+            options["need"] = _NEED
         elif kind == 3:
             options["min_pool"] = 1
         cases.append((n, phi, options))

@@ -243,15 +243,21 @@ EDGE ll -> le { assume(e = null) }
     ("x.f := y; dispose(x)", "x <= Alloc", "x <= E f.null", True),
     ("x.f := y; dispose(y)", "x <= Alloc", "x <= E f.y", False),
     ("x.f := y; dispose(x)", "x <= Alloc and not (y == null)", "x <= E f.y", False),
+    ("skip", "x <= E r.top", "x <= E r.top", False),
+    ("x := null", "E r.top <= E r.top | x", "E r.top <= E r.top | x", True),
 ])
 def test_write_then_dispose_vc_agrees_with_inductive(code, cnt_a, cnt_b, want):
     """Bound 2: every VC valid iff the edge is inductive, on programs that
-    write a field of a cell and then dispose of it."""
+    write a field of a cell and then dispose of it; and at bound 1 on
+    programs whose head annotation names the data role r, whose post-state
+    copy r_ext the VC search binds (bound 2 does not finish in minutes)."""
+    roles = "ROLES r\n" if " r." in cnt_b else ""
+    bound = 1 if roles else 2
     prog = parse_program_file(
-        f"FIELDS f\nVARS x y\nFORMULA pa: {cnt_a}\nFORMULA pb: {cnt_b}\n"
+        f"FIELDS f\nVARS x y\n{roles}FORMULA pa: {cnt_a}\nFORMULA pb: {cnt_b}\n"
         f"NODE a cnt=pa\nNODE b cnt=pb\nEDGE a -> b {{ {code} }}\n")
-    all_valid = all(e.verdict == "valid-up-to-bound" for e in check_all_vcs(prog, 2))
-    inductive, _ = check_inductive(prog, [], 2)
+    all_valid = all(e.verdict == "valid-up-to-bound" for e in check_all_vcs(prog, bound))
+    inductive, _ = check_inductive(prog, [], bound)
     assert all_valid == inductive == want
 
 
