@@ -7,10 +7,12 @@ criterion-8 one-edge programs) at bound 3.
 The seeded programs start from no initial structure, the benchmark's from
 their own memory; reach soundness starts from that memory, or for a seeded
 program from one allocated cell and two pool cells.  Only the seeded
-programs checked within about 1 s at recording are kept, and the golden
-lists their indices.  An error is recorded as its class and message.
+programs checked within about 1 s when the golden was first recorded are
+kept, and the golden lists their indices.  An error is recorded as its
+class and message.
 
-Re-record (only on purpose, saying why):
+Re-record (only on purpose, saying why; it keeps the case set and prints
+every case and key it changes):
     PYTHONPATH=src:tests python tests/test_inductive_golden.py --record
 """
 
@@ -77,7 +79,9 @@ def _alarm(signum, frame):
     raise _Slow
 
 
-def record():
+def _first_golden() -> dict:
+    """A new golden: the seeded programs checked within RECORD_LIMIT_S on
+    this host, and the benchmark's programs."""
     golden = {}
     signal.signal(signal.SIGALRM, _alarm)
     for i in range(SEEDED):
@@ -90,6 +94,15 @@ def record():
             signal.setitimer(signal.ITIMER_REAL, 0)
     for name in BENCH_CASES:
         golden[name] = outcome(name)
+    return golden
+
+
+def record():
+    from test_vc_golden import print_changes
+
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    golden = {name: outcome(name) for name in old} if old else _first_golden()
+    print_changes(old, golden)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
 
