@@ -356,14 +356,16 @@ def _filled(spec: ReachSpec, concept: str) -> ReachSpec:
     return ReachSpec(FAnd(spec.base, Incl(TOP, Atomic(concept))), spec.re, spec.di)
 
 
-def _kappa(s1: ReachSpec, s2: ReachSpec):
+def _kappa(s1: ReachSpec, s2: ReachSpec, vocab: Vocabulary = LIST_VOCAB):
     kappa, fresh = implication_reduction(s1, s2)
-    return kappa, LIST_VOCAB.with_concepts(fresh)
+    return kappa, vocab.with_concepts(fresh)
 
 
 _PLAIN_VOCAB = Vocabulary(concepts={"A", "B"}, roles={"r"}, functional=set(),
                           nominals={"o"})
 _TWO_VOCAB = Vocabulary(roles={"f", "g"}, functional={"f", "g"}, nominals={"o", "p"})
+_THREE_VOCAB = Vocabulary(roles={"f", "g", "h"}, functional={"f", "g", "h"},
+                          nominals={"o", "p", "q"})
 
 
 def _golden_cases():
@@ -405,6 +407,16 @@ def _golden_cases():
                                      "(o <= E f.p or o <= E g.p)", _TWO_VOCAB), \
         _TWO_VOCAB, 3, 3, (1, 37, "UNIVERSE 0..2\nFROLE f: \nFROLE g: (0,1) (1,0)\n"
                                   "NOMINAL o = 0\nNOMINAL p = 1\n")
+    # two functional roles and no conjunct on left alone
+    yield "kappa-tree-tree", *_kappa(tree_spec(), tree_spec(), TREE_VOCAB), 1, 3, (
+        232, 82374, None)
+    # three functional roles, every conjunct on h: f and g have no
+    # conjunct of their own, yet the first model needs them non-empty
+    yield "three-roles", parse_formula(
+        "o & p <= bot and o & q <= bot and p & q <= bot and o <= E f.E h.p and "
+        "p <= E g.E h.q and q <= E h.o", _THREE_VOCAB), _THREE_VOCAB, 1, 3, (
+        1, 66102, "UNIVERSE 0..2\nFROLE f: (0,0)\nFROLE g: (1,1)\nFROLE h: (0,1) (1,2) (2,0)\n"
+                  "NOMINAL o = 0\nNOMINAL p = 1\nNOMINAL q = 2\n")
 
 
 @pytest.mark.parametrize("case", list(_golden_cases()), ids=lambda c: c[0])
