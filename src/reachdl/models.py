@@ -11,14 +11,18 @@ concept colorings of the unpinned elements, one slot per functional role,
 one per plain role, and a last slot that counts the candidate and runs the
 connectivity checks.  `memory.MemorySearch` is the other list.
 
-A functional-role slot of `find_model` is bit-sliced: bit k of a Python
-int stands for map k of the (n+1)^n partial functions on [0,n), in
-`product(range(-1, n), repeat=n)` order.  The slot's conjuncts are
+The functional-role slots of `find_model` are bit-sliced: bit k of a
+Python int stands for map k of the (n+1)^n partial functions on [0,n), in
+`product(range(-1, n), repeat=n)` order.  A stage's conjuncts are
 evaluated once for every map at once, a concept as n row ints, a role view
 as an n x n matrix of rows and a formula as one mask; the leaf is the
 selector matrix of `functional_selectors` (bit k of `sel[a][b]` is set
-when map k sends a to b).  The slot then tries the set bits of the pass
-mask, lowest first, decoding each into the role's successor masks.
+when map k sends a to b).  A run of functional slots whose slots but the
+last have no conjunct is one stage over the product of their maps, bit K
+for the tuple whose maps are K's digits in base (n+1)^n, outer first,
+while the product fits in MAX_SLICE_BITS.  The stage then tries the set
+bits of the pass mask, lowest first, decoding each into the roles'
+successor masks.
 
 `Kernel` is the search front-end of the one set of bitmask node rules
 (`structures.update` / `invert` / `exists` / `image` / `at_most`); the
@@ -411,6 +415,7 @@ class Kernel:
         self._ids: dict[tuple, int] = {}
         self._reads: list[int] = []
         self._late: list[bool] = []
+        self._selectors: dict[tuple[int, int], list[list[int]]] = {}
 
     def _node(self, key: tuple, children: tuple[int, ...] = (), level: int = 0) -> int:
         nid = self._ids.get(key)
@@ -494,29 +499,31 @@ class Kernel:
             fns.append(fn)
         return fns
 
-    def sliced(self, roots: Iterable[int], role: str,
+    def sliced(self, roots: Iterable[int], roles: tuple[str, ...],
                fns: list[Callable[[dict], object]]) -> Callable[[dict], int]:
-        """The pass mask of the formula nodes `roots` over every map of the
-        functional role `role` at once: bit k is set when all of them hold
-        with map k as the role (see functional_selectors) and the env's
-        values for every other symbol.  A node that depends on the role
-        gets a sliced value by the row rules of `_slice_node`; any other
-        node it reads is evaluated once by its function in `fns` (from
-        `compile`) and broadcast to all-ones or zero rows.  The roots are
-        read in turn until the mask is empty.  The env must hold `sel`,
-        the selectors of its universe size."""
-        keys, levels, roots = self._keys, self.levels, tuple(roots)
-        leaf = self._ids.get(("succ", role))
-        # the nodes under the roots that may depend on the role: none below
-        # a node of a lower level than the role's
+        """The pass mask of the formula nodes `roots` over every tuple of
+        maps of a run of functional roles at once: bit K is set when all of
+        them hold with digit j of K in base (n+1)^n, outer first, as the
+        map of roles[j] (see functional_selectors) and the env's values for
+        every other symbol.  A node that depends on one of the roles gets a
+        sliced value by the row rules of `_slice_node`; any other node it
+        reads is evaluated once by its function in `fns` (from `compile`)
+        and broadcast to all-ones or zero rows.  The roots are read in turn
+        until the mask is empty.  The selectors of a universe size are
+        built on the first pass over it and kept by the kernel."""
+        keys, levels, roots, k = self._keys, self.levels, tuple(roots), len(roles)
+        leaves = {self._ids[key] for key in (("succ", r) for r in roles) if key in self._ids}
+        low = min((levels[nid] for nid in leaves), default=0)
+        # the nodes under the roots that may depend on the roles: none below
+        # a node of a lower level than the first role's
         below: set[int] = set()
-        stack = list(roots) if leaf is not None else []
+        stack = list(roots) if leaves else []
         while stack:
             nid = stack.pop()
-            if nid not in below and levels[nid] >= levels[leaf]:
+            if nid not in below and levels[nid] >= low:
                 below.add(nid)
                 stack += _children(keys[nid])
-        # the nodes read: the roots, the nodes that depend on the role (all
+        # the nodes read: the roots, the nodes that depend on the roles (all
         # of whose parents do too), and what those read as sliced values
         # (not the nominals of an update); a node read twice is memoized
         dep: set[int] = set()
@@ -524,7 +531,7 @@ class Kernel:
         for nid in sorted(below):
             key = keys[nid]
             kids = _children(key)
-            if nid == leaf or not dep.isdisjoint(kids):
+            if nid in leaves or not dep.isdisjoint(kids):
                 dep.add(nid)
                 for ch in kids[:1] if key[0] == "upd" else kids:
                     reads[ch] = reads.get(ch, 0) + 1
@@ -536,9 +543,13 @@ class Kernel:
         checks = [sfns[nid] for nid in roots]
 
         def passing(env: dict) -> int:
-            ones = (1 << (env["n"] + 1) ** env["n"]) - 1
-            memo: dict[int, object] = {}
-            mask = ones
+            n = env["n"]
+            sel = self._selectors.get((n, k))
+            if sel is None:
+                sel = self._selectors[n, k] = functional_selectors(n, k)
+            # the memo starts with each role's leaf, under its node key
+            memo: dict = {("succ", r): sel[j * n:j * n + n] for j, r in enumerate(roles)}
+            ones = mask = (1 << (n + 1) ** (n * k)) - 1
             for check in checks:
                 mask &= check(env, ones, memo)
                 if not mask:
@@ -651,17 +662,21 @@ def formula_plan(phi: Formula) -> Callable[[object], bool]:
     return holds
 
 
-def functional_selectors(n: int) -> list[list[int]]:
-    """The leaf of a sliced functional role over [0,n): bit k of sel[a][b]
-    is set when map k sends a to b.  Map k's digits in base n+1, element 0
-    the most significant, are its values plus one (0 for undefined), as in
-    `product(range(-1, n), repeat=n)`; so sel[a][b] repeats a block of
-    (n+1)^(n-1-a) ones with period (n+1)^(n-a)."""
-    total = (n + 1) ** n
+def functional_selectors(n: int, k: int = 1) -> list[list[int]]:
+    """The leaves of a run of k sliced functional roles over [0,n): bit K
+    of sel[j*n + a][b] is set when the map of role j in tuple K sends a to
+    b.  K's digits in base n+1, role 0 and element 0 the most significant,
+    are the values plus one (0 for undefined), as in
+    `product(range(-1, n), repeat=k*n)`: role j's map is digit j of K in
+    base (n+1)^n, outer first, and for k = 1 bit K of sel[a][b] is set
+    when map K sends a to b.  Row p repeats a block of (n+1)^(kn-1-p) ones
+    with period (n+1)^(kn-p)."""
+    digits = k * n
+    total = (n + 1) ** digits
     sel = []
-    for a in range(n):
-        block = (n + 1) ** (n - 1 - a)
-        first = ((1 << block) - 1) << block  # a -> 0 in the first period
+    for p in range(digits):
+        block = (n + 1) ** (digits - 1 - p)
+        first = ((1 << block) - 1) << block  # p -> 0 in the first period
         width = block * (n + 1)
         while width < total:
             first |= first << width
@@ -669,6 +684,13 @@ def functional_selectors(n: int) -> list[list[int]]:
         first &= (1 << total) - 1
         sel.append([first << b * block for b in range(n)])
     return sel
+
+
+# The largest pass mask of a stage over a run of k functional roles, in
+# bits: where ((n+1)^n)^k is larger, the run's first role is a stage of its
+# own and the rest of the run is tried in turn.  Two roles fit up to
+# universe 4, three up to universe 3; one role is always a stage.
+MAX_SLICE_BITS = 1 << 19
 
 
 def _decode_map(k: int, n: int) -> list[int]:
@@ -730,7 +752,7 @@ def _slice_node(key: tuple, sfns: Mapping[int, Sliced],
     it decides every map, as an Incl whose left side is empty does."""
     tag = key[0]
     if tag == "succ":
-        return lambda env, ones, memo: env["sel"]
+        return lambda env, ones, memo: memo[key]
     a = sfns[key[1]]
     if tag == "upd":
         src, tgt = fns[key[2]], fns[key[3]]
@@ -871,20 +893,26 @@ class StagedSearch:
 
     The env holds bitmask interpretations: `n`, `full`, `noms` (name ->
     element), `cons` (name -> mask) and `rsucc` (name -> successor mask per
-    element), and `sel`, functional_selectors(n), when a slot is sliced.
-    All conjuncts of the formulas are compiled here into one Kernel over
-    the slot index of each symbol (a symbol no slot binds counts as slot
-    0), and each conjunct is checked right after the slot of its level.
-    Each value a slot writes clears that slot's kernel store, and `search`
-    clears every store first, so no value outlives the env it was computed
-    from; one engine runs one search at a time.  `search` yields the env
-    once per full assignment that passes every check.
+    element).  All conjuncts of the formulas are compiled here into one
+    Kernel over the slot index of each symbol (a symbol no slot binds
+    counts as slot 0), and each conjunct is checked right after the slot of
+    its level.  Each value a slot writes clears that slot's kernel store,
+    and `search` clears every store first, so no value outlives the env it
+    was computed from; one engine runs one search at a time.  `search`
+    yields the env once per full assignment that passes every check.
 
-    A sliced slot (`functional_slot`) checks its conjuncts for every map of
-    its role at once (`Kernel.sliced`).  It then writes the maps of the set
-    bits of the pass mask, lowest first, and counts the maps that failed as
-    it passes them, so a search that stops early counts exactly what the
-    per-value stage would."""
+    A sliced slot (`functional_slot`) is one stage with the sliced slots
+    after it up to the first one with checks, when each slot but the last
+    of that run has none and the product of their maps fits in
+    MAX_SLICE_BITS; otherwise it is a stage of its own.  A stage checks
+    the conjuncts of its last slot for every tuple of the run's maps at
+    once (`Kernel.sliced`, compiled on first entry), in the nested order
+    of per-role stages, the first slot the outer digit.  It walks the pass
+    mask in chunks of (n+1)^n bits, one per tuple of the outer maps, which
+    it writes once per chunk, and writes the last role's map of each set
+    bit, lowest first.  It counts the tuples that failed as it passes
+    them, so a search that stops early counts exactly what per-value
+    stages would."""
 
     def __init__(self, slots: Iterable[Slot], formulas: Iterable[Formula],
                  stats: SearchStats | None = None) -> None:
@@ -899,53 +927,76 @@ class StagedSearch:
         self.stores = list(kernel.stores.values())
         self.stages = []
         for i, ((_, values), nids) in enumerate(zip(slots, checks)):
-            if isinstance(values, FunctionalMaps):
-                tests = kernel.sliced(nids, values.role, fns)
-            else:
-                tests = tuple(fns[nid] for nid in nids)
             clear = kernel.stores[i].clear if i in kernel.stores else None
-            self.stages.append((values, tests, clear))
+            if not isinstance(values, FunctionalMaps):
+                self.stages.append((values, tuple(fns[nid] for nid in nids), clear))
+                continue
+            # a sliced slot's tests: the last slot of its run
+            end = i
+            while not checks[end] and end + 1 < len(slots) \
+                    and isinstance(slots[end + 1][1], FunctionalMaps):
+                end += 1
+            self.stages.append((values, end, clear))
+        self.plans: dict[tuple[int, int], Callable[[dict], int]] = {}
+        self._compile = lambda first, end: kernel.sliced(
+            checks[end], tuple(stage[0].role for stage in self.stages[first:end + 1]), fns)
 
     def search(self, env: dict) -> Iterator[dict]:
         for store in self.stores:
             store.clear()
         stages, stats, last = self.stages, self.stats, len(self.stages)
+        n, table = env["n"], env["rsucc"]
+        size = (n + 1) ** n
 
         def rec(i: int) -> Iterator[dict]:
             if i == last:
                 yield env
                 return
-            values, checks, clear = stages[i]
+            values, tests, clear = stages[i]
             if type(values) is FunctionalMaps:
-                yield from sliced(i, values, checks, clear)
+                yield from sliced(i, tests if size ** (tests - i + 1) <= MAX_SLICE_BITS else i)
                 return
             for _ in values(env):
                 if clear is not None:
                     clear()
-                for check in checks:
+                for check in tests:
                     if not check(env):
                         stats.pruned += 1
                         break
                 else:
                     yield from rec(i + 1)
 
-        def sliced(i: int, maps: FunctionalMaps, passing: Callable[[dict], int],
-                   clear: Callable[[], None] | None) -> Iterator[dict]:
-            n, table = env["n"], env["rsucc"]
-            rest = passing(env)
-            failed = ((1 << (n + 1) ** n) - 1) ^ rest
+        def sliced(first: int, end: int) -> Iterator[dict]:
+            passing = self.plans.get((first, end))
+            if passing is None:
+                passing = self.plans[first, end] = self._compile(first, end)
+            outer = stages[first:end]
+            role, clear = stages[end][0].role, stages[end][2]
+            rest, ones, base, prev = passing(env), (1 << size) - 1, 0, -1
             while rest:
-                low = rest & -rest
-                rest ^= low
-                skipped = failed & (low - 1)
-                if skipped:
-                    stats.pruned += skipped.bit_count()
-                    failed ^= skipped
-                table[maps.role] = _decode_map(low.bit_length() - 1, n)
-                if clear is not None:
-                    clear()
-                yield from rec(i + 1)
-            stats.pruned += failed.bit_count()
+                skip = ((rest & -rest).bit_length() - 1) // size
+                chunk = rest >> skip * size & ones
+                rest >>= (skip + 1) * size
+                base += skip
+                index = base
+                for maps, _, outer_clear in reversed(outer):
+                    index, digit = divmod(index, size)
+                    table[maps.role] = _decode_map(digit, n)
+                    if outer_clear is not None:
+                        outer_clear()
+                start = base * size
+                while chunk:
+                    low = chunk & -chunk
+                    chunk ^= low
+                    k = start + low.bit_length() - 1
+                    stats.pruned += k - prev - 1
+                    prev = k
+                    table[role] = _decode_map(k - start, n)
+                    if clear is not None:
+                        clear()
+                    yield from rec(end + 1)
+                base += 1
+            stats.pruned += size ** (end - first + 1) - prev - 1
 
         return rec(0)
 
@@ -1122,8 +1173,7 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     for n in range(max(min_size, 1 if vocab.nominals else 0), max_size + 1):
         env = {"n": n, "full": (1 << n) - 1, "noms": {},
                "cons": dict.fromkeys(pinned_cons, 0),
-               "rsucc": {r: [0] * n for r in pinned_roles},
-               "sel": functional_selectors(n) if froles else None}
+               "rsucc": {r: [0] * n for r in pinned_roles}}
         for _ in engine.search(env):
             m = env_structure(env, vocab.concepts, vocab.roles)
             if extra_pred is None or extra_pred(m):

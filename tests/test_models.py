@@ -448,11 +448,20 @@ def test_find_model_golden_role_canon():
 
 def test_find_model_role_free_builds_no_map_table(monkeypatch):
     """A target with no functional role to enumerate never builds the
-    selectors of the (n+1)^n functional maps; model and counters are
-    unchanged."""
+    selectors of the (n+1)^n functional maps, and a run of roles past
+    MAX_SLICE_BITS never builds the selectors of their product; model and
+    counters are unchanged."""
     import reachdl.models as models
 
-    def no_table(n):
+    built = []
+
+    def one_role_table(n, k=1):
+        if k > 1:
+            raise AssertionError("product selectors built")
+        built.append(n)
+        return functional_selectors(n)
+
+    def no_table(n, k=1):
         raise AssertionError("functional map selectors built")
 
     monkeypatch.setattr(models, "functional_selectors", no_table)
@@ -463,13 +472,22 @@ def test_find_model_role_free_builds_no_map_table(monkeypatch):
     assert (stats.candidates, stats.pruned) == (1, 29)
     assert structure_to_text(m, v.functional) == (
         "UNIVERSE 0..2\nCONCEPT A: 0\nCONCEPT B: 2\nFROLE f: \nNOMINAL o = 0\n")
+    # (6^5)^2 maps of f and g at universe 5 are past the bound
+    monkeypatch.setattr(models, "functional_selectors", one_role_table)
+    phi = parse_formula("o & p <= bot and p <= E f.E g.o", _TWO_VOCAB)
+    stats = SearchStats()
+    m = find_model(phi, _TWO_VOCAB, 5, 5, stats=stats)
+    assert built == [5]
+    assert (stats.candidates, stats.pruned) == (1, 1680913)
+    assert structure_to_text(m, _TWO_VOCAB.functional) == (
+        "UNIVERSE 0..4\nFROLE f: (1,0)\nFROLE g: (0,0)\nNOMINAL o = 0\nNOMINAL p = 1\n")
 
 
 # ---------------------------------------------------------------------------
 # The cached kernel against the semantic evaluator
 
 
-_KERNEL_VOCAB = Vocabulary(concepts={"A", "B"}, roles={"r", "s"}, functional={"s"},
+_KERNEL_VOCAB = Vocabulary(concepts={"A", "B"}, roles={"r", "s", "t"}, functional={"s", "t"},
                            nominals={"o", "p"})
 
 
@@ -495,8 +513,8 @@ def _map_rows(n):
 
 
 def _kernel_slots(order, sliced):
-    """One slot per symbol in order; s is sliced when `sliced`, else a
-    per-value slot over every map in the same order."""
+    """One slot per symbol in order; s and t are sliced when `sliced`, else
+    per-value slots over every map in the same order."""
     values = {
         "concepts": lambda env: range(1 << env["n"]),
         "roles": lambda env: product(range(1 << env["n"]), repeat=env["n"]),
@@ -504,7 +522,7 @@ def _kernel_slots(order, sliced):
     }
     return [(functional_slot(name) if sliced
              else symbol_slot(kind, name, lambda env: _map_rows(env["n"])))
-            if name == "s" else symbol_slot(kind, name, values[kind]) for kind, name in order]
+            if name in "st" else symbol_slot(kind, name, values[kind]) for kind, name in order]
 
 
 def _snapshot(env):
@@ -515,36 +533,46 @@ def _snapshot(env):
 def _pinned_env(n, pinned):
     """An env of universe size n with the symbols in `pinned` fixed: A to
     the even elements, B to the last, r to a chain of shrinking rows, s to
-    the constant map to the last element."""
-    env = {"n": n, "full": (1 << n) - 1, "cons": {}, "noms": {}, "rsucc": {},
-           "sel": functional_selectors(n)}
+    the constant map to the last element, t to the successor map modulo n,
+    o to the first element and p to the last."""
+    env = {"n": n, "full": (1 << n) - 1, "cons": {}, "noms": {}, "rsucc": {}}
     fixed = {"A": sum(1 << u for u in range(0, n, 2)), "B": 1 << n - 1,
-             "r": [env["full"] >> u for u in range(n)], "s": [1 << n - 1] * n}
+             "r": [env["full"] >> u for u in range(n)], "s": [1 << n - 1] * n,
+             "t": [1 << (u + 1) % n for u in range(n)], "o": 0, "p": n - 1}
     for name in pinned:
-        env["rsucc" if name in "rs" else "cons"][name] = fixed[name]
+        env["rsucc" if name in "rst" else "noms" if name in "op" else "cons"][name] = fixed[name]
     return env
 
 
-def test_kernel_matches_eval_formula_over_slot_orders():
+def test_kernel_matches_eval_formula_over_slot_orders(monkeypatch):
     """StagedSearch yields exactly the enumerated structures that satisfy
     the formulas under structures.eval_formula, in enumeration order, for
     random formulas (with updated roles, inverses and at-most bounds 0-2)
-    and random slot orders.  The functional role s is pinned, or bound by
-    a sliced slot at a random position for n = 1, 2, 3 (some other symbols
-    pinned to keep the space small); the sliced search yields what the
-    per-value slot over the same maps yields, with the same prune count."""
+    and random slot orders.  The functional roles s and t are pinned, or
+    bound by sliced slots, s right before t, at a random position for n =
+    1, 2, 3 (some other symbols pinned to keep the space small).  The
+    sliced search yields what per-value slots over the same maps yield,
+    with the same prune count, both where s and t are one stage (s has no
+    conjunct of its own) and with MAX_SLICE_BITS at 1, which slices each
+    role alone."""
+    import reachdl.models as models
+
     rng = random.Random(404)
     symbols = [("concepts", "A"), ("roles", "r"), ("nominals", "o"), ("nominals", "p"),
-               ("concepts", "B"), ("roles", "s")]
-    # (n, pinned symbols): the first space is s pinned, the rest slice s
-    spaces = [(2, {"s"}), (1, set()), (2, {"r"}), (3, {"r", "A", "B"})]
+               ("concepts", "B")]
+    # (n, pinned symbols): the first space pins s and t
+    spaces = [(2, {"s", "t"}), (1, set()), (2, {"r", "t"}), (2, {"r", "A", "B"}),
+              (3, {"r", "A", "B", "s"})]
+    merged = 0
     for _ in range(8):
         order = rng.sample(symbols, len(symbols))
+        at = rng.randint(0, len(order))
+        order[at:at] = [("roles", "s"), ("roles", "t")]
         runs = []
         for n, pinned in spaces:
             sub = [sym for sym in order if sym[1] not in pinned]
             env = _pinned_env(n, pinned)
-            space = [(_snapshot(e), env_structure(e, ("A", "B"), ("r", "s")))
+            space = [(_snapshot(e), env_structure(e, ("A", "B"), ("r", "s", "t")))
                      for e in StagedSearch(_kernel_slots(sub, True), []).search(env)]
             runs.append((sub, env, space))
         for _ in range(10):
@@ -554,36 +582,44 @@ def test_kernel_matches_eval_formula_over_slot_orders():
                 want = [key for key, m in space
                         if all(eval_formula(m, phi) for phi in formulas)]
                 got = []
-                for sliced in (True, False):
+                for sliced, bound in ((True, models.MAX_SLICE_BITS), (True, 1), (False, 1)):
+                    monkeypatch.setattr(models, "MAX_SLICE_BITS", bound)
                     stats = SearchStats()
                     engine = StagedSearch(_kernel_slots(sub, sliced), formulas, stats)
                     got.append(([_snapshot(e) for e in engine.search(env)], stats.pruned))
+                    if bound > 1:
+                        merged += any(first < end for first, end in engine.plans)
+                    monkeypatch.undo()
                 assert got[0][0] == want, (sub, formulas)
-                assert got[0] == got[1], (sub, formulas)
+                assert got[0] == got[1] == got[2], (sub, formulas)
+    assert merged >= 100
 
 
 def test_sliced_mask_matches_eval_formula_per_map():
     """Kernel.sliced over random formulas (nested formula connectives,
     updated and inverted roles, at-most bounds 0-2) with every other symbol
-    bound: bit k of the mask is set exactly when structures.eval_formula
-    holds with s bound to map k."""
+    bound: bit K of the mask is set exactly when structures.eval_formula
+    holds with s bound to map K, or, sliced as the pair (s, t), with s and
+    t bound to digits 0 and 1 of K in base (n+1)^n."""
     rng = random.Random(405)
-    for n in (1, 2, 3):
-        rows = _map_rows(n)
-        for _ in range(40):
-            env = {"n": n, "full": (1 << n) - 1, "sel": functional_selectors(n),
+    for roles, n, draws in ((("s",), 1, 40), (("s",), 2, 40), (("s",), 3, 40),
+                            (("s", "t"), 1, 20), (("s", "t"), 2, 20), (("s", "t"), 3, 3)):
+        rows = list(product(_map_rows(n), repeat=len(roles)))
+        for _ in range(draws):
+            env = {"n": n, "full": (1 << n) - 1,
                    "cons": {c: rng.randrange(1 << n) for c in "AB"},
                    "noms": {o: rng.randrange(n) for o in "op"},
-                   "rsucc": {"r": [rng.randrange(1 << n) for _ in range(n)]}}
+                   "rsucc": {"r": [rng.randrange(1 << n) for _ in range(n)],
+                             "t": [rng.choice((0, 1 << rng.randrange(n))) for _ in range(n)]}}
             formulas = [_with_updates(rng, random_formula(rng, _KERNEL_VOCAB, depth=2, cdepth=2))
                         for _ in range(rng.randint(1, 3))]
             kernel = Kernel({})
             roots = [kernel.formula(phi) for phi in formulas]
-            mask = kernel.sliced(roots, "s", kernel.compile())(env)
+            mask = kernel.sliced(roots, roles, kernel.compile())(env)
             want = 0
-            for k, row in enumerate(rows):
-                env["rsucc"]["s"] = row
-                m = env_structure(env, ("A", "B"), ("r", "s"))
+            for k, maps in enumerate(rows):
+                env["rsucc"].update(zip(roles, maps))
+                m = env_structure(env, ("A", "B"), ("r", "s", "t"))
                 if all(eval_formula(m, phi) for phi in formulas):
                     want |= 1 << k
             assert mask == want, formulas
@@ -591,10 +627,21 @@ def test_sliced_mask_matches_eval_formula_per_map():
 
 def test_functional_selectors_match_map_order():
     """The arithmetic selectors equal the ones built map by map from
-    product order, and each map decodes back to its rows."""
+    product order, and each map decodes back to its rows; for a run of k
+    roles, bit K of role j's matrix is set when digit j of K in base
+    (n+1)^n, outer first, is a map that sends a to b."""
     for n in range(1, 6):
         rows = _map_rows(n)
         want = [[sum(1 << k for k, row in enumerate(rows) if row[a] == 1 << b)
                  for b in range(n)] for a in range(n)]
         assert functional_selectors(n) == want
         assert [_decode_map(k, n) for k in range(len(rows))] == rows
+    for k, top in ((2, 3), (3, 2)):
+        for n in range(1, top + 1):
+            tuples = list(product(_map_rows(n), repeat=k))
+            sel = functional_selectors(n, k)
+            assert len(sel) == k * n
+            for j in range(k):
+                want = [[sum(1 << K for K, maps in enumerate(tuples) if maps[j][a] == 1 << b)
+                         for b in range(n)] for a in range(n)]
+                assert sel[j * n:j * n + n] == want
