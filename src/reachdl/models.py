@@ -17,12 +17,10 @@ Python int stands for map k of the (n+1)^n partial functions on [0,n), in
 evaluated once for every map at once, a concept as n row ints, a role view
 as an n x n matrix of rows and a formula as one mask; the leaf is the
 selector matrix of `functional_selectors` (bit k of `sel[a][b]` is set
-when map k sends a to b).  A run of functional slots whose slots but the
-last have no conjunct is one stage over the product of their maps, bit K
-for the tuple whose maps are K's digits in base (n+1)^n, outer first,
-while the product fits in MAX_SLICE_BITS.  The stage then tries the set
-bits of the pass mask, lowest first, decoding each into the roles'
-successor masks.
+when map k sends a to b).  The stage then tries the set bits of the pass
+mask, lowest first, decoding each into successor masks.  A run of
+functional slots whose slots but the last have no conjunct can be one
+stage over the product of their maps (see StagedSearch).
 
 `Kernel` is the search front-end of the one set of bitmask node rules
 (`structures.update` / `invert` / `exists` / `image` / `at_most`); the
@@ -509,8 +507,7 @@ class Kernel:
         sliced value by the row rules of `_slice_node`; any other node it
         reads is evaluated once by its function in `fns` (from `compile`)
         and broadcast to all-ones or zero rows.  The roots are read in turn
-        until the mask is empty.  The selectors of a universe size are
-        built on the first pass over it and kept by the kernel."""
+        until the mask is empty.  The selectors are built once per size."""
         keys, levels, roots, k = self._keys, self.levels, tuple(roots), len(roles)
         leaves = {self._ids[key] for key in (("succ", r) for r in roles) if key in self._ids}
         low = min((levels[nid] for nid in leaves), default=0)
@@ -542,14 +539,19 @@ class Kernel:
             sfns[nid] = _memo(fn, nid) if reads[nid] > 1 else fn
         checks = [sfns[nid] for nid in roots]
 
+        leaves_of: dict[int, tuple[int, dict]] = {}
+
         def passing(env: dict) -> int:
             n = env["n"]
-            sel = self._selectors.get((n, k))
-            if sel is None:
-                sel = self._selectors[n, k] = functional_selectors(n, k)
-            # the memo starts with each role's leaf, under its node key
-            memo: dict = {("succ", r): sel[j * n:j * n + n] for j, r in enumerate(roles)}
-            ones = mask = (1 << (n + 1) ** (n * k)) - 1
+            if n not in leaves_of:
+                sel = self._selectors.get((n, k))
+                if sel is None:
+                    sel = self._selectors[n, k] = functional_selectors(n, k)
+                # the memo starts with each role's leaf, under its node key
+                leaves_of[n] = ((1 << (n + 1) ** (n * k)) - 1,
+                                {("succ", r): sel[j * n:j * n + n] for j, r in enumerate(roles)})
+            ones, memo = leaves_of[n]
+            mask, memo = ones, memo.copy()
             for check in checks:
                 mask &= check(env, ones, memo)
                 if not mask:
@@ -901,18 +903,16 @@ class StagedSearch:
     was computed from; one engine runs one search at a time.  `search`
     yields the env once per full assignment that passes every check.
 
-    A sliced slot (`functional_slot`) is one stage with the sliced slots
-    after it up to the first one with checks, when each slot but the last
-    of that run has none and the product of their maps fits in
-    MAX_SLICE_BITS; otherwise it is a stage of its own.  A stage checks
-    the conjuncts of its last slot for every tuple of the run's maps at
-    once (`Kernel.sliced`, compiled on first entry), in the nested order
-    of per-role stages, the first slot the outer digit.  It walks the pass
-    mask in chunks of (n+1)^n bits, one per tuple of the outer maps, which
-    it writes once per chunk, and writes the last role's map of each set
-    bit, lowest first.  It counts the tuples that failed as it passes
-    them, so a search that stops early counts exactly what per-value
-    stages would."""
+    A sliced slot (`functional_slot`) and the sliced slots after it, up
+    to the first with checks, are one stage when the product of their maps
+    fits in MAX_SLICE_BITS; otherwise the slot is a stage of its own.  A
+    stage checks its last slot's conjuncts for every tuple of the run's
+    maps at once (`Kernel.sliced`, compiled on first entry), in the nested
+    order of per-role stages.  It walks the pass mask in chunks of (n+1)^n
+    bits, one per tuple of the outer maps, writing those once per chunk
+    and the last role's map once per set bit, lowest first.  It counts the
+    tuples that failed as it passes them, so a search that stops early
+    counts exactly what per-value stages would."""
 
     def __init__(self, slots: Iterable[Slot], formulas: Iterable[Formula],
                  stats: SearchStats | None = None) -> None:
@@ -925,21 +925,21 @@ class StagedSearch:
         for nid in roots:
             checks[kernel.levels[nid]].append(nid)
         self.stores = list(kernel.stores.values())
-        self.stages = []
+        self.stages = stages = []
         for i, ((_, values), nids) in enumerate(zip(slots, checks)):
             clear = kernel.stores[i].clear if i in kernel.stores else None
             if not isinstance(values, FunctionalMaps):
-                self.stages.append((values, tuple(fns[nid] for nid in nids), clear))
+                stages.append((values, tuple(fns[nid] for nid in nids), clear))
                 continue
             # a sliced slot's tests: the last slot of its run
             end = i
             while not checks[end] and end + 1 < len(slots) \
                     and isinstance(slots[end + 1][1], FunctionalMaps):
                 end += 1
-            self.stages.append((values, end, clear))
+            stages.append((values, end, clear))
         self.plans: dict[tuple[int, int], Callable[[dict], int]] = {}
         self._compile = lambda first, end: kernel.sliced(
-            checks[end], tuple(stage[0].role for stage in self.stages[first:end + 1]), fns)
+            checks[end], tuple(stage[0].role for stage in stages[first:end + 1]), fns)
 
     def search(self, env: dict) -> Iterator[dict]:
         for store in self.stores:
@@ -947,6 +947,9 @@ class StagedSearch:
         stages, stats, last = self.stages, self.stats, len(self.stages)
         n, table = env["n"], env["rsucc"]
         size = (n + 1) ** n
+        ones = (1 << size) - 1
+        # per sliced slot: its stage at this universe size (see sliced)
+        runs: dict[int, tuple] = {}
 
         def rec(i: int) -> Iterator[dict]:
             if i == last:
@@ -954,7 +957,7 @@ class StagedSearch:
                 return
             values, tests, clear = stages[i]
             if type(values) is FunctionalMaps:
-                yield from sliced(i, tests if size ** (tests - i + 1) <= MAX_SLICE_BITS else i)
+                yield from sliced(i)
                 return
             for _ in values(env):
                 if clear is not None:
@@ -966,25 +969,29 @@ class StagedSearch:
                 else:
                     yield from rec(i + 1)
 
-        def sliced(first: int, end: int) -> Iterator[dict]:
-            passing = self.plans.get((first, end))
-            if passing is None:
-                passing = self.plans[first, end] = self._compile(first, end)
-            outer = stages[first:end]
-            role, clear = stages[end][0].role, stages[end][2]
-            rest, ones, base, prev = passing(env), (1 << size) - 1, 0, -1
+        def sliced(first: int) -> Iterator[dict]:
+            if first not in runs:
+                end = stages[first][1]
+                total = size ** (end - first + 1)
+                if total > MAX_SLICE_BITS:
+                    end, total = first, size
+                if (first, end) not in self.plans:
+                    self.plans[first, end] = self._compile(first, end)
+                runs[first] = (self.plans[first, end], end, total, stages[first:end],
+                               stages[end][0].role, stages[end][2])
+            passing, end, total, outer, role, clear = runs[first]
+            rest, prev = passing(env), -1
             while rest:
-                skip = ((rest & -rest).bit_length() - 1) // size
-                chunk = rest >> skip * size & ones
-                rest >>= (skip + 1) * size
-                base += skip
-                index = base
+                low = (rest & -rest).bit_length() - 1
+                start = low - low % size  # the chunk of the lowest pass
+                chunk = rest >> start & ones
+                rest ^= chunk << start
+                index = start // size
                 for maps, _, outer_clear in reversed(outer):
                     index, digit = divmod(index, size)
                     table[maps.role] = _decode_map(digit, n)
                     if outer_clear is not None:
                         outer_clear()
-                start = base * size
                 while chunk:
                     low = chunk & -chunk
                     chunk ^= low
@@ -995,8 +1002,7 @@ class StagedSearch:
                     if clear is not None:
                         clear()
                     yield from rec(end + 1)
-                base += 1
-            stats.pruned += size ** (end - first + 1) - prev - 1
+            stats.pruned += total - prev - 1
 
         return rec(0)
 
