@@ -1004,7 +1004,10 @@ class StagedSearch:
                     yield from rec(end + 1)
             stats.pruned += total - prev - 1
 
-        return rec(0)
+        try:
+            yield from rec(0)
+        finally:  # rec and sliced refer to each other: free them now
+            rec = sliced = None
 
 
 # ---------------------------------------------------------------------------
