@@ -946,8 +946,6 @@ class StagedSearch:
             store.clear()
         stages, stats, last = self.stages, self.stats, len(self.stages)
         n, table = env["n"], env["rsucc"]
-        size = (n + 1) ** n
-        ones = (1 << size) - 1
         # per sliced slot: its stage at this universe size (see sliced)
         runs: dict[int, tuple] = {}
 
@@ -971,15 +969,15 @@ class StagedSearch:
 
         def sliced(first: int) -> Iterator[dict]:
             if first not in runs:
-                end = stages[first][1]
+                size, end = (n + 1) ** n, stages[first][1]
                 total = size ** (end - first + 1)
                 if total > MAX_SLICE_BITS:
                     end, total = first, size
                 if (first, end) not in self.plans:
                     self.plans[first, end] = self._compile(first, end)
-                runs[first] = (self.plans[first, end], end, total, stages[first:end],
-                               stages[end][0].role, stages[end][2])
-            passing, end, total, outer, role, clear = runs[first]
+                runs[first] = (self.plans[first, end], end, total, size, (1 << size) - 1,
+                               stages[first:end], stages[end][0].role, stages[end][2])
+            passing, end, total, size, ones, outer, role, clear = runs[first]
             rest, prev = passing(env), -1
             while rest:
                 low = (rest & -rest).bit_length() - 1

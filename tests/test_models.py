@@ -483,6 +483,18 @@ def test_find_model_role_free_builds_no_map_table(monkeypatch):
         "UNIVERSE 0..4\nFROLE f: (1,0)\nFROLE g: (0,0)\nNOMINAL o = 0\nNOMINAL p = 1\n")
 
 
+def test_find_model_role_free_needs_no_map_mask():
+    """A search with no sliced slot never builds a mask over the (n+1)^n
+    functional maps: at universe 16 that mask would have 17^16 bits, more
+    than any address space holds, yet a role-free target over a vocabulary
+    with a functional role finds its model at once."""
+    v = Vocabulary(concepts={"A"}, roles={"f"}, functional={"f"}, nominals={"o"})
+    stats = SearchStats()
+    m = find_model(parse_formula("o <= A", v), v, 16, 16, ceiling=16, stats=stats)
+    assert (stats.candidates, stats.pruned) == (1, 1)
+    assert m.concepts["A"] == frozenset({0})
+
+
 # ---------------------------------------------------------------------------
 # The cached kernel against the semantic evaluator
 
@@ -560,9 +572,9 @@ def test_kernel_matches_eval_formula_over_slot_orders(monkeypatch):
     rng = random.Random(404)
     symbols = [("concepts", "A"), ("roles", "r"), ("nominals", "o"), ("nominals", "p"),
                ("concepts", "B")]
-    # (n, pinned symbols): the first space pins s and t
+    # (n, pinned symbols): the first space pins s and t, the last o and p
     spaces = [(2, {"s", "t"}), (1, set()), (2, {"r", "t"}), (2, {"r", "A", "B"}),
-              (3, {"r", "A", "B", "s"})]
+              (3, {"r", "A", "B", "s"}), (2, {"o", "p", "r", "B"})]
     merged = 0
     for _ in range(8):
         order = rng.sample(symbols, len(symbols))
