@@ -19,7 +19,7 @@ from reachdl.reduction import (boolean_closure_reduction, implication_reduction,
                                nnf)
 from reachdl.structures import eval_concept, eval_formula, structure, types_of_all
 from reachdl.syntax import (AtMost, Atomic, Exists, FAnd, Incl, Nominal, TOP,
-                            TRUE, Vocabulary, closure_concepts, concepts_of,
+                            TRUE, Vocabulary, closure_concepts, concepts_of, conj,
                             inv, map_concept, map_sides)
 from gen import (connected_instance, random_formula, random_reach_spec,
                  random_structure, scramble_same_type)
@@ -291,6 +291,47 @@ def test_find_model_complete_vs_naive():
             assert (fast is None) == (naive is None), (phi, size)
             if fast is not None:
                 assert eval_formula(fast, phi)
+
+
+def _reference_colorings(n, placed, ncolors, nconcepts):
+    """The concept-mask tuples of every coloring of [0,n), colors over the
+    free elements then the placed ones in product order, kept when the free
+    elements' colors are nondecreasing."""
+    free = [u for u in range(n) if u not in placed]
+    elems = free + sorted(placed)
+    out = []
+    for colors in product(range(ncolors), repeat=n):
+        low = colors[:len(free)]
+        if any(a > b for a, b in zip(low, low[1:])):
+            continue
+        out.append(tuple(sum(1 << u for u, c in zip(elems, colors) if c >> ci & 1)
+                         for ci in range(nconcepts)))
+    return out
+
+
+@pytest.mark.parametrize("concepts", [("A",), ("A", "B")])
+@pytest.mark.parametrize("nominals", [(), ("o",), ("o", "p")])
+def test_find_model_colorings_match_sorted_brute_force(concepts, nominals):
+    """Per nominal placement, find_model's colorings slot yields the
+    concept masks of a brute-force reference, in the same order."""
+    v = Vocabulary(concepts=set(concepts), nominals=set(nominals))
+    phi = conj([Incl(Atomic(c), Atomic(c)) for c in concepts]
+               + [Incl(Nominal(o), Nominal(o)) for o in nominals])
+    for n in range(0 if not nominals else 1, 4):
+        seen = []
+
+        def record(m):
+            masks = tuple(sum(1 << u for u in m.concept_ext(c)) for c in sorted(concepts))
+            seen.append((tuple(m.nominals[o] for o in sorted(nominals)), masks))
+            return False
+
+        assert find_model(phi, v, n, n, extra_pred=record) is None
+        placements = list(dict.fromkeys(p for p, _ in seen))
+        assert len(placements) == (1 if len(nominals) < 2 or n == 1 else 2)
+        for p in placements:
+            got = [masks for q, masks in seen if q == p]
+            assert got == _reference_colorings(n, set(p), 1 << len(concepts),
+                                               len(concepts)), (n, p)
 
 
 def test_find_model_ceiling():

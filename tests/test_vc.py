@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from copy import deepcopy
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -422,6 +422,33 @@ def test_formula_plan_matches_eval_formula():
         _assert_plans_agree(plans, outs)
         for m2 in outs[:2]:
             _assert_plans_agree(plans, list(_rem_variants(m2, ["P1"], [])))
+
+
+def test_rem_variants_are_every_pool_avoiding_value_once():
+    """Varying a data concept and a data role yields each pair of their
+    values that avoids the pool exactly once, every variant axiom-compliant
+    and every other symbol unchanged."""
+    heap = HeapVocabulary(fields=("f",), variables=("x",), data_concepts=("P1",),
+                          data_roles=("r",))
+    m2 = make_memory(heap, alloc=0, targets=0, pool=2, concepts={"P1": [1]},
+                     roles={"r": [(0, 2)]})
+    outside = [0, 1, 2]
+    pairs = [(a, b) for a in outside for b in outside]
+    expected = {(frozenset(c), frozenset(r))
+                for k in range(len(outside) + 1) for c in combinations(outside, k)
+                for j in range(len(pairs) + 1) for r in combinations(pairs, j)}
+    variants = list(_rem_variants(m2, ["P1"], ["r"]))
+    seen = [(v.fs.concept_ext("P1"), v.fs.role_ext("r")) for v in variants]
+    assert len(seen) == len(set(seen)) == len(expected)
+    assert set(seen) == expected
+    rest = m2.fs
+    for v in variants:
+        assert v.violations() == []
+        assert {k: e for k, e in v.fs.concepts.items() if k != "P1"} == \
+            {k: e for k, e in rest.concepts.items() if k != "P1"}
+        assert {k: e for k, e in v.fs.roles.items() if k != "r"} == \
+            {k: e for k, e in rest.roles.items() if k != "r"}
+        assert v.fs.nominals == rest.nominals
 
 
 def test_formula_plan_reads_a_missing_role_as_empty():
