@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product, repeat
 from typing import Iterable, Iterator, Mapping
 
-from .models import StagedSearch, symbol_slot
+from .models import StagedSearch, relations, subsets, symbol_slot
 from .structures import (FiniteStructure, MissingNominalError, element_mask, from_masks,
                          mask_bits, successor_rows)
 from .syntax import (Atomic, Formula, Nominal, ReachDLError, Vocabulary, conj,
@@ -513,10 +513,7 @@ class MemorySearch:
                 if kind == "roles" and name in fieldlike:
                     return product(*[(0,) if u < 3 else (1 << 0, 1 << 2) if avoid >> u & 1
                                      else [1 << v for v in cells] for u in range(n)])
-                rows = [m for m in range(1 << n) if not m & avoid]
-                if kind == "concepts":
-                    return rows
-                return product(*[(0,) if avoid >> u & 1 else rows for u in range(n)])
+                return subsets(n, avoid) if kind == "concepts" else relations(n, avoid)
             return symbol_slot(kind, name, values)
 
         free = [("nominals", v) for v in nominals if v not in RESERVED_NOMINALS]

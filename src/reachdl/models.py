@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import graphs
@@ -877,6 +877,21 @@ def symbol_slot(kind: str, name: str, values: Callable[[dict], Iterable]) -> Slo
     return ((kind, name),), assign
 
 
+def subsets(n: int, avoid: int = 0) -> list[int]:
+    """The element masks over [0,n) that avoid the mask `avoid`, ascending:
+    the values of a concept slot."""
+    return [m for m in range(1 << n) if not m & avoid]
+
+
+def relations(n: int, avoid: int = 0) -> Iterator[tuple[int, ...]]:
+    """The relations over [0,n) that touch no element of `avoid`, as one
+    successor row per element, each row one of `subsets(n, avoid)` and an
+    avoided element's row empty, in `product` order (the last element's
+    row varies fastest): the values of a plain role slot."""
+    rows = subsets(n, avoid)
+    return product(*[(0,) if avoid >> u & 1 else rows for u in range(n)])
+
+
 @dataclass(frozen=True)
 class FunctionalMaps:
     """The values of a sliced slot: every map of functional role `role`,
@@ -1029,28 +1044,6 @@ def _canonical_placements(m: int, n: int) -> Iterator[tuple[int, ...]]:
     yield from rec((), -1)
 
 
-def _colorings(free: list[int], pinned: list[int], ncolors: int) -> Iterator[dict[int, int]]:
-    """Color maps element -> color id; colors over the free elements are
-    nondecreasing (canonical under permuting free elements)."""
-
-    def rec_free(i: int, low: int, acc: dict[int, int]) -> Iterator[dict[int, int]]:
-        if i == len(free):
-            if pinned:
-                for combo in product(range(ncolors), repeat=len(pinned)):
-                    out = dict(acc)
-                    out.update(zip(pinned, combo))
-                    yield out
-            else:
-                yield dict(acc)
-            return
-        for color in range(low, ncolors):
-            acc[free[i]] = color
-            yield from rec_free(i + 1, color, acc)
-        del acc[free[i]]
-
-    yield from rec_free(0, 0, {})
-
-
 def _connectivity_check(a: ReachAssertion) -> Callable[[dict], bool]:
     """Mask-level check that every target element of assertion `a` is
     reachable from its source inside the target."""
@@ -1154,13 +1147,18 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
             yield
 
     def colorings(env: dict) -> Iterator[None]:
-        n = env["n"]
-        placed = sorted(set(env["noms"].values()))
-        free = [u for u in range(n) if u not in placed]
-        for coloring in _colorings(free, placed, ncolors):
-            for ci, cname in enumerate(concepts):
-                env["cons"][cname] = _color_mask(coloring, ci, n)
-            yield
+        # one color per element, bit ci of it for concepts[ci]: sorted over
+        # the free elements (canonical under permuting them), then any over
+        # the placed ones
+        cons, placed = env["cons"], sorted(set(env["noms"].values()))
+        free = [u for u in range(env["n"]) if u not in placed]
+        bits = [1 << u for u in free + placed]
+        for low in combinations_with_replacement(range(ncolors), len(free)):
+            for high in product(range(ncolors), repeat=len(placed)):
+                colors = low + high
+                for ci, cname in enumerate(concepts):
+                    cons[cname] = sum(b for b, c in zip(bits, colors) if c >> ci & 1)
+                yield
 
     def connected(env: dict) -> Iterator[None]:
         stats.candidates += 1
@@ -1172,8 +1170,7 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
          + tuple(("roles", r) for r in role_canon), placements),
         (tuple(("concepts", c) for c in concepts), colorings)]
     slots += [functional_slot(r) for r in froles]
-    slots += [symbol_slot("roles", r, lambda env: product(range(1 << env["n"]), repeat=env["n"]))
-              for r in proles]
+    slots += [symbol_slot("roles", r, lambda env: relations(env["n"])) for r in proles]
     slots.append(((), connected))
     engine = StagedSearch(slots, [phi], stats)
 
@@ -1199,14 +1196,6 @@ def find_semi_useful_model(spec: ReachSpec, vocab: Vocabulary,
     concepts = closure_concepts(phi)
     return find_model(phi, vocab, min_size, max_size, ceiling=ceiling, stats=stats,
                       extra_pred=lambda m: has_useful_labelings(m, spec, concepts))
-
-
-def _color_mask(coloring: Mapping[int, int], bit: int, n: int) -> int:
-    out = 0
-    for u in range(n):
-        if coloring[u] >> bit & 1:
-            out |= 1 << u
-    return out
 
 
 def check_model(m: FiniteStructure, target: Formula | ReachSpec) -> bool:

@@ -17,7 +17,8 @@ from itertools import product
 from typing import Iterable
 
 from .memory import HeapVocabulary, MemorySearch, MemoryStructure
-from .models import CeilingExceededError, formula_plan, search_ceiling
+from .models import (CeilingExceededError, formula_plan, relations, search_ceiling,
+                     subsets)
 from .programs import (ABORT, Program, Stmt, labels_of, reach_sets,
                        run_labeled, run_representatives, touched_symbols)
 from .structures import FiniteStructure, eval_formula
@@ -185,26 +186,15 @@ def _rem_variants(m2: MemoryStructure, rem_concepts: list[str],
                   rem_roles: list[str]):
     """All axiom-compliant reinterpretations of the unconstrained relations
     (the step relation allows any post-state values outside the pool):
-    each concept ranges over the subsets of the cells outside the pool and
-    each role over the sets of pairs of them, both in counting order over
-    the cells (pairs) in element order.  With nothing to vary, m2 itself."""
+    each concept ranges over `models.subsets` and each role over
+    `models.relations` of the cells outside the pool, in their orders, the
+    last symbol varying fastest.  With nothing to vary, m2 itself."""
     if not rem_concepts and not rem_roles:
         yield m2
         return
-    pool, elements = m2.cons.get("MemPool", 0), m2.elements
-    cells = sorted((i for i in range(len(elements)) if not pool >> i & 1),
-                   key=elements.__getitem__)
-    masks = [sum(1 << cells[i] for i in range(len(cells)) if k >> i & 1)
-             for k in (range(1 << len(cells)) if rem_concepts else ())]
-    pairs = [(a, b) for a in cells for b in cells]
-    rows = []
-    for k in range(1 << len(pairs)) if rem_roles else ():
-        row = [0] * len(elements)
-        for i, (a, b) in enumerate(pairs):
-            if k >> i & 1:
-                row[a] |= 1 << b
-        rows.append(tuple(row))
-    for cvals in product(masks, repeat=len(rem_concepts)):
+    n, pool = len(m2.elements), m2.cons.get("MemPool", 0)
+    rows = tuple(relations(n, pool)) if rem_roles else ()
+    for cvals in product(subsets(n, pool), repeat=len(rem_concepts)):
         cons = {**m2.cons, **dict(zip(rem_concepts, cvals))} if rem_concepts else None
         for rvals in product(rows, repeat=len(rem_roles)):
             rsucc = {**m2.rsucc, **dict(zip(rem_roles, rvals))} if rem_roles else None

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,8 +9,8 @@ from reachdl.models import (Kernel, NotConnectedError, PremiseViolationError,
                             exhaustive_graph_value, find_model,
                             find_semi_useful_model, functional_selectors,
                             functional_slot, graph_value, labeling_is_useful,
-                            min_value_base, naive_find_model, repair, symbol_slot,
-                            type_concepts, useful_labeling)
+                            min_value_base, naive_find_model, relations, repair,
+                            subsets, symbol_slot, type_concepts, useful_labeling)
 from reachdl.parser import parse_formula, structure_to_text
 from reachdl.reach import (ReachAssertion, ReachSpec, alist_spec,
                            check_semi_connected, check_spec, clist_spec,
@@ -291,6 +291,26 @@ def test_find_model_complete_vs_naive():
             assert (fast is None) == (naive is None), (phi, size)
             if fast is not None:
                 assert eval_formula(fast, phi)
+
+
+def test_subsets_are_the_avoiding_masks_ascending():
+    for n in range(5):
+        for avoid in range(1 << n):
+            allowed = [u for u in range(n) if not avoid >> u & 1]
+            expected = sorted(sum(1 << u for u in c) for k in range(len(allowed) + 1)
+                              for c in combinations(allowed, k))
+            assert subsets(n, avoid) == expected, (n, avoid)
+    assert subsets(3) == list(range(8))
+
+
+def test_relations_are_the_avoiding_row_tuples_in_product_order():
+    for n in range(4):
+        for avoid in range(1 << n):
+            expected = [rows for rows in product(range(1 << n), repeat=n)
+                        if all(not row & avoid and not (row and avoid >> u & 1)
+                               for u, row in enumerate(rows))]
+            assert list(relations(n, avoid)) == expected, (n, avoid)
+    assert list(relations(2)) == list(product(range(4), repeat=2))
 
 
 def _reference_colorings(n, placed, ncolors, nconcepts):
