@@ -36,9 +36,9 @@ class VCEntry:
     """One edge's verdict.  `negated` holds the conjuncts the VC negates,
     with update roles in place; `formula`, the update-free VC, is built
     from them on first read.  `candidates` counts the structures the search
-    yielded (those with at least `min_pool` pool cells), which represent
-    the structures up to a permutation of the addresses (its partition
-    sorted, `memory.MemorySearch`)."""
+    yielded (those with at least one pool cell), which represent the
+    structures up to a permutation of the addresses (its partition sorted,
+    `memory.MemorySearch`)."""
 
     edge: tuple[str, str]
     negated: tuple[Formula, ...]
@@ -90,12 +90,11 @@ def _check_ceiling(bound: int) -> None:
                                    f"which exceeds ceiling {ceiling}")
 
 
-def check_vc(prog: Program, edge: tuple[str, str], bound: int,
-             min_pool: int = 1) -> VCEntry:
+def check_vc(prog: Program, edge: tuple[str, str], bound: int) -> VCEntry:
     """Search for a memory structure with at most `bound` address cells,
-    at least `min_pool` of them in the pool, satisfying the negation of the
-    VC, with the update roles in place and the labels and post-state copies
-    it names bound by the search (`memory.MemorySearch`); a candidate counts
+    at least one of them in the pool, satisfying the negation of the VC,
+    with the update roles in place and the labels and post-state copies it
+    names bound by the search (`memory.MemorySearch`); a candidate counts
     only if a run realizes it (`_realizable`).  Re-validating a
     counterexample against the update-free VC checks the search's update
     rule against the eliminator; only a counterexample builds that VC here.
@@ -107,7 +106,7 @@ def check_vc(prog: Program, edge: tuple[str, str], bound: int,
     heap, code = prog.heap, prog.code[edge]
     candidates = 0
     for n_addr in range(1, bound + 1):
-        for cand in MemorySearch(heap, n_addr, parts, min_pool=min_pool):
+        for cand in MemorySearch(heap, n_addr, parts, min_pool=1):
             candidates += 1
             if not _realizable(cand, code):
                 continue
