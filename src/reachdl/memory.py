@@ -443,7 +443,7 @@ class MemorySearch:
       conjuncts such as `__lab_2 <= MemPool` prune early;
     - the heap symbols the formulas name, in heap order (variables,
       fields, data concepts, data roles), over the cells outside MemPool
-      (a pool cell's fields map to null or F);
+      (a pool cell's fields map to null or F; `models.subsets`/`relations`);
     - the concepts and roles outside the heap (post-state copies), over
       the subsets and relations that avoid the pool cells no label names.
       The range is complete: a run allocates only cells a label names, so

@@ -4,10 +4,11 @@ brute-force model finder.
 
 `StagedSearch` is the one enumerator behind both bounded searches: it
 assigns symbols slot by slot over bitmask interpretations and checks each
-conjunct right after the slot that binds the last of its symbols.
+conjunct right after the slot that binds the last of its symbols; every
+search ranges concepts over `subsets` and plain roles over `relations`.
 `find_model` is one list of slots over it, per universe size: canonical
-nominal placements (which also bind the `role_canon` roles), sorted
-concept colorings of the unpinned elements, one slot per functional role,
+nominal placements (which also bind the `role_canon` roles), concept
+colorings sorted over the unplaced elements, one slot per functional role,
 one per plain role, and a last slot that counts the candidate and runs the
 connectivity checks.  `memory.MemorySearch` is the other list.
 
@@ -878,16 +879,14 @@ def symbol_slot(kind: str, name: str, values: Callable[[dict], Iterable]) -> Slo
 
 
 def subsets(n: int, avoid: int = 0) -> list[int]:
-    """The element masks over [0,n) that avoid the mask `avoid`, ascending:
-    the values of a concept slot."""
+    """The element masks over [0,n) that avoid the mask `avoid`, ascending."""
     return [m for m in range(1 << n) if not m & avoid]
 
 
 def relations(n: int, avoid: int = 0) -> Iterator[tuple[int, ...]]:
-    """The relations over [0,n) that touch no element of `avoid`, as one
-    successor row per element, each row one of `subsets(n, avoid)` and an
-    avoided element's row empty, in `product` order (the last element's
-    row varies fastest): the values of a plain role slot."""
+    """The relations over [0,n) that touch no element of `avoid`: one row
+    of `subsets(n, avoid)` per element, empty for an avoided one, in
+    `product` order (the last row varies fastest)."""
     rows = subsets(n, avoid)
     return product(*[(0,) if avoid >> u & 1 else rows for u in range(n)])
 
@@ -1081,9 +1080,11 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     """First model of the target over universes of size min..max, or None.
 
     Deterministic order: universe size ascending, canonical nominal
-    placements lexicographic, concept colorings lexicographic, functional
-    roles as partial functions, remaining roles as adjacency masks, each
-    kind of role in name order.
+    placements lexicographic, concept colorings lexicographic (a color per
+    element, bit i for the i-th concept by name; nondecreasing over the
+    unplaced elements, then any over the placed ones), functional roles as
+    partial functions, remaining roles over `relations`, each kind of role
+    in name order.
     Symbols the target does not mention are pinned (nominals to element 0,
     concepts and roles to empty).  role_canon maps a role name to a
     nominal: that role is interpreted as the total relation into that
@@ -1147,9 +1148,6 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
             yield
 
     def colorings(env: dict) -> Iterator[None]:
-        # one color per element, bit ci of it for concepts[ci]: sorted over
-        # the free elements (canonical under permuting them), then any over
-        # the placed ones
         cons, placed = env["cons"], sorted(set(env["noms"].values()))
         free = [u for u in range(env["n"]) if u not in placed]
         bits = [1 << u for u in free + placed]
