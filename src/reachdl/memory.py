@@ -443,12 +443,12 @@ class MemorySearch:
       conjuncts such as `__lab_2 <= MemPool` prune early;
     - the heap symbols the formulas name, in heap order (variables,
       fields, data concepts, data roles), over the cells outside MemPool
-      (a pool cell's fields map to null or F; `models.subsets`/`relations`);
+      (a pool cell's fields map to null or F);
     - the concepts and roles outside the heap (post-state copies), over
-      the subsets and relations that avoid the pool cells no label names.
-      The range is complete: a run allocates only cells a label names, so
-      a copy touching another pool cell breaks axiom 9 after the run
-      (`vc._realizable` checks the rest);
+      `models.subsets` and `models.relations` avoiding the pool cells no
+      label names.  The range is complete: a run allocates only cells a
+      label names, so a copy touching another pool cell breaks axiom 9
+      after the run (`vc._realizable` checks the rest);
     - last, the `need`-only symbols, which no conjunct tests.
 
     The partition is enumerated up to a permutation of the addresses: only

@@ -4,8 +4,8 @@ brute-force model finder.
 
 `StagedSearch` is the one enumerator behind both bounded searches: it
 assigns symbols slot by slot over bitmask interpretations and checks each
-conjunct right after the slot that binds the last of its symbols; every
-search ranges concepts over `subsets` and plain roles over `relations`.
+conjunct right after the slot that binds the last of its symbols.  Its
+value ranges are `subsets` (concepts) and `relations` (plain roles).
 `find_model` is one list of slots over it, per universe size: canonical
 nominal placements (which also bind the `role_canon` roles), concept
 colorings sorted over the unplaced elements, one slot per functional role,
