@@ -6,11 +6,12 @@ brute-force model finder.
 assigns symbols slot by slot over bitmask interpretations and checks each
 conjunct right after the slot that binds the last of its symbols.  Its
 value ranges are `subsets` (concepts) and `relations` (plain roles).
-`find_model` is one list of slots over it, per universe size: canonical
-nominal placements (which also bind the `role_canon` roles), concept
-colorings sorted over the unplaced elements, one slot per functional role,
-one per plain role, and a last slot that counts the candidate and runs the
-connectivity checks.  `memory.MemorySearch` is the other list.
+`find_model` is one list of slots over it, searched once per universe
+size: canonical nominal placements (which also bind the `role_canon`
+roles), concept colorings sorted over the unplaced elements, one slot per
+functional role and one per plain role.  A spec's reach assertions are
+ordinary conjuncts there, unrolled by `reach.reach_formula` far enough for
+the largest universe.  `memory.MemorySearch` is the other list.
 
 The functional-role slots of `find_model` are bit-sliced: bit k of a
 Python int stands for map k of the (n+1)^n partial functions on [0,n), in
@@ -49,14 +50,14 @@ from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import graphs
-from .reach import (ReachAssertion, ReachSpec, check_semi_connected, check_spec,
-                    graph_sources, reach_graph)
+from .reach import (ReachSpec, assoc_formula, check_semi_connected, check_spec,
+                    graph_sources, reach_formula, reach_graph)
 from .reduction import semi_formula
 from .structures import (FiniteStructure, at_most, env_structure, eval_formula, exists,
                          image, invert, types_of_all, update)
 from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,
                      FOr, Formula, Incl, Nominal, Not, Or, ReachDLError, Role,
-                     Top, Vocabulary, closure_concepts, conjuncts, formula_symbols)
+                     Top, Vocabulary, closure_concepts, conj, conjuncts, formula_symbols)
 
 
 class CeilingExceededError(ReachDLError):
@@ -393,7 +394,9 @@ class Kernel:
     StagedSearch), compiled to one node per distinct subterm.
 
     Nodes are hash-consed on their constructor and child node ids, so a
-    subterm repeated anywhere in the added formulas is one node.  A role
+    subterm repeated anywhere in the added formulas is one node, and
+    concept objects are memoized by identity, so a shared one is walked
+    once (an unrolled reach formula's tree form is exponential).  A role
     expression is a chain of role views: the successor array, one node per
     update point, then an inversion; E r^-.C never needs the inversion, it
     is the image of C under r.  `slot_of` gives the slot index of each
@@ -415,6 +418,7 @@ class Kernel:
         self._reads: list[int] = []
         self._late: list[bool] = []
         self._selectors: dict[tuple[int, int], list[list[int]]] = {}
+        self._objects: dict[int, tuple[Concept, int]] = {}
 
     def _node(self, key: tuple, children: tuple[int, ...] = (), level: int = 0) -> int:
         nid = self._ids.get(key)
@@ -446,28 +450,36 @@ class Kernel:
         return self._node(("inv", nid), (nid,)) if inverted else nid
 
     def concept(self, c: Concept) -> int:
-        """The node of concept c, added with its subterms if new."""
+        """The node of concept c, added with its subterms if new.  An object
+        compiled before gives its node at once, so a shared subterm is
+        walked once; the memo holds each object, so no id is reused."""
+        hit = self._objects.get(id(c))
+        if hit is not None:
+            return hit[1]
         t = type(c)
         if t is Atomic:
-            return self._leaf("atom", "concepts", c.name)
-        if t is Nominal:
-            return self._leaf("nom", "nominals", c.name)
-        if t is And or t is Or:
+            nid = self._leaf("atom", "concepts", c.name)
+        elif t is Nominal:
+            nid = self._leaf("nom", "nominals", c.name)
+        elif t is And or t is Or:
             left, right = self.concept(c.left), self.concept(c.right)
-            return self._node((t.__name__, left, right), (left, right))
-        if t is Not:
+            nid = self._node((t.__name__, left, right), (left, right))
+        elif t is Not:
             inner = self.concept(c.inner)
-            return self._node(("Not", inner), (inner,))
-        if t is Exists:
+            nid = self._node(("Not", inner), (inner,))
+        elif t is Exists:
             view, inner = self._role(c.role, False), self.concept(c.inner)
-            return self._node(("image" if c.role.inverted else "Exists", view, inner),
-                              (view, inner))
-        if t is AtMost:
+            nid = self._node(("image" if c.role.inverted else "Exists", view, inner),
+                             (view, inner))
+        elif t is AtMost:
             view, inner = self._role(c.role, c.role.inverted), self.concept(c.inner)
-            return self._node(("AtMost", view, inner, c.bound), (view, inner))
-        if t is Top or t is Bot:
-            return self._node((t.__name__,))
-        raise TypeError(f"not a concept: {c!r}")  # pragma: no cover
+            nid = self._node(("AtMost", view, inner, c.bound), (view, inner))
+        elif t is Top or t is Bot:
+            nid = self._node((t.__name__,))
+        else:  # pragma: no cover
+            raise TypeError(f"not a concept: {c!r}")
+        self._objects[id(c)] = (c, nid)
+        return nid
 
     def formula(self, phi: Formula) -> int:
         """The node of formula phi, added with its subterms if new."""
@@ -854,6 +866,11 @@ _ROW_RULES: dict[str, Callable[[list, list, int, int], list[int]]] = {
 
 @dataclass
 class SearchStats:
+    """The counters of a search.  `candidates` counts the complete
+    assignments that pass every conjunct (`find_model` counts those
+    `StagedSearch.search` yields); `pruned` counts the failed checks, one
+    per value (in a sliced stage, per tuple of maps) that a conjunct
+    rejects."""
     candidates: int = 0
     pruned: int = 0
 
@@ -1043,34 +1060,6 @@ def _canonical_placements(m: int, n: int) -> Iterator[tuple[int, ...]]:
     yield from rec((), -1)
 
 
-def _connectivity_check(a: ReachAssertion) -> Callable[[dict], bool]:
-    """Mask-level check that every target element of assertion `a` is
-    reachable from its source inside the target."""
-    src_name, src_nominal = a.source.name, isinstance(a.source, Nominal)
-    tgt_name = a.target
-    rnames = sorted(a.roles)
-
-    def conn(env: dict) -> bool:
-        tgt = env["cons"].get(tgt_name, 0)
-        src = 1 << env["noms"][src_name] if src_nominal else env["cons"].get(src_name, 0)
-        reach = src & tgt
-        frontier = reach
-        while frontier:
-            step = 0
-            rest = frontier
-            while rest:
-                b = rest & -rest
-                u = b.bit_length() - 1
-                rest ^= b
-                for rn in rnames:
-                    step |= env["rsucc"][rn][u]
-            frontier = step & tgt & ~reach
-            reach |= frontier
-        return reach == tgt
-
-    return conn
-
-
 def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
                min_size: int = 1, max_size: int = 6, *,
                ceiling: int | None = None,
@@ -1085,6 +1074,10 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     unplaced elements, then any over the placed ones), functional roles as
     partial functions, remaining roles over `relations`, each kind of role
     in name order.
+    A ReachSpec is searched as its associated formula and, per reach
+    assertion, `reach_formula` unrolled max_size - 1 steps, which is exact
+    at every size searched; `candidates` counts the assignments that pass
+    them all, before extra_pred.
     Symbols the target does not mention are pinned (nominals to element 0,
     concepts and roles to empty).  role_canon maps a role name to a
     nominal: that role is interpreted as the total relation into that
@@ -1097,27 +1090,14 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     stats = stats if stats is not None else SearchStats()
     role_canon = dict(role_canon or {})
 
-    spec: ReachSpec | None = None
     if isinstance(target, ReachSpec):
-        spec = target
-        # the semi-connectedness clauses are implied by full connectivity,
-        # so they are sound formula-level pruning on top of assoc
-        phi = semi_formula(spec)
+        # every reach assertion unrolled far enough for the largest universe
+        steps = max(max_size - 1, 0)
+        phi = conj([assoc_formula(target)] + [reach_formula(a, steps) for a in target.re])
     else:
         phi = target
 
     syms = formula_symbols(phi)
-    if spec is not None:
-        for a in spec.re:
-            if isinstance(a.source, Nominal):
-                syms["nominals"].add(a.source.name)
-            else:
-                syms["concepts"].add(a.source.name)
-            syms["concepts"].add(a.target)
-            syms["roles"].update(a.roles)
-        for d in spec.di:
-            syms["concepts"].add(d.left)
-            syms["concepts"].add(d.right)
     syms["nominals"].update(role_canon.values())
 
     missing = syms["nominals"] - vocab.nominals
@@ -1134,7 +1114,6 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     pinned_cons = sorted(vocab.concepts - set(concepts))
     pinned_roles = sorted(vocab.roles - set(froles) - set(proles) - set(role_canon))
 
-    conn_checks = [_connectivity_check(a) for a in spec.re] if spec is not None else []
     ncolors = 1 << len(concepts)
 
     def placements(env: dict) -> Iterator[None]:
@@ -1158,18 +1137,12 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
                     cons[cname] = sum(b for b, c in zip(bits, colors) if c >> ci & 1)
                 yield
 
-    def connected(env: dict) -> Iterator[None]:
-        stats.candidates += 1
-        if all(conn(env) for conn in conn_checks):
-            yield
-
     slots: list[Slot] = [
         (tuple(("nominals", o) for o in nominals)
          + tuple(("roles", r) for r in role_canon), placements),
         (tuple(("concepts", c) for c in concepts), colorings)]
     slots += [functional_slot(r) for r in froles]
     slots += [symbol_slot("roles", r, lambda env: relations(env["n"])) for r in proles]
-    slots.append(((), connected))
     engine = StagedSearch(slots, [phi], stats)
 
     for n in range(max(min_size, 1 if vocab.nominals else 0), max_size + 1):
@@ -1177,6 +1150,7 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
                "cons": dict.fromkeys(pinned_cons, 0),
                "rsucc": {r: [0] * n for r in pinned_roles}}
         for _ in engine.search(env):
+            stats.candidates += 1
             m = env_structure(env, vocab.concepts, vocab.roles)
             if extra_pred is None or extra_pred(m):
                 return m

@@ -1,5 +1,6 @@
 """Reachability and disjointness assertions, compatibility, the associated
-plain formula, and graph-based satisfaction of full specs."""
+plain formula, the bounded reachability formula, and graph-based
+satisfaction of full specs."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from . import graphs
 from .structures import FiniteStructure, eval_concept, eval_formula
 from .syntax import (And, Atomic, BOT, Eq, Exists, FAnd, FNot, Formula, Incl,
                      Nominal, Not, Or, ReachDLError, TOP, TRUE, Vocabulary,
-                     conj, exactly, inv, role)
+                     big_or, conj, exactly, inv, role)
 
 
 class CompatibilityError(ReachDLError):
@@ -119,6 +120,23 @@ def assoc_formula(spec: ReachSpec) -> Formula:
     parts.extend(Incl(a.source, Atomic(a.target)) for a in spec.re)
     parts.extend(d.formula() for d in sorted(spec.di, key=lambda d: (d.left, d.right)))
     return conj(parts)
+
+
+def reach_formula(a: ReachAssertion, steps: int) -> Formula:
+    """<B> S <A> unrolled `steps` times: A <= R_steps, where R_0 = B & A
+    and R_(i+1) = R_0 | (A & (E s1^-.R_i | ... | E sk^-.R_i)), the target
+    elements reached from the source inside A in at most i steps.  Each
+    R_i is one object, read by the k existentials of R_(i+1), so the
+    formula is a DAG of O(steps * k) objects.  R_i stops growing after
+    n-1 steps over n elements, so the formula agrees with
+    `assertion_connected` on every universe of at most steps + 1
+    elements."""
+    target = Atomic(a.target)
+    first = reached = And(a.source, target)
+    for _ in range(steps):
+        reached = Or(first, And(target, big_or(Exists(inv(s), reached)
+                                               for s in sorted(a.roles))))
+    return Incl(target, reached)
 
 
 def reach_graph(m: FiniteStructure, a: ReachAssertion) -> dict[int, list[int]]:

@@ -438,36 +438,47 @@ def closure_concepts(phi: Formula) -> tuple[Concept, ...]:
 # Symbol support (used for search staging and freshness checks)
 
 
-def concept_symbols(c: Concept, out: dict[str, set[str]]) -> None:
+def concept_symbols(c: Concept, out: dict[str, set[str]], seen: set[int]) -> None:
+    """Add the names occurring in c to out, by kind.  `seen` holds the ids
+    of the compound objects visited so far, so a shared subterm is visited
+    once; the caller keeps every one of them alive while it uses `seen`."""
     if isinstance(c, Atomic):
         out["concepts"].add(c.name)
     elif isinstance(c, Nominal):
         out["nominals"].add(c.name)
     elif isinstance(c, (Top, Bot)):
         pass
+    elif id(c) in seen:
+        pass
     elif isinstance(c, (And, Or)):
-        concept_symbols(c.left, out)
-        concept_symbols(c.right, out)
+        seen.add(id(c))
+        concept_symbols(c.left, out, seen)
+        concept_symbols(c.right, out, seen)
     elif isinstance(c, Not):
-        concept_symbols(c.inner, out)
+        seen.add(id(c))
+        concept_symbols(c.inner, out, seen)
     elif isinstance(c, (Exists, AtMost)):
+        seen.add(id(c))
         out["roles"].add(c.role.name)
         for p in c.role.updates:
             out["nominals"].add(p.source)
             out["nominals"].add(p.target)
-        concept_symbols(c.inner, out)
+        concept_symbols(c.inner, out, seen)
     else:  # pragma: no cover
         raise TypeError(f"not a concept: {c!r}")
 
 
 def formula_symbols(phi: Formula) -> dict[str, set[str]]:
-    """Names occurring in phi, keyed by kind."""
+    """Names occurring in phi, keyed by kind.  Each concept object of phi
+    is visited once, however many parents share it; phi keeps them all
+    alive for the walk."""
     out: dict[str, set[str]] = {"concepts": set(), "roles": set(), "nominals": set()}
+    seen: set[int] = set()
 
     def walk(f: Formula) -> None:
         if isinstance(f, (Incl, Eq)):
-            concept_symbols(f.left, out)
-            concept_symbols(f.right, out)
+            concept_symbols(f.left, out, seen)
+            concept_symbols(f.right, out, seen)
         elif isinstance(f, (FAnd, FOr)):
             walk(f.left)
             walk(f.right)

@@ -14,13 +14,14 @@ from reachdl.models import (Kernel, NotConnectedError, PremiseViolationError,
 from reachdl.parser import parse_formula, structure_to_text
 from reachdl.reach import (ReachAssertion, ReachSpec, alist_spec,
                            check_semi_connected, check_spec, clist_spec,
-                           list_spec, tree_spec, LIST_VOCAB, TREE_VOCAB)
+                           list_spec, reach_formula, tree_spec, LIST_VOCAB,
+                           TREE_VOCAB)
 from reachdl.reduction import (boolean_closure_reduction, implication_reduction,
                                nnf)
 from reachdl.structures import eval_concept, eval_formula, structure, types_of_all
 from reachdl.syntax import (AtMost, Atomic, Exists, FAnd, Incl, Nominal, TOP,
                             TRUE, Vocabulary, closure_concepts, concepts_of, conj,
-                            inv, map_concept, map_sides)
+                            formula_symbols, inv, map_concept, map_sides)
 from gen import (connected_instance, random_formula, random_reach_spec,
                  random_structure, scramble_same_type)
 
@@ -291,6 +292,16 @@ def test_find_model_complete_vs_naive():
             assert (fast is None) == (naive is None), (phi, size)
             if fast is not None:
                 assert eval_formula(fast, phi)
+    # reach specs: naive_find_model checks them through the reach graphs
+    for rich, sizes in ((False, (1, 2, 3)), (True, (1, 2))):
+        for _ in range(30):
+            vocab, spec = random_reach_spec(rng, rich=rich)
+            for size in sizes:
+                fast = find_model(spec, vocab, size, size)
+                naive = naive_find_model(spec, vocab, size)
+                assert (fast is None) == (naive is None), (spec, size)
+                if fast is not None:
+                    assert check_spec(fast, spec)
 
 
 def test_subsets_are_the_avoiding_masks_ascending():
@@ -666,6 +677,53 @@ def test_kernel_matches_eval_formula_over_slot_orders(monkeypatch):
                 assert got[0][0] == want, (sub, formulas)
                 assert got[0] == got[1] == got[2], (sub, formulas)
     assert merged >= 100
+
+
+def _concept_references(phi):
+    """The concept references of the inclusion phi's DAG: its two sides,
+    and each child of each distinct compound concept object once."""
+    seen, refs, stack = set(), 2, [phi.left, phi.right]
+    while stack:
+        c = stack.pop()
+        if id(c) not in seen:
+            seen.add(id(c))
+            kids = [getattr(c, f) for f in ("left", "right", "inner") if hasattr(c, f)]
+            refs += len(kids)
+            stack += kids
+    return refs
+
+
+def test_reach_formula_is_walked_once_per_object(monkeypatch):
+    """A 6-role assertion unrolled 6 steps is a DAG of O(steps * k)
+    objects, though its tree form holds 6^6 copies of R_0: the kernel
+    compiles it into O(steps * k) nodes, and the kernel and formula_symbols
+    each expand every shared object once, one call per reference."""
+    import reachdl.syntax as syntax
+
+    steps, roles = 6, [f"s{i}" for i in range(6)]
+    phi = reach_formula(ReachAssertion(Nominal("o"), frozenset(roles), "A"), steps)
+    refs = _concept_references(phi)
+    assert refs <= 4 * steps * len(roles)
+    calls = []
+    real_symbols, real_concept = syntax.concept_symbols, Kernel.concept
+
+    def count_symbols(c, out, seen):
+        calls.append(c)
+        real_symbols(c, out, seen)
+
+    def count_concept(self, c):
+        calls.append(c)
+        return real_concept(self, c)
+
+    monkeypatch.setattr(syntax, "concept_symbols", count_symbols)
+    assert formula_symbols(phi) == {"concepts": {"A"}, "roles": set(roles), "nominals": {"o"}}
+    assert len(calls) == refs
+    calls.clear()
+    monkeypatch.setattr(Kernel, "concept", count_concept)
+    kernel = Kernel({})
+    kernel.root(kernel.formula(phi))
+    assert len(calls) == refs
+    assert len(kernel.levels) <= 3 * steps * len(roles)
 
 
 def test_sliced_mask_matches_eval_formula_per_map():

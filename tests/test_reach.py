@@ -7,7 +7,7 @@ from reachdl.reach import (CompatibilityError, DisjAssertion, ReachAssertion,
                            ReachSpec, alist_spec, assoc_formula,
                            check_compatibility, check_semi_connected,
                            check_spec, clist_spec, graph_sources, list_spec,
-                           reach_graph, tree_spec, LIST_VOCAB)
+                           reach_formula, reach_graph, tree_spec, LIST_VOCAB)
 from reachdl.reduction import semi_formula
 from reachdl.structures import eval_formula, structure
 from reachdl.syntax import Atomic, Nominal, TRUE, Vocabulary, conjuncts
@@ -118,6 +118,44 @@ def test_connected_iff_closure_covers():
             closure = graphs.transitive_closure_reach(succ, sorted(graph_sources(m, a)))
             rhs = rhs and closure == set(succ)
         assert lhs == rhs
+
+
+def _closure_covers(m, a):
+    succ = reach_graph(m, a)
+    return graphs.transitive_closure_reach(succ, sorted(graph_sources(m, a))) == set(succ)
+
+
+def test_reach_formula_matches_transitive_closure():
+    """The unrolled formula against the Warshall oracle on random
+    structures of up to 5 elements, unrolled to the exact bound n-1 and
+    past it to n+2, from nominal and concept sources over 1-3 roles."""
+    rng = random.Random(43)
+    roles = ("r1", "r2", "r3")
+    vocab = Vocabulary(concepts={"A", "B"}, roles=set(roles), functional=set(roles),
+                       nominals={"o"})
+    seen = set()
+    for _ in range(4000):
+        m = random_structure(rng, vocab, 5)
+        n = len(m.universe)
+        source = rng.choice([Nominal("o"), Atomic("B")])
+        a = _ra(source, rng.sample(roles, rng.randint(1, 3)), "A")
+        expected = _closure_covers(m, a)
+        for steps in (max(n - 1, 0), n + 2):
+            assert eval_formula(m, reach_formula(a, steps)) == expected, (m, a, steps)
+        seen.add((type(source), len(a.roles), expected))
+    assert len(seen) == 12  # every source kind and role count, both verdicts
+
+
+def test_reach_formula_needs_every_step_on_a_chain():
+    """On a chain of n elements the last one is n-1 steps from the source,
+    so n-2 steps fall short."""
+    for n in range(2, 7):
+        m = structure(range(n), {"L": range(n)}, {"next": [(u, u + 1) for u in range(n - 1)]},
+                      {"head": 0})
+        a = _ra(Nominal("head"), {"next"}, "L")
+        assert _closure_covers(m, a)
+        assert eval_formula(m, reach_formula(a, n - 1))
+        assert not eval_formula(m, reach_formula(a, n - 2))
 
 
 def test_spec_implies_semi_random():
