@@ -467,6 +467,8 @@ def _golden_cases():
     yield "kappa-clist-list-5", *_kappa(clist_spec(), list_spec()), 1, 5, (0, 570816, None)
     yield "kappa-alist-list-6", *_kappa(alist_spec(), list_spec()), 6, 6, (0, 13176800, None)
     yield "kappa-clist-list-6", *_kappa(clist_spec(), list_spec()), 6, 6, (0, 13176800, None)
+    # the default ceiling: each reach assertion unrolled 6 steps
+    yield "kappa-alist-list-7", *_kappa(alist_spec(), list_spec()), 7, 7, (0, 352321704, None)
     yield "kappa-list-alist", *_kappa(list_spec(), alist_spec()), 3, 3, (
         1, 17, "UNIVERSE 0..2\nCONCEPT L: 0\nCONCEPT __imp_X1: \nFROLE next: (0,0)\n"
                "NOMINAL head = 0\n")
