@@ -6,12 +6,11 @@ brute-force model finder.
 assigns symbols slot by slot over bitmask interpretations and checks each
 conjunct right after the slot that binds the last of its symbols.  Its
 value ranges are `subsets` (concepts) and `relations` (plain roles).
-`find_model` is one list of slots over it, searched once per universe
-size: canonical nominal placements (which also bind the `role_canon`
-roles), concept colorings sorted over the unplaced elements, one slot per
-functional role and one per plain role.  A spec's reach assertions are
-ordinary conjuncts there, unrolled by `reach.reach_formula` far enough for
-the largest universe.  `memory.MemorySearch` is the other list.
+`find_model` is one list of slots over it, per universe size: canonical
+nominal placements (which also bind the `role_canon` roles), concept
+colorings sorted over the unplaced elements, one slot per functional role
+and one per plain role; reach assertions are conjuncts, unrolled by
+`reach.reach_formula`.  `memory.MemorySearch` is the other list.
 
 The functional-role slots of `find_model` are bit-sliced: bit k of a
 Python int stands for map k of the (n+1)^n partial functions on [0,n), in
@@ -394,9 +393,7 @@ class Kernel:
     StagedSearch), compiled to one node per distinct subterm.
 
     Nodes are hash-consed on their constructor and child node ids, so a
-    subterm repeated anywhere in the added formulas is one node, and
-    concept objects are memoized by identity, so a shared one is walked
-    once (an unrolled reach formula's tree form is exponential).  A role
+    subterm repeated anywhere in the added formulas is one node.  A role
     expression is a chain of role views: the successor array, one node per
     update point, then an inversion; E r^-.C never needs the inversion, it
     is the image of C under r.  `slot_of` gives the slot index of each
@@ -450,9 +447,8 @@ class Kernel:
         return self._node(("inv", nid), (nid,)) if inverted else nid
 
     def concept(self, c: Concept) -> int:
-        """The node of concept c, added with its subterms if new.  An object
-        compiled before gives its node at once, so a shared subterm is
-        walked once; the memo holds each object, so no id is reused."""
+        """The node of concept c, added with its subterms if new.  A shared
+        object is walked once: the memo holds it, so its id is not reused."""
         hit = self._objects.get(id(c))
         if hit is not None:
             return hit[1]
@@ -866,11 +862,8 @@ _ROW_RULES: dict[str, Callable[[list, list, int, int], list[int]]] = {
 
 @dataclass
 class SearchStats:
-    """The counters of a search.  `candidates` counts the complete
-    assignments that pass every conjunct (`find_model` counts those
-    `StagedSearch.search` yields); `pruned` counts the failed checks, one
-    per value (in a sliced stage, per tuple of maps) that a conjunct
-    rejects."""
+    """`candidates`: the complete assignments that pass every conjunct (as
+    find_model counts them); `pruned`: the failed checks."""
     candidates: int = 0
     pruned: int = 0
 
@@ -1074,10 +1067,8 @@ def find_model(target: Formula | ReachSpec, vocab: Vocabulary,
     unplaced elements, then any over the placed ones), functional roles as
     partial functions, remaining roles over `relations`, each kind of role
     in name order.
-    A ReachSpec is searched as its associated formula and, per reach
-    assertion, `reach_formula` unrolled max_size - 1 steps, which is exact
-    at every size searched; `candidates` counts the assignments that pass
-    them all, before extra_pred.
+    A ReachSpec is its associated formula and its `reach_formula`s
+    unrolled max_size - 1 steps, exact at every size searched.
     Symbols the target does not mention are pinned (nominals to element 0,
     concepts and roles to empty).  role_canon maps a role name to a
     nominal: that role is interpreted as the total relation into that

@@ -123,14 +123,10 @@ def assoc_formula(spec: ReachSpec) -> Formula:
 
 
 def reach_formula(a: ReachAssertion, steps: int) -> Formula:
-    """<B> S <A> unrolled `steps` times: A <= R_steps, where R_0 = B & A
-    and R_(i+1) = R_0 | (A & (E s1^-.R_i | ... | E sk^-.R_i)), the target
-    elements reached from the source inside A in at most i steps.  Each
-    R_i is one object, read by the k existentials of R_(i+1), so the
-    formula is a DAG of O(steps * k) objects.  R_i stops growing after
-    n-1 steps over n elements, so the formula agrees with
-    `assertion_connected` on every universe of at most steps + 1
-    elements."""
+    """<B> S <A> unrolled: A <= R_steps, R_0 = B & A, R_(i+1) = R_0 | (A &
+    (E s1^-.R_i | ... | E sk^-.R_i)), each R_i one object shared by the k
+    existentials.  R_i stops growing after n-1 steps over n elements, so
+    this is `assertion_connected` on universes of up to steps + 1."""
     target = Atomic(a.target)
     first = reached = And(a.source, target)
     for _ in range(steps):

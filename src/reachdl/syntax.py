@@ -439,26 +439,23 @@ def closure_concepts(phi: Formula) -> tuple[Concept, ...]:
 
 
 def concept_symbols(c: Concept, out: dict[str, set[str]], seen: set[int]) -> None:
-    """Add the names occurring in c to out, by kind.  `seen` holds the ids
-    of the compound objects visited so far, so a shared subterm is visited
-    once; the caller keeps every one of them alive while it uses `seen`."""
+    """Add the names in c to out, by kind, skipping the objects whose ids
+    are in `seen` (the caller keeps them alive) and adding c's."""
+    if id(c) in seen:
+        return
+    seen.add(id(c))
     if isinstance(c, Atomic):
         out["concepts"].add(c.name)
     elif isinstance(c, Nominal):
         out["nominals"].add(c.name)
     elif isinstance(c, (Top, Bot)):
         pass
-    elif id(c) in seen:
-        pass
     elif isinstance(c, (And, Or)):
-        seen.add(id(c))
         concept_symbols(c.left, out, seen)
         concept_symbols(c.right, out, seen)
     elif isinstance(c, Not):
-        seen.add(id(c))
         concept_symbols(c.inner, out, seen)
     elif isinstance(c, (Exists, AtMost)):
-        seen.add(id(c))
         out["roles"].add(c.role.name)
         for p in c.role.updates:
             out["nominals"].add(p.source)
@@ -469,9 +466,8 @@ def concept_symbols(c: Concept, out: dict[str, set[str]], seen: set[int]) -> Non
 
 
 def formula_symbols(phi: Formula) -> dict[str, set[str]]:
-    """Names occurring in phi, keyed by kind.  Each concept object of phi
-    is visited once, however many parents share it; phi keeps them all
-    alive for the walk."""
+    """Names occurring in phi, keyed by kind; a shared object is visited
+    once."""
     out: dict[str, set[str]] = {"concepts": set(), "roles": set(), "nominals": set()}
     seen: set[int] = set()
 
