@@ -294,7 +294,7 @@ def test_find_model_complete_vs_naive():
                 assert eval_formula(fast, phi)
     # reach specs: naive_find_model checks them through the reach graphs
     for rich, sizes in ((False, (1, 2, 3)), (True, (1, 2))):
-        for _ in range(30):
+        for _ in range(20):
             vocab, spec = random_reach_spec(rng, rich=rich)
             for size in sizes:
                 fast = find_model(spec, vocab, size, size)
