@@ -105,24 +105,19 @@ def test_semi_formula_is_semi_connectedness():
     assert checked == 300
 
 
+def _closure_covers(m, a):
+    succ = reach_graph(m, a)
+    return graphs.transitive_closure_reach(succ, sorted(graph_sources(m, a))) == set(succ)
+
+
 def test_connected_iff_closure_covers():
     """Comment-1 equivalence, with the closure computed independently."""
     rng = random.Random(37)
     for _ in range(300):
         vocab, spec = random_reach_spec(rng, rich=True)
         m = random_structure(rng, vocab, 4)
-        lhs = check_spec(m, spec)
-        rhs = eval_formula(m, assoc_formula(spec))
-        for a in spec.re:
-            succ = reach_graph(m, a)
-            closure = graphs.transitive_closure_reach(succ, sorted(graph_sources(m, a)))
-            rhs = rhs and closure == set(succ)
-        assert lhs == rhs
-
-
-def _closure_covers(m, a):
-    succ = reach_graph(m, a)
-    return graphs.transitive_closure_reach(succ, sorted(graph_sources(m, a))) == set(succ)
+        assert check_spec(m, spec) == (eval_formula(m, assoc_formula(spec))
+                                       and all(_closure_covers(m, a) for a in spec.re))
 
 
 def test_reach_formula_matches_transitive_closure():
