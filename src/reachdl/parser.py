@@ -7,6 +7,10 @@ Formula grammar (UTF-8 text): `top`, `bot`, `&`, `|`, `!`, `E r.C`,
 reserved.  Update roles use the extension syntax `r[o1 -> o2]` and are
 rejected unless parsing is invoked with allow_updates=True.
 
+The three expression grammars, formulas, concepts and the conditions of
+code blocks, share one operator routine, _Cursor.expr, each with its own
+table of operators (_FORMULA, _CONCEPT and _BOOL).
+
 One line reader, _lines, serves every file format: `#` starts a comment
 on every line, EDGE blocks included, and blank lines are skipped.  Each
 file is read once, and tokens count positions from where their fragment
@@ -34,8 +38,8 @@ copies.  Every variable and field a code block names must be declared.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from functools import partial
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .memory import HeapVocabulary, MemoryStructure, infer_memory
 from .programs import (ABORT_FLAG, AndB, Assign, Assume, Dispose, EqB, FalseB,
@@ -71,8 +75,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -103,6 +106,25 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
     return tokens
 
 
+class _Grammar:
+    """One expression grammar for _Cursor.expr.  `binary` gives its binary
+    operators as (token kind, constructor) pairs, loosest first and all
+    left-associative.  Its prefix operators bind tighter than any of them:
+    `prefix` maps each one's token kind to a reader of the rest of its
+    head, which returns the constructor that takes the operand.  `operand`
+    is the rule that reads an operand."""
+
+    def __init__(self, binary: tuple[tuple[str, Callable], ...],
+                 prefix: dict[str, Callable], operand: Callable):
+        self.binary = {kind: (level, make) for level, (kind, make) in enumerate(binary)}
+        self.prefix = prefix
+        self.operand = operand
+
+
+# the level of a prefix operator's operand, above every binary operator's
+_PREFIX = 100
+
+
 class _Cursor:
     """A cursor over a token list, shared by the formula and statement
     grammars."""
@@ -129,16 +151,54 @@ class _Cursor:
         tok = tok or self.peek()
         return ParseError(msg, tok.line, tok.col)
 
-    def whole(self, rule: Callable[[], Any]) -> Any:
+    def whole(self, rule: Callable[..., Any], *args: Any) -> Any:
         """Apply one grammar rule to the whole token stream.  The parsers
         recurse once per nesting level, so input nested past the
         interpreter's recursion limit is reported as a ParseError."""
         try:
-            out = rule()
+            out = rule(*args)
         except RecursionError:
             raise ParseError("input nested too deeply", None) from None
         self.expect("eof")
         return out
+
+    def expr(self, grammar: _Grammar, level: int = 0) -> Any:
+        """An expression of `grammar` whose binary operators bind at
+        `level` or tighter, by precedence climbing: a prefix operator and
+        its operand, or an operand, then each binary operator of `level` or
+        above with its right side read one level up.  Only prefix operators
+        and parentheses nest calls: one frame per prefix operator, two or
+        three per parenthesis."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        head = grammar.prefix.get(tok.kind)
+        if head is None:
+            left = grammar.operand(self)
+        else:
+            self.pos += 1
+            left = head(self, tok)(self.expr(grammar, _PREFIX))
+        while True:
+            op = grammar.binary.get(tokens[self.pos].kind)
+            if op is None or op[0] < level:
+                return left
+            self.pos += 1
+            left = op[1](left, self.expr(grammar, op[0] + 1))
+
+    def group(self, grammar: _Grammar) -> Any:
+        """`( expression )` of `grammar` at the cursor, or else None with
+        the cursor where it was: an atom of another kind may start with
+        `(` too."""
+        if self.tokens[self.pos].kind != "(":
+            return None
+        save = self.pos
+        self.pos += 1
+        try:
+            inner = self.expr(grammar)
+            self.expect(")")
+            return inner
+        except ParseError:
+            self.pos = save
+            return None
 
 
 class _Parser(_Cursor):
@@ -147,111 +207,44 @@ class _Parser(_Cursor):
         self.vocab = vocab
         self.allow_updates = allow_updates
 
-    # -- formulas: or < and < not < atom
-
-    def formula(self) -> Formula:
-        left = self.formula_and()
-        while self.peek().kind == "or":
-            self.next()
-            left = FOr(left, self.formula_and())
-        return left
-
-    def formula_and(self) -> Formula:
-        left = self.formula_not()
-        while self.peek().kind == "and":
-            self.next()
-            left = FAnd(left, self.formula_not())
-        return left
-
-    def formula_not(self) -> Formula:
-        if self.peek().kind == "not":
-            self.next()
-            return FNot(self.formula_not())
-        return self.formula_atom()
-
     def formula_atom(self) -> Formula:
-        # Either `( formula )` or a concept comparison; disambiguate by
-        # backtracking, since both may start with `(`.
-        if self.peek().kind == "(":
-            save = self.pos
-            self.next()
-            try:
-                inner = self.formula()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.pos = save
-        left = self.concept()
+        inner = self.group(_FORMULA)
+        if inner is not None:
+            return inner
+        left = self.expr(_CONCEPT)
         op = self.next()
         if op.kind == "<=":
-            return Incl(left, self.concept())
+            return Incl(left, self.expr(_CONCEPT))
         if op.kind == "==":
-            return Eq(left, self.concept())
+            return Eq(left, self.expr(_CONCEPT))
         raise self.error(f"expected '<=' or '==', found {op.text!r}", op)
 
-    # -- concepts: | < & < ! < atom
-
-    def concept(self) -> Concept:
-        left = self.concept_and()
-        while self.peek().kind == "|":
-            self.next()
-            left = Or(left, self.concept_and())
-        return left
-
-    def concept_and(self) -> Concept:
-        left = self.concept_not()
-        while self.peek().kind == "&":
-            self.next()
-            left = And(left, self.concept_not())
-        return left
-
-    def concept_not(self) -> Concept:
-        if self.peek().kind == "!":
-            self.next()
-            return Not(self.concept_not())
-        return self.concept_atom()
-
     def concept_atom(self) -> Concept:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
-            return Not(self.concept_atom())
+        tok = self.next()
         if tok.kind == "(":
-            self.next()
-            inner = self.concept()
+            inner = self.expr(_CONCEPT)
             self.expect(")")
             return inner
         if tok.kind == "top":
-            self.next()
             return TOP
         if tok.kind == "bot":
-            self.next()
             return BOT
-        if tok.kind == "E":
-            self.next()
-            r = self.role()
-            self.expect(".")
-            return Exists(r, self.concept_atom())
-        if tok.kind == "equant":
-            self.next()
-            bound = int(self.expect("int").text)
-            r = self.role()
-            self.expect(".")
-            inner = self.concept_atom()
-            if tok.text == "E<=":
-                return AtMost(bound, r, inner)
-            if tok.text == "E>=":
-                return atleast(bound, r, inner)
-            return exactly(bound, r, inner)
         if tok.kind == "name":
-            self.next()
             name = tok.text
             if name in self.vocab.concepts:
                 return Atomic(name)
             if name in self.vocab.nominals:
                 return Nominal(name)
             raise self.error(f"unknown concept or nominal {name!r}", tok)
-        raise self.error(f"expected a concept, found {tok.text!r}")
+        raise self.error(f"expected a concept, found {tok.text!r}", tok)
+
+    def quantifier(self, tok: Token) -> Callable[[Concept], Concept]:
+        """The rest of the head of `E r.C` or of `E<= n r.C`, `E>= n r.C`
+        and `E= n r.C`; returns the constructor that takes C."""
+        bound = [int(self.expect("int").text)] if tok.kind == "equant" else []
+        r = self.role()
+        self.expect(".")
+        return partial(_QUANTIFIERS[tok.text], *bound, r)
 
     def role(self) -> Role:
         tok = self.expect("name")
@@ -278,10 +271,21 @@ class _Parser(_Cursor):
         return Role(name, inverted, tuple(updates))
 
 
+_QUANTIFIERS = {"E": Exists, "E<=": AtMost, "E>=": atleast, "E=": exactly}
+# formulas: or < and < not < atom; concepts: | < & < the prefixes !, E r.
+# and E<= n r. (or E>=, E=) < atom
+_FORMULA = _Grammar((("or", FOr), ("and", FAnd)), {"not": lambda cursor, tok: FNot},
+                    _Parser.formula_atom)
+_CONCEPT = _Grammar((("|", Or), ("&", And)),
+                    {"!": lambda cursor, tok: Not, "E": _Parser.quantifier,
+                     "equant": _Parser.quantifier},
+                    _Parser.concept_atom)
+
+
 def _formula(text: str, vocab: Vocabulary, allow_updates: bool = False,
              line: int = 1, col: int = 1) -> Formula:
     parser = _Parser(tokenize(text, line, col), vocab, allow_updates)
-    return parser.whole(parser.formula)
+    return parser.whole(parser.expr, _FORMULA)
 
 
 def parse_formula(text: str, vocab: Vocabulary, allow_updates: bool = False) -> Formula:
@@ -291,7 +295,7 @@ def parse_formula(text: str, vocab: Vocabulary, allow_updates: bool = False) -> 
 
 def parse_concept(text: str, vocab: Vocabulary, allow_updates: bool = False) -> Concept:
     parser = _Parser(tokenize(text), vocab, allow_updates)
-    return parser.whole(parser.concept)
+    return parser.whole(parser.expr, _CONCEPT)
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +571,6 @@ class _StmtParser(_Cursor):
             return FieldE(var, self.name())
         return VarE(var)
 
-    # booleans: ~ > and > or; atoms T | F | (b) | e1 = e2
-    def boolexpr(self):
-        left = self.bool_and()
-        while self.peek().kind == "or":
-            self.next()
-            left = OrB(left, self.bool_and())
-        return left
-
-    def bool_and(self):
-        left = self.bool_not()
-        while self.peek().kind == "and":
-            self.next()
-            left = AndB(left, self.bool_not())
-        return left
-
-    def bool_not(self):
-        if self.peek().kind == "~":
-            self.next()
-            return NotB(self.bool_not())
-        return self.bool_atom()
-
     def bool_atom(self):
         tok = self.peek()
         # T and F are literals unless an equality follows (T = x)
@@ -595,15 +578,9 @@ class _StmtParser(_Cursor):
                 and self.tokens[self.pos + 1].kind != "="):
             self.next()
             return TrueB() if tok.text == "T" else FalseB()
-        if tok.kind == "(":
-            save = self.pos
-            self.next()
-            try:
-                inner = self.boolexpr()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.pos = save
+        inner = self.group(_BOOL)
+        if inner is not None:
+            return inner
         left = self.sexpr()
         self.expect("=")
         return EqB(left, self.sexpr())
@@ -632,12 +609,12 @@ class _StmtParser(_Cursor):
         if tok.kind == "name" and tok.text == "assume":
             self.next()
             self.expect("(")
-            cond = self.boolexpr()
+            cond = self.expr(_BOOL)
             self.expect(")")
             return Assume(cond)
         if tok.kind == "name" and tok.text == "if":
             self.next()
-            cond = self.boolexpr()
+            cond = self.expr(_BOOL)
             self.expect("name", "then")
             then = self.block()
             els = Skip()
@@ -665,6 +642,11 @@ class _StmtParser(_Cursor):
         if isinstance(rhs, FieldE):
             return ReadField(var, rhs.var, rhs.fieldname)
         return Assign(var, rhs)
+
+
+# booleans: or < and < ~ < atom; atoms T | F | (b) | e1 = e2
+_BOOL = _Grammar((("or", OrB), ("and", AndB)), {"~": lambda cursor, tok: NotB},
+                 _StmtParser.bool_atom)
 
 
 def parse_block(text: str) -> tuple[Stmt, list[str]]:
