@@ -418,6 +418,13 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in re.findall(r"-?\d+", text)]
 
 
+def _given_once(first_line: dict[str, int], entry: str, lineno: int) -> None:
+    """Record that line `lineno` gives `entry`, which no earlier line may."""
+    if entry in first_line:
+        raise ParseError(f"{entry} given twice (first on line {first_line[entry]})", lineno)
+    first_line[entry] = lineno
+
+
 def _universe(m: re.Match, rest: str, lineno: int) -> tuple[int, ...]:
     """The elements of a UNIVERSE line: at most MAX_UNIVERSE, a range
     checked before it is built, and none listed twice."""
@@ -468,11 +475,8 @@ def _read_structure(text: str, memory: bool, heap: HeapVocabulary | None = None)
             raise ParseError(f"bad {head} line", lineno)
         if head == "UNIVERSE":  # the line is checked on its own first
             elements = _universe(m, rest, lineno)
-        entry = head if head == "UNIVERSE" else f"{kind.lower()} {m[1]}"
-        if entry in first_line:
-            raise ParseError(f"{entry} given twice (first on line {first_line[entry]})",
-                             lineno)
-        first_line[entry] = lineno
+        _given_once(first_line, head if head == "UNIVERSE" else f"{kind.lower()} {m[1]}",
+                    lineno)
         if head == "UNIVERSE":
             universe = elements
         elif head == "CONCEPT":
@@ -486,6 +490,13 @@ def _read_structure(text: str, memory: bool, heap: HeapVocabulary | None = None)
                 functional.add(m[1])
     if universe is None:
         raise ParseError("missing UNIVERSE line")
+    if not (memory or saw_memory):  # memory files fail the heap axioms instead
+        for name in sorted(functional, key=lambda n: first_line[f"role {n}"]):
+            sources = sorted(a for a, _ in roles[name])
+            for a, b in zip(sources, sources[1:]):
+                if a == b:
+                    raise ParseError(f"FROLE {name} is not functional at {a}",
+                                     first_line[f"role {name}"])
     vocab = Vocabulary(frozenset(concepts), frozenset(roles), frozenset(functional),
                        frozenset(nominals))
     fs = FiniteStructure(universe, concepts, roles, nominals)
@@ -705,25 +716,30 @@ def parse_program_file(text: str) -> Program:
     code: dict[tuple[str, str], Stmt] = {}
     temps: list[str] = []
     initial: str | None = None
+    first_line: dict[str, int] = {}  # "INIT" or "<kind> <name>" -> its line
 
     lines = _lines(text)
     for lineno, line, head, rest in lines:
         if head in _HEAP_DECLS:
             decls.setdefault(_HEAP_DECLS[head], []).extend(_program_names(rest, lineno))
         elif head == "INIT":
+            _given_once(first_line, head, lineno)
             initial = rest
         elif head == "FORMULA":
             m = _FORMULA_RE.match(line)
             if not m:
                 raise ParseError("bad FORMULA line", lineno)
+            _given_once(first_line, f"formula {m[1]}", lineno)
             formula_at[m[1]] = (lineno, m.end() + 1, line[m.end():])
         elif head == "NODE":
             m = _NODE_RE.match(line.strip())
             if not m:
                 raise ParseError("bad NODE line", lineno)
+            _given_once(first_line, f"node {m[1]}", lineno)
             nodes.append(m[1])
             for attr in m[2].split():
                 key, _, ref = attr.partition("=")
+                _given_once(first_line, f"{key} of node {m[1]}", lineno)
                 refs[key][m[1]] = (ref, lineno)
         elif head == "EDGE":
             m = _EDGE_RE.match(line)

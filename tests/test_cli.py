@@ -307,6 +307,22 @@ BAD_INPUTS = {
                        ["eval", "s", "f"], "3:1: UNIVERSE given twice (first on line 1)"),
     "concept-twice": ({"s": "UNIVERSE 0..2\nCONCEPT A: 0\n\nCONCEPT A: 2\n"},
                       ["eval", "s", "f"], "4:1: concept A given twice (first on line 2)"),
+    "program-formula-twice": (
+        {"p.prog": "FIELDS f\nVARS x\nFORMULA p: x == null\nNODE a cnt=p\n"
+                   "FORMULA p: top <= bot\nNODE b\nEDGE a -> b { skip }\n"},
+        ["vc", "p.prog"], "5:1: formula p given twice (first on line 3)"),
+    "program-node-twice": (
+        {"p.prog": "FIELDS f\nVARS x\nNODE a\nNODE b\nNODE a\nINIT a\n"
+                   "EDGE a -> b { skip }\n"},
+        ["vc", "p.prog"], "5:1: node a given twice (first on line 3)"),
+    "program-attribute-twice": (
+        {"p.prog": "FIELDS f\nVARS x\nFORMULA p: x == null\nFORMULA q: top <= bot\n"
+                   "NODE a cnt=p cnt=q\nNODE b\nEDGE a -> b { skip }\n"},
+        ["vc", "p.prog"], "5:1: cnt of node a given twice (first on line 5)"),
+    "program-init-twice": (
+        {"p.prog": "FIELDS f\nVARS x\nINIT a\nNODE a\nNODE b\nINIT b\n"
+                   "EDGE a -> b { skip }\n"},
+        ["vc", "p.prog"], "6:1: INIT given twice (first on line 3)"),
     "role-twice": ({"s": "UNIVERSE 0..2\nROLE r: (0,1)\nFROLE r: (1,0)\n"},
                    ["eval", "s", "f"], "3:1: role r given twice (first on line 2)"),
     "nominal-twice": ({"s": "UNIVERSE 0..2\nNOMINAL o = 0\nNOMINAL o = 1\n"},
@@ -315,6 +331,20 @@ BAD_INPUTS = {
         {"w.prog": WALKER, "m.mem": WALKER_MEMORY + "NOMINAL e = 4\n"},
         ["run", "w.prog", "m.mem", "--path", "lb,ll"],
         "19:1: nominal e given twice (first on line 14)"),
+    # a FROLE line of a plain structure file must give a function
+    "frole-not-functional": (
+        {"s": "UNIVERSE 0..2\n# a list with a fork\nFROLE next: (0,1) (0,2) (1,2)\n"},
+        ["eval", "s", "f"], "3:1: FROLE next is not functional at 0"),
+    "repair-frole-not-functional": (
+        {"s": "UNIVERSE 0..2\nCONCEPT L: 0 1 2\nFROLE next: (0,1) (1,2) (1,0)\n"
+              "NOMINAL head = 0\n", "l.spec": LIST_SPEC},
+        ["repair", "s", "l.spec"], "3:1: FROLE next is not functional at 1"),
+    # semi-connected: 1 and 2 are each other's only predecessor in L, so no
+    # order of their type class gives either an earlier predecessor
+    "repair-no-useful-labeling": (
+        {"s": "UNIVERSE 0..2\nCONCEPT L: 0 1 2\nFROLE next: (0,0) (1,2) (2,1)\n"
+              "NOMINAL head = 0\n", "l.spec": LIST_SPEC},
+        ["repair", "s", "l.spec"], "no useful labeling exists for assertion 1"),
     "concept-id": ({"s": "UNIVERSE 0..1\nCONCEPT A: 0 1 q\n"}, ["eval", "s", "f"],
                    "2:1: bad CONCEPT line"),
     "nominal-equals": ({"s": "UNIVERSE 0..1\nNOMINAL o 1\n"}, ["eval", "s", "f"],
