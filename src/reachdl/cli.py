@@ -199,13 +199,7 @@ def _dispatch(args) -> int:
         vocab, fs = parse_structure_file(Path(args.structure).read_text())
         svocab, spec = _load_spec(args.spec)
         trace: list[models.RepairStep] = []
-        labelings = {}
-        for h in range(1, len(spec.re) + 1):
-            lab = models.useful_labeling(fs, spec, h)
-            if lab is None:
-                raise ReachDLError(f"no useful labeling exists for assertion {h}")
-            labelings[h] = lab
-        fixed = models.repair(fs, spec, labelings, trace)
+        fixed = models.repair(fs, spec, models.useful_labelings(fs, spec), trace)
         lines = []
         for st in trace:
             lines.append(f"STEP h={st.h} t=({st.tuple.a0},{st.tuple.a1},{st.tuple.role}) "

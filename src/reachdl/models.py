@@ -237,6 +237,19 @@ def _preds(succ: Mapping[int, list[int]], v: int) -> list[int]:
     return [w for w in succ if v in succ[w]]
 
 
+def useful_labelings(m: FiniteStructure, spec: ReachSpec) -> dict[int, dict[int, int]]:
+    """The useful labeling of each assertion h, keyed by h; raises
+    PremiseViolationError for the first assertion that has none."""
+    concepts = type_concepts(spec)
+    out = {}
+    for h in range(1, len(spec.re) + 1):
+        lab = useful_labeling(m, spec, h, concepts)
+        if lab is None:
+            raise PremiseViolationError(f"no useful labeling exists for assertion {h}")
+        out[h] = lab
+    return out
+
+
 def has_useful_labelings(m: FiniteStructure, spec: ReachSpec,
                          concepts: tuple[Concept, ...] | None = None) -> bool:
     concepts = type_concepts(spec) if concepts is None else concepts

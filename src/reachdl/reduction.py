@@ -298,16 +298,11 @@ def ord_lift(m: FiniteStructure, spec: ReachSpec, variant: str,
              ) -> tuple[FiniteStructure, ExtVocabulary]:
     """Extend a semi-connected model with the order gadget and labeling
     roles; the result satisfies the encoding and passes ord_membership."""
-    from .models import PremiseViolationError, useful_labeling
+    from .models import useful_labelings
 
     ext = ord_vocabulary(spec, variant)
     if labelings is None:
-        labelings = {}
-        for h in range(1, len(spec.re) + 1):
-            lab = useful_labeling(m, spec, h)
-            if lab is None:
-                raise PremiseViolationError(f"no useful labeling exists for assertion {h}")
-            labelings[h] = lab
+        labelings = useful_labelings(m, spec)
     size = ext.order_size()
     base = (max(m.universe) + 1) if m.universe else 0
     o_elems = list(range(base, base + size))
@@ -570,7 +565,8 @@ def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
     collects interpretations of the fresh symbols making the output true
     over its universe.  `side` relativizes every side of an output atom to
     the guards of the enclosing disjuncts (`_guarded`), so each atom is
-    built once, with all of them."""
+    built once, with all of them.  Both callers pass expand_eq's output,
+    so no Eq reaches it."""
     if isinstance(phi, Incl):
         return _side_atom(phi, side)
     if isinstance(phi, FNot):
@@ -614,8 +610,6 @@ def _bc(phi: Formula, info: BCInfo, ev: Evaluator | None,
             Incl(ox, Not(oy)), Incl(o1, Not(o2)), Eq(Or(ox, oy), Or(o1, o2)),
             Eq(Exists(rr, ox), TOP), Eq(Exists(rr, oy), BOT))])
         return conj([prep, psi1, psi2])
-    if isinstance(phi, Eq):
-        return _bc(expand_eq(phi), info, ev, assign, side)
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover
 
 
