@@ -50,8 +50,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from . import graphs
 from .reach import (ReachSpec, assoc_formula, check_semi_connected, check_spec,
-                    graph_sources, reach_formula, reach_graph)
-from .reduction import semi_formula
+                    graph_sources, reach_formula, reach_graph, semi_formula)
 from .structures import (FiniteStructure, at_most, env_structure, eval_formula, exists,
                          image, invert, types_of_all, update)
 from .syntax import (And, AtMost, Atomic, Bot, Concept, Eq, Exists, FAnd, FNot,

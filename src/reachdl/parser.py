@@ -206,6 +206,8 @@ class _Parser(_Cursor):
         super().__init__(tokens)
         self.vocab = vocab
         self.allow_updates = allow_updates
+        # the position of each `(` read as a concept group: (concept, end)
+        self.groups: dict[int, tuple[Concept, int]] = {}
 
     def formula_atom(self) -> Formula:
         inner = self.group(_FORMULA)
@@ -222,8 +224,15 @@ class _Parser(_Cursor):
     def concept_atom(self) -> Concept:
         tok = self.next()
         if tok.kind == "(":
-            inner = self.expr(_CONCEPT)
-            self.expect(")")
+            # a failed formula group is read again as a concept, and so is
+            # every group inside it: remembering each read keeps it linear
+            start = self.pos - 1
+            got = self.groups.get(start)
+            if got is None:
+                inner = self.expr(_CONCEPT)
+                self.expect(")")
+                got = self.groups[start] = (inner, self.pos)
+            inner, self.pos = got
             return inner
         if tok.kind == "top":
             return TOP

@@ -1,6 +1,6 @@
 """Reachability and disjointness assertions, compatibility, the associated
-plain formula, the bounded reachability formula, and graph-based
-satisfaction of full specs."""
+plain formula, the semi-connectedness formula, the bounded reachability
+formula, and graph-based satisfaction of full specs."""
 
 from __future__ import annotations
 
@@ -119,6 +119,17 @@ def assoc_formula(spec: ReachSpec) -> Formula:
     parts: list[Formula] = [spec.base]
     parts.extend(Incl(a.source, Atomic(a.target)) for a in spec.re)
     parts.extend(d.formula() for d in sorted(spec.di, key=lambda d: (d.left, d.right)))
+    return conj(parts)
+
+
+def semi_formula(spec: ReachSpec) -> Formula:
+    """assoc(Phi) plus, per assertion, the clause that every non-source
+    target element has an S-predecessor inside the target."""
+    parts: list[Formula] = [assoc_formula(spec)]
+    for a in spec.re:
+        lhs = And(Atomic(a.target), Not(a.source))
+        rhs = big_or(Exists(inv(s), Atomic(a.target)) for s in sorted(a.roles))
+        parts.append(Incl(lhs, rhs))
     return conj(parts)
 
 

@@ -1,6 +1,7 @@
-"""Formula-level reductions: the semi-connectedness encoding, the
-exponential and polynomial order-gadget encodings, the implication
-reduction, boolean-closure elimination, and the satisfiability pipeline.
+"""Formula-level reductions: the exponential and polynomial order-gadget
+encodings of the semi-connectedness formula (reach.semi_formula), the
+implication reduction, boolean-closure elimination, and the
+satisfiability pipeline.
 
 The order-gadget ("ORD") encodings extend a model with fresh elements
 carrying a linear order -- a nominal ladder in the exponential variant, a
@@ -16,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .reach import ReachSpec, assoc_formula
+from .models import labeling_is_useful, useful_labelings
+from .reach import ReachSpec, semi_formula
 from .structures import Evaluator, FiniteStructure, eval_formula
 from .syntax import (And, AtMost, Atomic, BOT, Bot, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, Nominal, Not, Or, ReachDLError,
                      Role, TOP, Top, Vocabulary, big_and, big_or,
                      closure_concepts, conj, conjuncts, disj, expand_eq,
-                     formula_symbols, inv, map_concept, map_sides, role,
+                     formula_symbols, map_concept, map_sides, role,
                      span_trees)
 
 
@@ -32,21 +34,6 @@ class LimitExceededError(ReachDLError):
 
 class NonNNFError(ReachDLError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Semi-connectedness
-
-
-def semi_formula(spec: ReachSpec) -> Formula:
-    """assoc(Phi) plus, per assertion, the clause that every non-source
-    target element has an S-predecessor inside the target."""
-    parts: list[Formula] = [assoc_formula(spec)]
-    for a in spec.re:
-        lhs = And(Atomic(a.target), Not(a.source))
-        rhs = big_or(Exists(inv(s), Atomic(a.target)) for s in sorted(a.roles))
-        parts.append(Incl(lhs, rhs))
-    return conj(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +285,6 @@ def ord_lift(m: FiniteStructure, spec: ReachSpec, variant: str,
              ) -> tuple[FiniteStructure, ExtVocabulary]:
     """Extend a semi-connected model with the order gadget and labeling
     roles; the result satisfies the encoding and passes ord_membership."""
-    from .models import useful_labelings
-
     ext = ord_vocabulary(spec, variant)
     if labelings is None:
         labelings = useful_labelings(m, spec)
@@ -366,8 +351,6 @@ def ord_labelings(n_struct: FiniteStructure, spec: ReachSpec,
 def ord_membership(n_struct: FiniteStructure, spec: ReachSpec, variant: str,
                    ext: ExtVocabulary | None = None) -> bool:
     """Check the five semantic membership conditions directly."""
-    from .models import labeling_is_useful
-
     if ext is None:
         ext = ord_vocabulary(spec, variant)
     mpart = n_struct.concept_ext(ext.marker)

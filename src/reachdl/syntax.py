@@ -13,18 +13,21 @@ Traversals.  Syntactic rewrites go through one scheme: map_concept
 rebuilds a concept bottom-up, and map_atoms / map_sides lift a rewrite to
 every inclusion and equality of a formula.  All three return an unchanged
 subtree as the same object, so later equality tests against the input hit
-the identity shortcut instead of comparing copies.  Searches go through
-one preorder walk, subconcepts, over a concept or a formula.  Walks that
-stay hand-written, on purpose: formula_symbols and formula_size (the
-symbol scan sits on the search set-up path; the size defines the node
-counts the benchmark reports), the printers below, the OWL export,
-models.Kernel and structures.Evaluator (the two front-ends of the bitmask
-node rules: the kernel hash-conses, the evaluator memoizes by object
-identity and its walk keeps its own stack), fol's translation
-(the independent oracle), nnf's polarity walk and the boolean-closure
-recursion _bc, and fold_constants (it pushes negations down to the
-atoms, which map_atoms does not).  Statements have their own walk pair,
-programs.map_stmt and programs.commands.
+the identity shortcut instead of comparing copies.  Read-only scans go
+through one iterative preorder walk, subconcepts, over a concept or a
+formula.  It visits each node object once, so the DAGs that the
+reductions and reach_formula build cost one step per object;
+formula_symbols, closure_concepts and wp's search for an update role are
+loops over it.  Walks that stay hand-written, on purpose: formula_size
+(it defines the tree node counts the benchmark reports, repeats
+included), the printers below, the OWL export, models.Kernel and
+structures.Evaluator (the two front-ends of the bitmask node rules: the
+kernel hash-conses, the evaluator memoizes by object identity and its
+walk keeps its own stack), fol's translation (the independent oracle),
+nnf's polarity walk and the boolean-closure recursion _bc, and
+fold_constants (it pushes negations down to the atoms, which map_atoms
+does not).  Statements have their own walk pair, programs.map_stmt and
+programs.commands.
 """
 
 from __future__ import annotations
@@ -138,15 +141,6 @@ class Concept:
     """Base class; subclasses are frozen dataclasses."""
 
     __slots__ = ()
-
-    def __and__(self, other: "Concept") -> "Concept":
-        return And(self, other)
-
-    def __or__(self, other: "Concept") -> "Concept":
-        return Or(self, other)
-
-    def __invert__(self) -> "Concept":
-        return Not(self)
 
 
 @dataclass(frozen=True)
@@ -268,15 +262,6 @@ def big_or(parts: Iterable[Concept]) -> Concept:
 class Formula:
     __slots__ = ()
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return FAnd(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return FOr(self, other)
-
-    def __invert__(self) -> "Formula":
-        return FNot(self)
-
 
 @dataclass(frozen=True)
 class Incl(Formula):
@@ -386,19 +371,32 @@ def map_sides(phi: Formula, fn: Callable[[Concept], Concept]) -> Formula:
     return map_atoms(phi, atom)
 
 
+# node classes by shape, for subconcepts' dispatch on the exact type
+_BINARY = frozenset({And, Or, Incl, Eq, FAnd, FOr})
+_UNARY = frozenset({Not, Exists, AtMost, FNot})
+_FORMULAS = frozenset({Incl, Eq, FAnd, FOr, FNot})
+
+
 def subconcepts(x: Concept | Formula) -> Iterator[Concept]:
     """Preorder walk over the concept nodes of a concept, or of every side
-    of a formula's inclusions and equalities (left before right, repeats
-    included)."""
+    of a formula's inclusions and equalities, left before right.  Each
+    node object is visited once: an object met again is skipped with
+    everything under it, whose nodes were all yielded on the first
+    visit, so a shared DAG costs one step per object."""
+    seen: set[int] = set()
     stack = [x]
     while stack:
         node = stack.pop()
-        if isinstance(node, Concept):
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        t = type(node)
+        if t not in _FORMULAS:
             yield node
-        if isinstance(node, (And, Or, Incl, Eq, FAnd, FOr)):
+        if t in _BINARY:
             stack.append(node.right)
             stack.append(node.left)
-        elif isinstance(node, (Not, Exists, AtMost, FNot)):
+        elif t in _UNARY:
             stack.append(node.inner)
 
 
@@ -422,69 +420,36 @@ def concepts_of(phi: Formula) -> tuple[Concept, ...]:
 
 
 def closure_concepts(phi: Formula) -> tuple[Concept, ...]:
-    """The inclusion sides of phi closed under subconcepts, in stable
-    order.  Two elements agreeing on all of these are interchangeable for
-    the successor-swap operation: side-level agreement alone is not enough
-    (a nominal buried under an inverse restriction can distinguish them
-    without showing up in any side)."""
-    seen: dict[Concept, None] = {}
-    for side in concepts_of(phi):
-        for c in subconcepts(side):
-            seen.setdefault(c)
-    return tuple(seen)
+    """The inclusion sides of phi closed under subconcepts, in the order
+    subconcepts first reaches them.  Two elements agreeing on all of these
+    are interchangeable for the successor-swap operation: side-level
+    agreement alone is not enough (a nominal buried under an inverse
+    restriction can distinguish them without showing up in any side)."""
+    return tuple(dict.fromkeys(subconcepts(phi)))
 
 
 # ---------------------------------------------------------------------------
 # Symbol support (used for search staging and freshness checks)
 
 
-def concept_symbols(c: Concept, out: dict[str, set[str]], seen: set[int]) -> None:
-    """Add the names in c to out, by kind, skipping the objects whose ids
-    are in `seen` (the caller keeps them alive) and adding c's."""
-    if id(c) in seen:
-        return
-    seen.add(id(c))
-    if isinstance(c, Atomic):
-        out["concepts"].add(c.name)
-    elif isinstance(c, Nominal):
-        out["nominals"].add(c.name)
-    elif isinstance(c, (Top, Bot)):
-        pass
-    elif isinstance(c, (And, Or)):
-        concept_symbols(c.left, out, seen)
-        concept_symbols(c.right, out, seen)
-    elif isinstance(c, Not):
-        concept_symbols(c.inner, out, seen)
-    elif isinstance(c, (Exists, AtMost)):
-        out["roles"].add(c.role.name)
-        for p in c.role.updates:
-            out["nominals"].add(p.source)
-            out["nominals"].add(p.target)
-        concept_symbols(c.inner, out, seen)
-    else:  # pragma: no cover
-        raise TypeError(f"not a concept: {c!r}")
-
-
 def formula_symbols(phi: Formula) -> dict[str, set[str]]:
-    """Names occurring in phi, keyed by kind; a shared object is visited
-    once."""
-    out: dict[str, set[str]] = {"concepts": set(), "roles": set(), "nominals": set()}
-    seen: set[int] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, (Incl, Eq)):
-            concept_symbols(f.left, out, seen)
-            concept_symbols(f.right, out, seen)
-        elif isinstance(f, (FAnd, FOr)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, FNot):
-            walk(f.inner)
-        else:  # pragma: no cover
-            raise TypeError(f"not a formula: {f!r}")
-
-    walk(phi)
-    return out
+    """Names occurring in phi, keyed by kind; the nominals include the
+    source and target of every update point."""
+    concepts: set[str] = set()
+    roles: set[str] = set()
+    nominals: set[str] = set()
+    for c in subconcepts(phi):
+        t = type(c)
+        if t is Atomic:
+            concepts.add(c.name)
+        elif t is Nominal:
+            nominals.add(c.name)
+        elif t is Exists or t is AtMost:
+            roles.add(c.role.name)
+            for p in c.role.updates:
+                nominals.add(p.source)
+                nominals.add(p.target)
+    return {"concepts": concepts, "roles": roles, "nominals": nominals}
 
 
 def formula_size(phi: Formula) -> int:

@@ -20,6 +20,7 @@ from .programs import (ABORT_FLAG, AndB, Assign, Assume, BoolExpr, Dispose, EqB,
                        Expr, FalseB, FalseE, FieldE, If, New, NotB, NullE, OrB,
                        ReadField, Skip, Stmt, TrueB, TrueE, UnallocB,
                        VarE, WriteField, commands, instrument_abort, labels_of)
+from .structures import FiniteStructure
 from .syntax import (And, AtMost, Atomic, BOT, Concept, Eq, Exists, FAnd,
                      FNot, FOr, Formula, Incl, KindMismatchError, Nominal, Not,
                      Or, ReachDLError, Role, TOP, TRUE, UpdatePoint,
@@ -251,12 +252,10 @@ def theta_full(s: Stmt, post: Formula, heap: HeapVocabulary) -> ThetaResult:
 
 
 def theta_structure(m1: "MemoryStructure", m2: "MemoryStructure",
-                    d: dict[int, int], d_abo: int) -> "FiniteStructure":
+                    d: dict[int, int], d_abo: int) -> FiniteStructure:
     """The extended pre-state of the backwards-propagation lemma: m1 plus
     the post-state copies of the unconstrained relations, the label
     constants, and the abort flag's initial value."""
-    from .structures import FiniteStructure
-
     heap = m1.heap
     concepts = dict(m1.fs.concepts)
     roles = dict(m1.fs.roles)

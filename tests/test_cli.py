@@ -3,6 +3,8 @@ import json
 import pytest
 
 from reachdl.cli import main
+from reachdl.parser import parse_program_file
+from reachdl.programs import commands, instrument_abort
 
 LIST_SPEC = """
 CONCEPT L
@@ -149,6 +151,34 @@ EDGE a -> b { e.wrkFor := proj }
     rc2, out2 = run(capsys, "wp", str(prog), str(phi))
     assert out == out2  # golden-file stability
 
+
+
+def test_wp_trace_steps(capsys, tmp_path):
+    """wp --trace prints one `# step i:` line per top-level command of the
+    instrumented block, last command first, then the plain output; step 1
+    is the formula that plain wp prints."""
+    prog = tmp_path / "block.prog"
+    prog.write_text("""
+FIELDS next
+VARS e x
+NODE a
+NODE b
+EDGE a -> b { e := e.next; x := new; if e = null then x.next := e else e := x fi }
+""")
+    phi = tmp_path / "phi.dl"
+    phi.write_text("e <= Alloc\n")
+    rc, plain = run(capsys, "wp", str(prog), str(phi))
+    assert rc == 0
+    rc, traced = run(capsys, "wp", str(prog), str(phi), "--trace")
+    assert rc == 0
+    program = parse_program_file(prog.read_text())
+    n = len(list(commands(instrument_abort(program.code[program.edges[0]]), branches=False)))
+    assert n >= 3
+    steps, rest = traced.splitlines()[:n], traced.splitlines()[n:]
+    assert [line.split(": ", 1)[0] for line in steps] == \
+        [f"# step {i}" for i in range(n, 0, -1)]
+    assert steps[-1] == "# step 1: " + plain.splitlines()[0]
+    assert rest == plain.splitlines()
 
 def test_vc_report(capsys, files, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

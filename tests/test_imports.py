@@ -50,3 +50,16 @@ def test_every_imported_name_is_read(path):
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
             assert bound in read, f"{path.name}:{node.lineno} imports {bound}, never read"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_relative_import_inside_a_function(path):
+    """Library modules import each other at the top only: an import put off
+    into a function body hides an import cycle.  Lazy stdlib imports stay
+    allowed."""
+    lazy = [f"{path.name}:{node.lineno} imports .{node.module or ''} inside {func.name}"
+            for func in ast.walk(_tree(path))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.ImportFrom) and node.level]
+    assert not lazy

@@ -21,7 +21,8 @@ from reachdl.reduction import (boolean_closure_reduction, implication_reduction,
 from reachdl.structures import eval_concept, eval_formula, structure, types_of_all
 from reachdl.syntax import (AtMost, Atomic, Exists, FAnd, Incl, Nominal, TOP,
                             TRUE, Vocabulary, closure_concepts, concepts_of, conj,
-                            formula_symbols, inv, map_concept, map_sides)
+                            formula_symbols, inv, map_concept, map_sides,
+                            subconcepts)
 from gen import (connected_instance, random_formula, random_reach_spec,
                  random_structure, scramble_same_type)
 
@@ -681,46 +682,45 @@ def test_kernel_matches_eval_formula_over_slot_orders(monkeypatch):
     assert merged >= 100
 
 
+def _concept_objects(phi):
+    """The distinct concept objects of the inclusion phi's DAG, by id."""
+    objects, stack = {}, [phi.left, phi.right]
+    while stack:
+        c = stack.pop()
+        if id(c) not in objects:
+            objects[id(c)] = c
+            stack += [getattr(c, f) for f in ("left", "right", "inner") if hasattr(c, f)]
+    return objects
+
+
 def _concept_references(phi):
     """The concept references of the inclusion phi's DAG: its two sides,
     and each child of each distinct compound concept object once."""
-    seen, refs, stack = set(), 2, [phi.left, phi.right]
-    while stack:
-        c = stack.pop()
-        if id(c) not in seen:
-            seen.add(id(c))
-            kids = [getattr(c, f) for f in ("left", "right", "inner") if hasattr(c, f)]
-            refs += len(kids)
-            stack += kids
-    return refs
+    return 2 + sum(hasattr(c, f) for c in _concept_objects(phi).values()
+                   for f in ("left", "right", "inner"))
 
 
 def test_reach_formula_is_walked_once_per_object(monkeypatch):
     """A 6-role assertion unrolled 6 steps is a DAG of O(steps * k)
-    objects, though its tree form holds 6^6 copies of R_0: the kernel
-    compiles it into O(steps * k) nodes, and the kernel and formula_symbols
-    each expand every shared object once, one call per reference."""
-    import reachdl.syntax as syntax
-
+    objects, though its tree form holds 6^6 copies of R_0: subconcepts,
+    the walk under formula_symbols, yields each distinct object once, and
+    the kernel compiles it into O(steps * k) nodes, expanding every shared
+    object once, one call per reference."""
     steps, roles = 6, [f"s{i}" for i in range(6)]
     phi = reach_formula(ReachAssertion(Nominal("o"), frozenset(roles), "A"), steps)
     refs = _concept_references(phi)
     assert refs <= 4 * steps * len(roles)
+    walked = [id(c) for c in subconcepts(phi)]
+    assert sorted(walked) == sorted(_concept_objects(phi))
+    assert len(walked) <= 4 * steps * len(roles)
+    assert formula_symbols(phi) == {"concepts": {"A"}, "roles": set(roles), "nominals": {"o"}}
     calls = []
-    real_symbols, real_concept = syntax.concept_symbols, Kernel.concept
-
-    def count_symbols(c, out, seen):
-        calls.append(c)
-        real_symbols(c, out, seen)
+    real_concept = Kernel.concept
 
     def count_concept(self, c):
         calls.append(c)
         return real_concept(self, c)
 
-    monkeypatch.setattr(syntax, "concept_symbols", count_symbols)
-    assert formula_symbols(phi) == {"concepts": {"A"}, "roles": set(roles), "nominals": {"o"}}
-    assert len(calls) == refs
-    calls.clear()
     monkeypatch.setattr(Kernel, "concept", count_concept)
     kernel = Kernel({})
     kernel.root(kernel.formula(phi))

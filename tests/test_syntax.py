@@ -5,11 +5,11 @@ import pytest
 from reachdl.parser import (ParseError, parse_block, parse_concept, parse_formula,
                             parse_spec_file)
 from reachdl.syntax import (And, AtMost, Atomic, BOT, Eq, Exists, FALSE, FAnd,
-                            FOr, Incl, Nominal, Not, Or, Role, TOP, TRUE,
+                            FNot, FOr, Incl, Nominal, Not, Or, Role, TOP, TRUE,
                             UnknownSymbolError, Vocabulary, big_and, big_or,
                             closure_concepts, concepts_of, conj, disj,
-                            formula_size, inv, map_concept, map_sides, role,
-                            span_trees, subconcepts, to_text)
+                            formula_size, formula_symbols, inv, map_concept,
+                            map_sides, role, span_trees, subconcepts, to_text)
 from gen import random_formula
 
 V = Vocabulary(concepts={"L", "A", "B"}, roles={"next", "left", "r"},
@@ -117,6 +117,41 @@ def test_subconcepts_preorder_matches_closure_order():
         assert closure_concepts(phi) == want
         assert tuple(dict.fromkeys(subconcepts(phi))) == want
 
+
+
+def test_formula_symbols_of_a_deep_not_chain():
+    """subconcepts keeps its own stack, so formula_symbols returns on
+    concepts and formulas nested far past the recursion limit."""
+    c = Atomic("A")
+    for _ in range(10_000):
+        c = Not(c)
+    phi = Incl(c, Nominal("head"))
+    for _ in range(10_000):
+        phi = FNot(phi)
+    assert formula_symbols(phi) == {"concepts": {"A"}, "roles": set(), "nominals": {"head"}}
+
+
+def test_parenthesised_concept_before_an_inclusion_parses_in_linear_calls(monkeypatch):
+    """`(`*n A `)`*n <= B tries each `(` as a formula group first and reads
+    it again as a concept when that fails; the concept groups already read
+    are remembered, so the parse makes at most 4n expression calls rather
+    than about n^2/2."""
+    import reachdl.parser as parser
+
+    calls = []
+    real = parser._Cursor.expr
+
+    def count_expr(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(parser._Cursor, "expr", count_expr)
+    vocab = Vocabulary(concepts={"A", "B"})
+    for n in (50, 150):
+        calls.clear()
+        phi = parse_formula("(" * n + "A" + ")" * n + " <= B", vocab)
+        assert phi == Incl(Atomic("A"), Atomic("B"))
+        assert len(calls) <= 4 * n
 
 def _sliced(parts, node, empty):
     """The balanced builder as it was written first, by slicing."""
