@@ -20,7 +20,15 @@ layout and builds its FiniteStructure only when one is read (a witness, a
 printed state, I/O).  An `Evaluator` holds the view of one structure and
 computes each node object once, when first reached, with the node rules
 below (role updates, inversion, E r.C, the image E r^-.C, at-most) that
-models.Kernel shares.  Its memo is by identity, not structure: the
+models.Kernel shares.  For E r.C and E r^-.C it first groups the pairs of
+r's updated view by bit offset (`shift_classes`); with at most SHIFT_CAP
+offsets, as for the ORD counter's `succ`, each is a few big-int shifts
+(`shift_exists`, `shift_image`).  A view past the cap keeps the row
+rules: `image` for r^-, and for r `image` over the inverse view when C
+has fewer than n/4 elements, `exists` over the rows otherwise.  The
+kernel keeps the row rules alone: its views change with every candidate
+and have at most 7 rows, so grouping them would cost more than it
+saves.  The evaluator's memo is by identity, not structure: the
 reductions build their outputs as shared DAGs, so a repeated subterm is
 one object.  Inclusions and equalities evaluate both sides,
 and FAnd / FOr short-circuit, so a missing nominal raises
@@ -282,6 +290,51 @@ def image(succ: list[int], cm: int) -> int:
     return out
 
 
+# The evaluator's shift rules.  A role whose pairs take few bit offsets v - u
+# (the ORD counter's increment takes one) costs one shift and one AND per
+# offset, as in shift-and matching (Baeza-Yates & Gonnet, CACM 1992).
+
+SHIFT_CAP = 8
+"""The most distinct bit offsets a view may have for the shift rules; past
+it (an all-to-one role has one offset per element) the row rules run."""
+
+
+def shift_classes(succ: list[int]) -> tuple[tuple[int, int], ...] | None:
+    """The pairs (u, v) of a successor view grouped by bit offset: one
+    (d, S_d) per offset d = v - u, S_d the mask of the sources of the pairs
+    at that offset; None as soon as more than SHIFT_CAP offsets appear."""
+    classes: dict[int, int] = {}
+    for u, row in enumerate(succ):
+        while row:
+            b = row & -row
+            d = b.bit_length() - 1 - u
+            sources = classes.get(d)
+            if sources is None:
+                if len(classes) == SHIFT_CAP:
+                    return None
+                sources = 0
+            classes[d] = sources | 1 << u
+            row ^= b
+    return tuple(classes.items())
+
+
+def shift_exists(classes: tuple[tuple[int, int], ...], cm: int) -> int:
+    """E r.C over r's shift classes: OR over d of (C >> d) & S_d."""
+    out = 0
+    for d, sources in classes:
+        out |= (cm >> d if d >= 0 else cm << -d) & sources
+    return out
+
+
+def shift_image(classes: tuple[tuple[int, int], ...], cm: int) -> int:
+    """E r^-.C over r's shift classes: OR over d of (C & S_d) << d."""
+    out = 0
+    for d, sources in classes:
+        hit = cm & sources
+        out |= hit << d if d >= 0 else hit >> -d
+    return out
+
+
 def at_most(succ: list[int], cm: int, bound: int) -> int:
     """E<=bound r.C: the elements with at most bound successors in C."""
     out = 0
@@ -306,7 +359,11 @@ class Evaluator:
     subterm of a DAG once per evaluator; a structurally equal copy is a
     new object and is computed anew.  `computed` counts the objects
     computed.  Role views have a memo of their own, keyed by the role's
-    name, updates and inversion.  FAnd and FOr short-circuit and take the
+    name, updates and inversion, and so do their shift classes, keyed by
+    name and updates and built from the updated successor view: E r.C and
+    E r^-.C take the shift rules over them, and the row rules (`image`,
+    or `exists` when C has at least n/4 elements) over a view past
+    SHIFT_CAP offsets.  FAnd and FOr short-circuit and take the
     value of the operand that decides them.  The walk keeps its own stack,
     so nesting depth is bounded by memory, not by Python frames.  The
     evaluator holds the root of every walk; the AST is immutable, so that
@@ -319,6 +376,7 @@ class Evaluator:
         self._memo: dict[int, object] = {}
         self._roots: list[object] = []
         self._views: dict[tuple, list[int]] = {}
+        self._shifts: dict[tuple, tuple[tuple[int, int], ...] | None] = {}
 
     @property
     def computed(self) -> int:
@@ -357,6 +415,16 @@ class Evaluator:
                         raise MissingNominalError(f"nominal {e.args[0]} is not interpreted") from None
             views[key] = view
         return view
+
+    def _shift_classes(self, r: Role) -> tuple[tuple[int, int], ...] | None:
+        """The shift classes of r's updated successor view (r's own
+        inversion is left to the caller), or None past SHIFT_CAP offsets."""
+        shifts = self._shifts
+        key = (r.name, r.updates)
+        if key in shifts:
+            return shifts[key]
+        classes = shifts[key] = shift_classes(self._role_view(r, False))
+        return classes
 
     def _walk(self, root: Concept | Formula):
         """The value of a concept or formula.  A child without a value is
@@ -414,8 +482,15 @@ class Evaluator:
                 else:
                     r = x.role
                     if t is Exists:
-                        succ = self._role_view(r, False)
-                        value = (image if r.inverted else exists)(succ, inner)
+                        classes = self._shift_classes(r)
+                        if classes is not None:
+                            value = (shift_image if r.inverted else shift_exists)(classes, inner)
+                        elif r.inverted:
+                            value = image(self._role_view(r, False), inner)
+                        elif inner.bit_count() * 4 < view["n"]:
+                            value = image(self._role_view(r, True), inner)
+                        else:
+                            value = exists(self._role_view(r, False), inner)
                     else:
                         value = at_most(self._role_view(r, r.inverted), inner, x.bound)
             elif t is Nominal:

@@ -577,29 +577,30 @@ def _print_concept(c: Concept, prec: int, memo: dict[tuple[int, int], str]) -> s
     """The text of c where an operator of precedence prec encloses it.
     memo maps (id(node), prec) to the text already printed, so a node that
     a DAG reaches many times is printed once per precedence."""
-    if isinstance(c, Atomic) or isinstance(c, Nominal):
+    t = type(c)
+    if t is Atomic or t is Nominal:
         return c.name
-    if isinstance(c, Top):
+    if t is Top:
         return "top"
-    if isinstance(c, Bot):
+    if t is Bot:
         return "bot"
     key = (id(c), prec)
     got = memo.get(key)
     if got is not None:
         return got
-    if isinstance(c, Or):
+    if t is Or:
         s = (f"{_print_concept(c.left, _CPREC['or'], memo)} | "
              f"{_print_concept(c.right, _CPREC['or'] + 1, memo)}")
         s = f"({s})" if prec > _CPREC["or"] else s
-    elif isinstance(c, And):
+    elif t is And:
         s = (f"{_print_concept(c.left, _CPREC['and'], memo)} & "
              f"{_print_concept(c.right, _CPREC['and'] + 1, memo)}")
         s = f"({s})" if prec > _CPREC["and"] else s
-    elif isinstance(c, Not):
+    elif t is Not:
         s = f"!{_print_concept(c.inner, _CPREC['not'] + 1, memo)}"
-    elif isinstance(c, Exists):
+    elif t is Exists:
         s = f"E {_print_role(c.role)}.{_print_concept(c.inner, _CPREC['atom'], memo)}"
-    elif isinstance(c, AtMost):
+    elif t is AtMost:
         s = f"E<={c.bound} {_print_role(c.role)}.{_print_concept(c.inner, _CPREC['atom'], memo)}"
     else:  # pragma: no cover
         raise TypeError(f"not a concept: {c!r}")
@@ -611,21 +612,22 @@ _FPREC = {"or": 1, "and": 2, "not": 3}
 
 
 def _print_formula(phi: Formula, prec: int, memo: dict[tuple[int, int], str]) -> str:
-    if isinstance(phi, Incl):
+    t = type(phi)
+    if t is Incl:
         return f"{_print_concept(phi.left, 0, memo)} <= {_print_concept(phi.right, 0, memo)}"
-    if isinstance(phi, Eq):
+    if t is Eq:
         return f"{_print_concept(phi.left, 0, memo)} == {_print_concept(phi.right, 0, memo)}"
-    if isinstance(phi, FOr):
+    if t is FOr:
         s = (f"{_print_formula(phi.left, _FPREC['or'], memo)} or "
              f"{_print_formula(phi.right, _FPREC['or'] + 1, memo)}")
         return f"({s})" if prec > _FPREC["or"] else s
-    if isinstance(phi, FAnd):
+    if t is FAnd:
         s = (f"{_print_formula(phi.left, _FPREC['and'], memo)} and "
              f"{_print_formula(phi.right, _FPREC['and'] + 1, memo)}")
         return f"({s})" if prec > _FPREC["and"] else s
-    if isinstance(phi, FNot):
+    if t is FNot:
         inner = phi.inner
-        if isinstance(inner, (Incl, Eq)):
+        if type(inner) is Incl or type(inner) is Eq:
             return f"not ({_print_formula(inner, 0, memo)})"
         return f"not {_print_formula(inner, _FPREC['not'] + 1, memo)}"
     raise TypeError(f"not a formula: {phi!r}")  # pragma: no cover

@@ -4,11 +4,12 @@ from itertools import product
 import pytest
 
 from reachdl.fol import fo_eval, to_first_order
-from reachdl import parser
+from reachdl import parser, structures
 from reachdl.parser import ParseError, parse_formula, parse_structure_file
-from reachdl.structures import (Evaluator, FiniteStructure, MissingNominalError,
-                                env_structure, eval_concept, eval_formula,
-                                mask_view, structure, type_of, types_of_all)
+from reachdl.structures import (SHIFT_CAP, Evaluator, FiniteStructure,
+                                MissingNominalError, env_structure, eval_concept,
+                                eval_formula, mask_view, shift_classes, structure,
+                                type_of, types_of_all)
 from reachdl.syntax import (And, AtMost, Atomic, Bot, Eq, Exists, FAnd, FNot,
                             FOr, Incl, Nominal, Not, Or, Role, TOP, Top,
                             UpdatePoint, Vocabulary, closure_concepts,
@@ -287,6 +288,132 @@ def test_evaluator_computes_each_subterm_once():
     copy = Exists(role("r"), And(Atomic("A"), Not(Nominal("o"))))
     assert copy == c and ev.concept(copy) == 0b100
     assert ev.computed == 222 + 5
+
+
+# ---------------------------------------------------------------------------
+# E r.C and E r^-.C: the shift rules and the row rules they fall back to
+
+
+def _offset_role(rng: random.Random, n: int, offsets) -> set[tuple[int, int]]:
+    """Pairs (u, u + d) over range(n) for each d in offsets that fits: each
+    fitting source with probability 1/2, and at least one per offset."""
+    pairs = set()
+    for d in offsets:
+        sources = [u for u in range(n) if 0 <= u + d < n]
+        if sources:
+            picked = [u for u in sources if rng.random() < 0.5] or [rng.choice(sources)]
+            pairs.update((u, u + d) for u in picked)
+    return pairs
+
+
+def _role_shapes(rng: random.Random, n: int) -> dict[str, set[tuple[int, int]]]:
+    """One role per shape, over range(n)."""
+    chain = {(u, u + 1) for u in range(n - 1)}
+    half = SHIFT_CAP // 2
+    return {
+        "empty": set(),
+        "chain": chain,
+        "chain_back": chain | {(u, u - 2) for u in range(2, n) if rng.random() < 0.5},
+        "cap": _offset_role(rng, n, range(-half, SHIFT_CAP - half)),
+        "cap_plus_1": _offset_role(rng, n, range(-half, SHIFT_CAP - half + 1)),
+        "all_to_one": {(u, n // 2) for u in range(n)},
+        "functional": {(u, rng.randrange(n)) for u in range(n) if rng.random() < 0.8},
+        "dense": {(u, v) for u in range(n) for v in range(n) if rng.random() < 0.5},
+    }
+
+
+def _shift_cases(rng: random.Random, n: int):
+    """A structure over range(n) with every role shape, and the E r.C and
+    E r^-.C concepts over it, plain and (when n > 0) with r[o -> p]."""
+    shapes = _role_shapes(rng, n)
+    noms = {"o": rng.randrange(n), "p": rng.randrange(n)} if n else {}
+    m = structure(range(n), {"A": [u for u in range(n) if rng.random() < 0.5]}, shapes, noms)
+    fillers = [Bot(), Atomic("A"), TOP] + ([Nominal("o")] if n else [])
+    updates = [(), (UpdatePoint("o", "p"),)] if n else [()]
+    concepts = [Exists(Role(name, inverted, ups), c) for name in shapes
+                for ups in updates for inverted in (False, True) for c in fillers]
+    return m, concepts
+
+
+def _reference(m: FiniteStructure, c: Exists) -> frozenset[int]:
+    """E r.C or E r^-.C by a comprehension over m's pairs, updates applied."""
+    pairs = m.role_ext(c.role.name)
+    for p in c.role.updates:
+        src, tgt = m.nominal_elem(p.source), m.nominal_elem(p.target)
+        pairs = {(a, b) for a, b in pairs if a != src} | {(src, tgt)}
+    f = c.inner
+    filler = (frozenset() if isinstance(f, Bot) else frozenset(m.universe) if isinstance(f, Top)
+              else {m.nominal_elem(f.name)} if isinstance(f, Nominal) else m.concept_ext(f.name))
+    if c.role.inverted:
+        return frozenset(b for a, b in pairs if a in filler)
+    return frozenset(a for a, b in pairs if b in filler)
+
+
+def test_exists_rules_match_first_order_oracle_on_small_structures():
+    rng = random.Random(53)
+    for n in range(9):
+        for _ in range(3):
+            m, concepts = _shift_cases(rng, n)
+            ev = Evaluator(m)
+            for c in concepts:
+                want = frozenset(u for u in m.universe if _oracle(m.with_nominal(PROBE, u),
+                                                                  Incl(Nominal(PROBE), c)))
+                assert ev.elements(ev.concept(c)) == want, (n, to_text(Incl(c, TOP)))
+
+
+def test_exists_rules_match_pair_sets_on_large_structures():
+    rng = random.Random(59)
+    for n in (63, 64, 65, 129, 300):
+        m, concepts = _shift_cases(rng, n)
+        ev = Evaluator(m)
+        rows = ev.view["rsucc"]
+        assert len(shift_classes(rows["chain"])) == 1
+        assert len(shift_classes(rows["cap"])) == SHIFT_CAP
+        assert shift_classes(rows["cap_plus_1"]) is None
+        assert shift_classes(rows["all_to_one"]) is None
+        for c in concepts:
+            assert ev.elements(ev.concept(c)) == _reference(m, c), (n, to_text(Incl(c, TOP)))
+
+
+def test_missing_update_nominal_raises_on_both_rule_paths():
+    for n in (3, 65):
+        for pairs in ({(u, u + 1) for u in range(n - 1)}, {(u, 0) for u in range(n)}):
+            m = structure(range(n), {}, {"r": pairs}, {"p": 1})
+            for inverted in (False, True):
+                c = Exists(Role("r", inverted, (UpdatePoint("o", "p"),)), TOP)
+                with pytest.raises(MissingNominalError, match="^nominal o is not interpreted$"):
+                    eval_concept(m, c)
+
+
+def _count_row_rules(monkeypatch) -> dict[str, list[int]]:
+    """The fillers passed to structures.exists and structures.image, by rule."""
+    calls: dict[str, list[int]] = {"exists": [], "image": []}
+    for name in calls:
+        rule = getattr(structures, name)
+
+        def counted(succ, cm, rule=rule, name=name):
+            calls[name].append(cm)
+            return rule(succ, cm)
+
+        monkeypatch.setattr(structures, name, counted)
+    return calls
+
+
+def test_exists_routing_by_rule_calls(monkeypatch):
+    calls = _count_row_rules(monkeypatch)
+    n = 513
+    chain = structure(range(n), {"A": range(0, n, 3)}, {"next": [(u, u + 1) for u in range(n - 1)]})
+    got = eval_concept(chain, Exists(role("next"), Atomic("A")))
+    assert got == frozenset(u for u in range(n - 1) if (u + 1) % 3 == 0)
+    got = eval_concept(chain, Exists(inv("next"), Atomic("A")))
+    assert got == frozenset(u + 1 for u in range(0, n - 1, 3))
+    assert calls == {"exists": [], "image": []}
+    star = structure(range(65), {}, {"r": [(u, 7) for u in range(65)]}, {"o": 7})
+    assert eval_concept(star, Exists(role("r"), Nominal("o"))) == frozenset(range(65))
+    assert calls["exists"] == [] and [cm.bit_count() for cm in calls["image"]] == [1]
+    # a filler of at least n/4 elements takes the successor rows
+    assert eval_concept(star, Exists(role("r"), TOP)) == frozenset(range(65))
+    assert len(calls["exists"]) == 1 and len(calls["image"]) == 1
 
 
 def test_with_symbols_validates_the_new_entries():
