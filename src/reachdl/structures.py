@@ -23,12 +23,11 @@ below (role updates, inversion, E r.C, the image E r^-.C, at-most) that
 models.Kernel shares.  For E r.C and E r^-.C it first groups the pairs of
 r's updated view by bit offset (`shift_classes`); with at most SHIFT_CAP
 offsets, as for the ORD counter's `succ`, each is a few big-int shifts
-(`shift_exists`, `shift_image`).  A view past the cap keeps the row
-rules: `image` for r^-, and for r `image` over the inverse view when C
-has fewer than n/4 elements, `exists` over the rows otherwise.  The
-kernel keeps the row rules alone: its views change with every candidate
-and have at most 7 rows, so grouping them would cost more than it
-saves.  The evaluator's memo is by identity, not structure: the
+(`shift_exists`, `shift_image`).  A view past the cap takes `image` for
+both: over the successor view for r^-, over the memoized predecessor view
+for r.  The kernel keeps the row rules (`exists`, `image`): its views
+change with every candidate and have at most 7 rows, so grouping them
+would cost more than it saves.  The evaluator's memo is by identity, not structure: the
 reductions build their outputs as shared DAGs, so a repeated subterm is
 one object.  Inclusions and equalities evaluate both sides,
 and FAnd / FOr short-circuit, so a missing nominal raises
@@ -296,7 +295,8 @@ def image(succ: list[int], cm: int) -> int:
 
 SHIFT_CAP = 8
 """The most distinct bit offsets a view may have for the shift rules; past
-it (an all-to-one role has one offset per element) the row rules run."""
+it (an all-to-one role has one offset per element) `image` runs over the
+view or its inverse."""
 
 
 def shift_classes(succ: list[int]) -> tuple[tuple[int, int], ...] | None:
@@ -361,9 +361,9 @@ class Evaluator:
     computed.  Role views have a memo of their own, keyed by the role's
     name, updates and inversion, and so do their shift classes, keyed by
     name and updates and built from the updated successor view: E r.C and
-    E r^-.C take the shift rules over them, and the row rules (`image`,
-    or `exists` when C has at least n/4 elements) over a view past
-    SHIFT_CAP offsets.  FAnd and FOr short-circuit and take the
+    E r^-.C take the shift rules over them, and over a view past
+    SHIFT_CAP offsets `image` over the view inverted for r and plain for
+    r^-.  FAnd and FOr short-circuit and take the
     value of the operand that decides them.  The walk keeps its own stack,
     so nesting depth is bounded by memory, not by Python frames.  The
     evaluator holds the root of every walk; the AST is immutable, so that
@@ -485,12 +485,8 @@ class Evaluator:
                         classes = self._shift_classes(r)
                         if classes is not None:
                             value = (shift_image if r.inverted else shift_exists)(classes, inner)
-                        elif r.inverted:
-                            value = image(self._role_view(r, False), inner)
-                        elif inner.bit_count() * 4 < view["n"]:
-                            value = image(self._role_view(r, True), inner)
                         else:
-                            value = exists(self._role_view(r, False), inner)
+                            value = image(self._role_view(r, not r.inverted), inner)
                     else:
                         value = at_most(self._role_view(r, r.inverted), inner, x.bound)
             elif t is Nominal:

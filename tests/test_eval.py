@@ -218,6 +218,13 @@ def test_missing_nominal_in_update_point_raises():
         eval_concept(NO_O, Exists(u, Bot()))  # even when the filler is empty
     with pytest.raises(MissingNominalError):
         eval_concept(NO_O, AtMost(0, u.inverse(), TOP))
+    # a chain (one bit offset) and an all-to-one role (past SHIFT_CAP)
+    for n in (3, 65):
+        for pairs in ({(v, v + 1) for v in range(n - 1)}, {(v, 0) for v in range(n)}):
+            m = structure(range(n), {}, {"r": pairs}, {"p": 1})
+            for r in (u, u.inverse()):
+                with pytest.raises(MissingNominalError, match="nominal o is not interpreted"):
+                    eval_concept(m, Exists(r, TOP))
 
 
 def test_formula_connectives_short_circuit():
@@ -291,7 +298,7 @@ def test_evaluator_computes_each_subterm_once():
 
 
 # ---------------------------------------------------------------------------
-# E r.C and E r^-.C: the shift rules and the row rules they fall back to
+# E r.C and E r^-.C: the shift rules and the image they fall back to
 
 
 def _offset_role(rng: random.Random, n: int, offsets) -> set[tuple[int, int]]:
@@ -375,16 +382,6 @@ def test_exists_rules_match_pair_sets_on_large_structures():
             assert ev.elements(ev.concept(c)) == _reference(m, c), (n, to_text(Incl(c, TOP)))
 
 
-def test_missing_update_nominal_raises_on_both_rule_paths():
-    for n in (3, 65):
-        for pairs in ({(u, u + 1) for u in range(n - 1)}, {(u, 0) for u in range(n)}):
-            m = structure(range(n), {}, {"r": pairs}, {"p": 1})
-            for inverted in (False, True):
-                c = Exists(Role("r", inverted, (UpdatePoint("o", "p"),)), TOP)
-                with pytest.raises(MissingNominalError, match="^nominal o is not interpreted$"):
-                    eval_concept(m, c)
-
-
 def _count_row_rules(monkeypatch) -> dict[str, list[int]]:
     """The fillers passed to structures.exists and structures.image, by rule."""
     calls: dict[str, list[int]] = {"exists": [], "image": []}
@@ -411,9 +408,9 @@ def test_exists_routing_by_rule_calls(monkeypatch):
     star = structure(range(65), {}, {"r": [(u, 7) for u in range(65)]}, {"o": 7})
     assert eval_concept(star, Exists(role("r"), Nominal("o"))) == frozenset(range(65))
     assert calls["exists"] == [] and [cm.bit_count() for cm in calls["image"]] == [1]
-    # a filler of at least n/4 elements takes the successor rows
+    # any filler takes the predecessor image: the evaluator never scans rows
     assert eval_concept(star, Exists(role("r"), TOP)) == frozenset(range(65))
-    assert len(calls["exists"]) == 1 and len(calls["image"]) == 1
+    assert calls["exists"] == [] and [cm.bit_count() for cm in calls["image"]] == [1, 65]
 
 
 def test_with_symbols_validates_the_new_entries():
